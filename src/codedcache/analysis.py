@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -171,8 +170,8 @@ def _candidate_for_k(n: int, q: int, k: int, limit: int) -> CandidateEntry:
                           tuple(route or ()), tuple(notes))
 
 
-def construct_candidate_set(n: int, q: int, cyclic_search_limit: int = 10 ** 6,
-                            workers: Optional[int] = None) -> list[CandidateEntry]:
+def construct_candidate_set(n: int, q: int,
+                            cyclic_search_limit: int = 10 ** 6) -> list[CandidateEntry]:
     """Search every k in 1..n-1 for a certified length-n code at gain k+1.
 
     Branch order per k: cyclic codes at lengths n', n'+(k+1), ... up to n
@@ -184,12 +183,7 @@ def construct_candidate_set(n: int, q: int, cyclic_search_limit: int = 10 ** 6,
     """
     if n < 2 or q < 2:
         raise DomainError(f"need n >= 2 and q >= 2, got n={n}, q={q}")
-    ks = range(1, n)
-    if workers:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(
-                lambda k: _candidate_for_k(n, q, k, cyclic_search_limit), ks))
-    return [_candidate_for_k(n, q, k, cyclic_search_limit) for k in ks]
+    return [_candidate_for_k(n, q, k, cyclic_search_limit) for k in range(1, n)]
 
 
 def k_max_for_budget(n: int, q: int, budget: int,

@@ -319,19 +319,20 @@ def _simulate_core(caches: Sequence[frozenset[int]],
     recovered: list[set[int]] = [set() for _ in range(num_users)]
     exact = [True] * num_users
     for terms in equations:
+        chunks = [chunk(demands[user], col) for user, col in terms]
         payload = 0
-        for user, col in terms:
-            payload ^= chunk(demands[user], col)
-        for user, col in terms:
+        for c in chunks:
+            payload ^= c
+        for (user, col), own in zip(terms, chunks):
             value = payload
-            for other, other_col in terms:
+            for (other, other_col), c in zip(terms, chunks):
                 if other == user:
                     continue
                 if other_col not in caches[user]:
                     raise DecodeFailure(
                         f"user {user} cannot cancel column {other_col}")
-                value ^= chunk(demands[other], other_col)
-            if value != chunk(demands[user], col):
+                value ^= c
+            if value != own:
                 exact[user] = False
             recovered[user].add(col)
     all_cols = frozenset(range(f_s))
@@ -363,33 +364,43 @@ def simulate(scheme: CachingScheme, plan: DeliveryPlan, num_files: int,
 
 @dataclass(frozen=True)
 class EqSubfileMatrix:
-    """Delta x F_s array; entry (i, j) is the 1-based user index recovering
-    subfile j in equation i, or 0."""
+    """Delta x F_s equation-subfile matrix stored by its nonzeros.
+
+    row_terms[i] lists the (user, column) pairs of equation i, 0-based and in
+    ascending column order; every other cell is empty.  In the paper's
+    notation entry (i, j) is the 1-based user index user + 1, or 0."""
 
     num_users: int
-    rows: int
     cols: int
-    entries: tuple[tuple[int, ...], ...]
+    row_terms: tuple[tuple[tuple[int, int], ...], ...]
+
+    @property
+    def rows(self) -> int:
+        return len(self.row_terms)
 
     def transpose(self) -> "EqSubfileMatrix":
-        flipped = tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                        for j in range(self.cols))
-        return EqSubfileMatrix(self.num_users, self.cols, self.rows, flipped)
+        """Swap indices: (user, j) in row i becomes (user, i) in row j."""
+        flipped: list[list[tuple[int, int]]] = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.row_terms):
+            for user, j in row:
+                flipped[j].append((user, i))
+        return EqSubfileMatrix(self.num_users, self.rows,
+                               tuple(map(tuple, flipped)))
 
 
 def equation_subfile_matrix(scheme: CachingScheme,
                             plan: DeliveryPlan) -> EqSubfileMatrix:
+    """One row per equation of the plan, its terms sorted by column."""
     rows = []
     for eq in plan.equations:
-        row = [0] * scheme.f_s
-        for user, point, sup in eq.terms:
-            col = scheme.subfile_col(point, sup)
-            if row[col]:
+        row = sorted((scheme.subfile_col(point, sup), user)
+                     for user, point, sup in eq.terms)
+        for (col, _), (nxt, _) in zip(row, row[1:]):
+            if col == nxt:
                 raise Lemma4Violated(
                     f"two users recover subfile column {col} in one equation")
-            row[col] = user + 1
-        rows.append(tuple(row))
-    return EqSubfileMatrix(scheme.num_users, len(rows), scheme.f_s, tuple(rows))
+        rows.append(tuple((user, col) for col, user in row))
+    return EqSubfileMatrix(scheme.num_users, scheme.f_s, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -401,33 +412,37 @@ class Lemma4Report:
 def verify_lemma4(m: EqSubfileMatrix) -> Lemma4Report:
     """The three validity conditions: no repeated user within a column,
     none within a row, and any two occurrences of one user sit on a zero
-    'rectangle' (the swapped positions are empty)."""
-    violations = []
-    for j in range(m.cols):
-        seen: dict[int, int] = {}
-        for i in range(m.rows):
-            v = m.entries[i][j]
-            if v:
-                if v in seen:
-                    violations.append(
-                        f"user {v} appears twice in column {j} (rows {seen[v]}, {i})")
-                seen[v] = i
-    for i, row in enumerate(m.entries):
-        nz = [v for v in row if v]
-        if len(nz) != len(set(nz)):
-            violations.append(f"row {i} repeats a user")
-    occ: dict[int, list[tuple[int, int]]] = {}
-    for i, row in enumerate(m.entries):
-        for j, v in enumerate(row):
-            if v:
-                occ.setdefault(v, []).append((i, j))
-    for v, spots in occ.items():
-        for (i1, j1), (i2, j2) in itertools.combinations(spots, 2):
-            if j1 == j2 or i1 == i2:
-                continue  # already reported above
-            if m.entries[i1][j2] or m.entries[i2][j1]:
-                violations.append(
-                    f"user {v} at ({i1},{j1}) and ({i2},{j2}) lacks zero corners")
+    'rectangle' (the swapped positions are empty).
+
+    Only nonzeros are visited.  A user v at (i, j) and any other nonzero
+    (i, j2) of row i break the rectangle with every occurrence of v in
+    column j2 outside row i, so the corner check costs the sum of squared
+    row lengths plus one entry per violation.  Violations are listed in the
+    order a row-major scan of the dense matrix would find them."""
+    where: dict[tuple[int, int], list[int]] = {}  # (user, column) -> rows
+    first: dict[int, int] = {}  # user -> rank of its first occurrence
+    for i, row in enumerate(m.row_terms):
+        for user, j in row:
+            where.setdefault((user, j), []).append(i)
+            first.setdefault(user, len(first))
+    columns = sorted(
+        (j, i2, f"user {user + 1} appears twice in column {j} (rows {i1}, {i2})")
+        for (user, j), rows in where.items() for i1, i2 in zip(rows, rows[1:]))
+    violations = [text for _, _, text in columns]
+    violations += [f"row {i} repeats a user" for i, row in enumerate(m.row_terms)
+                   if len({user for user, _ in row}) != len(row)]
+    corners = set()
+    for i, row in enumerate(m.row_terms):
+        for user, j in row:
+            for _, j2 in row:
+                if j2 == j:
+                    continue
+                for i2 in where.get((user, j2), ()):
+                    if i2 != i:
+                        a, b = sorted(((i, j), (i2, j2)))
+                        corners.add((first[user], user, a, b))
+    violations += [f"user {user + 1} at ({i1},{j1}) and ({i2},{j2}) lacks zero corners"
+                   for _, user, (i1, j1), (i2, j2) in sorted(corners)]
     return Lemma4Report(not violations, tuple(violations))
 
 
@@ -455,21 +470,18 @@ class MatrixScheme:
 
 
 def scheme_from_eq_subfile(m: EqSubfileMatrix) -> MatrixScheme:
+    """Read a scheme off a valid matrix; its rows become the equations as
+    they stand."""
     report = verify_lemma4(m)
     if not report.ok:
         raise Lemma4Violated("; ".join(report.violations[:3]))
-    caches = []
-    present = [set() for _ in range(m.num_users)]
-    for row in m.entries:
-        for j, v in enumerate(row):
-            if v:
-                present[v - 1].add(j)
-    for u in range(m.num_users):
-        caches.append(frozenset(j for j in range(m.cols) if j not in present[u]))
-    equations = []
-    for row in m.entries:
-        equations.append(tuple((v - 1, j) for j, v in enumerate(row) if v))
-    return MatrixScheme(m.num_users, m.cols, tuple(caches), tuple(equations))
+    present: list[set[int]] = [set() for _ in range(m.num_users)]
+    for row in m.row_terms:
+        for user, j in row:
+            present[user].add(j)
+    all_cols = frozenset(range(m.cols))
+    caches = tuple(all_cols - cols for cols in present)
+    return MatrixScheme(m.num_users, m.cols, caches, m.row_terms)
 
 
 def simulate_matrix(ms: MatrixScheme, demands: Sequence[int], num_files: int,

@@ -30,17 +30,6 @@ from .errors import (
 from .gf import ScalarDomain, natural_domain
 
 
-def _threads_default() -> Optional[int]:
-    raw = os.environ.get("CODEDCACHE_THREADS", "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
-
-
 def _int_list(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",") if x.strip() != ""]
@@ -127,7 +116,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     cert = None
     if not args.skip_certify:
         if isinstance(source, codes.CrtCodewordSource):
-            comp_certs = [codes.check_ccp(c, min(alpha, c.k), workers=args.threads)
+            comp_certs = [codes.check_ccp(c, min(alpha, c.k))
                           for c in source.components]
             satisfied = all(c.satisfied for c in comp_certs)
             cert = codes.CcpCertificate(alpha, caching.least_z(n, alpha),
@@ -136,7 +125,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         elif source.provenance.kind == "cyclic":
             cert = codes.check_ccp_cyclic_shortcut(source)
         else:
-            cert = codes.check_ccp(source, alpha, workers=args.threads)
+            cert = codes.check_ccp(source, alpha)
 
     digests = None
     if args.digest:
@@ -190,7 +179,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                               "generator matrix, not a residue source")
         ok = True
         for idx, comp in enumerate(source.components):
-            cert = codes.check_ccp(comp, alpha, workers=args.threads)
+            cert = codes.check_ccp(comp, alpha)
             print(f"component {idx} (q={comp.domain.q}):")
             _print_certificate(cert)
             ok = ok and cert.satisfied
@@ -199,7 +188,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.method == "cyclic":
         cert = codes.check_ccp_cyclic_shortcut(source)
     else:
-        cert = codes.check_ccp(source, alpha, workers=args.threads)
+        cert = codes.check_ccp(source, alpha)
     _print_certificate(cert)
     return 0 if cert.satisfied else 3
 
@@ -308,9 +297,7 @@ def _route_label(entry: analysis.CandidateEntry) -> str:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    entries = analysis.construct_candidate_set(args.n, args.q,
-                                               args.cyclic_limit,
-                                               workers=args.threads)
+    entries = analysis.construct_candidate_set(args.n, args.q, args.cyclic_limit)
     budget_result = None
     if args.budget is not None:
         budget_result = analysis.k_max_for_budget(args.n, args.q, args.budget,
@@ -391,8 +378,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="emit errors as machine-readable JSON on stdout")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    threads = _threads_default()
-
     con = sub.add_parser("construct", help="build a code and write a scheme file")
     conb = con.add_subparsers(dest="builder", metavar="builder", required=True)
 
@@ -408,9 +393,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="skip the consecutive-column-property check")
         p.add_argument("--digest", action="store_true",
                        help="embed a sha256 digest of the codeword matrix")
-        p.add_argument("--threads", type=int, default=threads,
-                       help="worker threads for certification "
-                            "(default: CODEDCACHE_THREADS)")
         p.set_defaults(func=cmd_construct)
 
     p = conb.add_parser("mds", help="Vandermonde generator, needs q >= n")
@@ -446,7 +428,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--skip-certify", action="store_true")
     p.add_argument("--digest", action="store_true")
-    p.add_argument("--threads", type=int, default=threads)
     p.set_defaults(func=cmd_construct)
 
     p = conb.add_parser("kron", help="Kronecker lift A (x) I_t of a base scheme file")
@@ -473,7 +454,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="window width (default: k+1, residue sources: k_min)")
     p.add_argument("--method", choices=["exhaustive", "cyclic"],
                    default="exhaustive")
-    p.add_argument("--threads", type=int, default=threads)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="run the broadcast byte-exactly")
@@ -497,7 +477,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="candidate cap per cyclic length")
     p.add_argument("--csv", help="write the table as CSV")
     p.add_argument("--json-out", help="write the table (with routes) as JSON")
-    p.add_argument("--threads", type=int, default=threads)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("compare", help="exact comparison table for scheme files")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -182,8 +181,7 @@ def _check_window_full(g: GeneratorMatrix, alpha: int,
     return tuple(checks), False
 
 
-def check_ccp(g: GeneratorMatrix, alpha: int,
-              workers: Optional[int] = None) -> CcpCertificate:
+def check_ccp(g: GeneratorMatrix, alpha: int) -> CcpCertificate:
     """Certify the (k, alpha)-CCP of g by checking every column window.
 
     alpha = k+1 tests all k x k submatrices of each window; alpha <= k tests
@@ -192,20 +190,9 @@ def check_ccp(g: GeneratorMatrix, alpha: int,
     """
     if not 1 <= alpha <= g.k + 1:
         raise InvalidAlpha(f"alpha must be in 1..{g.k + 1}, got {alpha}")
-    windows = ccp_windows(g.n, alpha)
     z = least_z(g.n, alpha)
-
-    def run(item: tuple[int, tuple[int, ...]]) -> WindowCheck:
-        a, cols = item
-        checks, ok = _check_window_full(g, alpha, cols)
-        return WindowCheck(a, cols, checks, ok)
-
-    items = list(enumerate(windows))
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = tuple(pool.map(run, items))
-    else:
-        results = tuple(run(it) for it in items)
+    results = tuple(WindowCheck(a, cols, *_check_window_full(g, alpha, cols))
+                    for a, cols in enumerate(ccp_windows(g.n, alpha)))
     return CcpCertificate(alpha, z, all(w.ok for w in results), "exhaustive", results)
 
 

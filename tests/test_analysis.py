@@ -84,11 +84,6 @@ def test_search_limit_skips_wide_scans():
     assert any("exceed limit" in note for note in by_k[4].notes)
 
 
-def test_workers_do_not_change_results(table_entries):
-    threaded = construct_candidate_set(12, 5, workers=4)
-    assert threaded == list(table_entries)
-
-
 def test_ring_candidate_set_6_6():
     entries = construct_candidate_set(6, 6)
     found = {e.k for e in entries if e.found}

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -339,30 +340,100 @@ def test_simulate_crt_source_end_to_end():
 # ---------------------------------------------------------------------------
 
 
+def sparse(num_users, dense_rows):
+    """EqSubfileMatrix from the paper's dense form: 1-based users, 0 empty."""
+    return EqSubfileMatrix(num_users, len(dense_rows[0]), tuple(
+        tuple((v - 1, j) for j, v in enumerate(row) if v) for row in dense_rows))
+
+
+def dense(m):
+    rows = [[0] * m.cols for _ in range(m.rows)]
+    for i, row in enumerate(m.row_terms):
+        for user, j in row:
+            rows[i][j] = user + 1
+    return tuple(map(tuple, rows))
+
+
+def reference_lemma4(entries):
+    """Lemma 4 checked cell by cell and pair by pair on a dense matrix."""
+    violations = []
+    rows, cols = len(entries), len(entries[0])
+    for j in range(cols):
+        seen = {}
+        for i in range(rows):
+            v = entries[i][j]
+            if v:
+                if v in seen:
+                    violations.append(
+                        f"user {v} appears twice in column {j} (rows {seen[v]}, {i})")
+                seen[v] = i
+    for i, row in enumerate(entries):
+        nz = [v for v in row if v]
+        if len(nz) != len(set(nz)):
+            violations.append(f"row {i} repeats a user")
+    occ = {}
+    for i, row in enumerate(entries):
+        for j, v in enumerate(row):
+            if v:
+                occ.setdefault(v, []).append((i, j))
+    for v, spots in occ.items():
+        for (i1, j1), (i2, j2) in itertools.combinations(spots, 2):
+            if j1 == j2 or i1 == i2:
+                continue
+            if entries[i1][j2] or entries[i2][j1]:
+                violations.append(
+                    f"user {v} at ({i1},{j1}) and ({i2},{j2}) lacks zero corners")
+    return not violations, tuple(violations)
+
+
 def test_eq_subfile_matrix_spc_exact():
     s = placement(spc_design(), 3)
     graph = recovery_set_graph(3, 3)
     plan = generate_delivery(s, graph, list(range(6)))
     m = equation_subfile_matrix(s, plan)
     assert (m.rows, m.cols, m.num_users) == (4, 4, 6)
-    assert m.entries == ((6, 3, 1, 0), (4, 5, 0, 1), (2, 0, 5, 3), (0, 2, 4, 6))
+    assert m == sparse(6, ((6, 3, 1, 0), (4, 5, 0, 1), (2, 0, 5, 3), (0, 2, 4, 6)))
     assert verify_lemma4(m).ok
 
 
+def test_eq_subfile_matrix_rejects_shared_column():
+    s = placement(spc_design(), 3)
+    # users 0 and 1 would both recover subfile (point 0, superscript 0)
+    clash = Equation(0, ((0, 0, 0), (1, 0, 0)))
+    with pytest.raises(Lemma4Violated):
+        equation_subfile_matrix(s, DeliveryPlan(tuple(range(6)), (clash,)))
+
+
 def test_lemma4_flags_each_condition():
-    col_dup = EqSubfileMatrix(2, 2, 2, ((1, 0), (1, 2)))
+    col_dup = sparse(2, ((1, 0), (1, 2)))
     rep = verify_lemma4(col_dup)
     assert not rep.ok
     assert any("column" in v for v in rep.violations)
 
-    row_dup = EqSubfileMatrix(2, 1, 2, ((1, 1),))
+    row_dup = sparse(2, ((1, 1),))
     rep = verify_lemma4(row_dup)
     assert not rep.ok
     assert any("row" in v for v in rep.violations)
 
-    corner = EqSubfileMatrix(3, 2, 2, ((1, 2), (3, 1)))
+    corner = sparse(3, ((1, 2), (3, 1)))
     rep = verify_lemma4(corner)
     assert not rep.ok
+
+
+def test_lemma4_matches_dense_reference_on_random_matrices():
+    rng = random.Random(20170601)
+    for _ in range(3000):
+        rows, cols, users = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 4)
+        fill = rng.random()
+        entries = tuple(tuple(rng.randint(1, users) if rng.random() < fill else 0
+                              for _ in range(cols)) for _ in range(rows))
+        m = sparse(users, entries)
+        assert dense(m) == entries
+        assert m.transpose().transpose() == m
+        assert dense(m.transpose()) == tuple(zip(*entries))
+        for mat in (m, m.transpose()):
+            rep = verify_lemma4(mat)
+            assert (rep.ok, rep.violations) == reference_lemma4(dense(mat)), entries
 
 
 def test_lemma4_transpose_symmetry():
@@ -375,7 +446,7 @@ def test_lemma4_transpose_symmetry():
 
 def test_scheme_from_displayed_4x6_matrix():
     """The worked 4-user, 6-subfile matrix: caches, rate, simulation."""
-    m = EqSubfileMatrix(4, 4, 6, (
+    m = sparse(4, (
         (3, 2, 0, 1, 0, 0),
         (4, 0, 2, 0, 1, 0),
         (0, 4, 3, 0, 0, 1),
@@ -384,12 +455,12 @@ def test_scheme_from_displayed_4x6_matrix():
     assert verify_lemma4(m).ok
     ms = scheme_from_eq_subfile(m)
     assert ms.num_users == 4
+    assert ms.equations == m.row_terms
     assert ms.rate == Fraction(2, 3)
     assert all(ms.cache_fraction(u) == Fraction(1, 2) for u in range(4))
     # users caching each subfile form exactly the six 2-subsets, i.e. the
     # pair-design structure of the 6-user scheme transposed
-    col_sets = sorted(tuple(sorted(u + 1 for u in range(4) if (u + 1) not in
-                                   [row[j] for row in m.entries]))
+    col_sets = sorted(tuple(u + 1 for u in range(4) if j in ms.caches[u])
                       for j in range(6))
     assert col_sets == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
     sim = simulate_matrix(ms, [0, 1, 2, 3], num_files=4, subfile_bytes=8, seed=11)
@@ -399,7 +470,7 @@ def test_scheme_from_displayed_4x6_matrix():
 
 def test_scheme_from_eq_subfile_rejects_bad_matrix():
     with pytest.raises(Lemma4Violated):
-        scheme_from_eq_subfile(EqSubfileMatrix(2, 1, 2, ((1, 1),)))
+        scheme_from_eq_subfile(sparse(2, ((1, 1),)))
 
 
 # ---------------------------------------------------------------------------

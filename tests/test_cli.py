@@ -353,19 +353,3 @@ def test_crt_rejects_cyclic_shortcut(tmp_path):
     code, _, err = run(["verify", scheme, "--method", "cyclic"])
     assert code == 1
     assert "residue source" in err
-
-
-# ---------------------------------------------------------------------------
-# worker thread default
-# ---------------------------------------------------------------------------
-
-
-def test_threads_default_reads_environment(monkeypatch):
-    monkeypatch.setenv("CODEDCACHE_THREADS", "3")
-    assert cli._threads_default() == 3
-    monkeypatch.setenv("CODEDCACHE_THREADS", "0")
-    assert cli._threads_default() is None
-    monkeypatch.setenv("CODEDCACHE_THREADS", "soon")
-    assert cli._threads_default() is None
-    monkeypatch.delenv("CODEDCACHE_THREADS")
-    assert cli._threads_default() is None

@@ -167,14 +167,6 @@ def test_ring_ccp_uses_unit_determinants():
         gmat(z6, rows)
 
 
-def test_check_ccp_threads_agree_with_serial():
-    g = build_cyclic(8, [2, 1, 0, 1, 1], GF3)
-    serial = check_ccp(g, 5)
-    threaded = check_ccp(g, 5, workers=4)
-    assert serial.satisfied == threaded.satisfied
-    assert [w.columns for w in serial.windows] == [w.columns for w in threaded.windows]
-
-
 # ---------------------------------------------------------------------------
 # cyclic shortcut
 # ---------------------------------------------------------------------------
