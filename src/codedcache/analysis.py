@@ -15,6 +15,7 @@ for the memory-sharing bound.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -240,8 +241,9 @@ def mn_metrics(big_k: int, m_over_n) -> ComparisonRow:
                          math.comb(big_k, t), Fraction(1 + t))
 
 
-def _mn_rate(big_k: int, x: float) -> float:
-    return big_k * (1.0 - x) / (1.0 + big_k * x)
+def _mn_rate(big_k: int, x):
+    """Classical rate at cache fraction x; exact when x is a Fraction."""
+    return big_k * (1 - x) / (1 + big_k * x)
 
 
 def memory_sharing_bound(big_k: int, m_over_n, rate) -> dict:
@@ -252,8 +254,10 @@ def memory_sharing_bound(big_k: int, m_over_n, rate) -> dict:
     lambda*x + (1-lambda)*(1-x) = M/N eliminated into
     lambda = (1 - x - M/N)/(1 - 2x), by bisection on x in [0, 1/2]; the
     shared rate is strictly decreasing there, from K(1-M/N) at x=0.
-    Returns lambda, M*/N, the rounded-up integral point M'/N, and the
-    binomial subpacketization C(K, KM'/N) that sharing would need.
+    Returns lambda and M*/N as floats, the integral point M'/N = t'/K with
+    t' the least integer t < K/2 whose shared rate is at most R (ceil(K/2)
+    when there is none; decided exactly in Fractions), and the binomial
+    subpacketization C(K, t') that sharing would need.
     """
     m = Fraction(m_over_n)
     r = Fraction(rate)
@@ -271,19 +275,19 @@ def memory_sharing_bound(big_k: int, m_over_n, rate) -> dict:
 
     mf, rf = float(m), float(r)
 
-    def shared_rate(x: float) -> float:
-        lam = (1.0 - x - mf) / (1.0 - 2.0 * x)
-        return lam * _mn_rate(big_k, x) + (1.0 - lam) * _mn_rate(big_k, 1.0 - x)
+    def shared_rate(x, m_over_n):
+        lam = (1 - x - m_over_n) / (1 - 2 * x)
+        return lam * _mn_rate(big_k, x) + (1 - lam) * _mn_rate(big_k, 1 - x)
 
     lo, hi = 0.0, 0.5 - 1e-14
-    if shared_rate(hi) > rf:
+    if shared_rate(hi, mf) > rf:
         raise NoSolutionInRange(f"rate {r} below the sharing curve at K={big_k}")
     for _ in range(200):
         mid = (lo + hi) / 2.0
-        if abs(shared_rate(mid) - rf) <= 1e-12:
+        if abs(shared_rate(mid, mf) - rf) <= 1e-12:
             lo = hi = mid
             break
-        if shared_rate(mid) > rf:
+        if shared_rate(mid, mf) > rf:
             lo = mid
         else:
             hi = mid
@@ -292,7 +296,11 @@ def memory_sharing_bound(big_k: int, m_over_n, rate) -> dict:
     if not -1e-9 <= lam <= 1 + 1e-9:
         raise NoSolutionInRange(
             f"sharing weight {lam:.6f} outside [0,1] at M*/N={x_star:.6f}")
-    t_prime = math.ceil(big_k * x_star - 1e-9)
+    # t' is the least integer t < K/2 with shared_rate(t/K) <= R, else
+    # ceil(K/2); the shared rate decreases strictly, so bisect, in Fractions
+    t_prime = bisect.bisect_left(
+        range((big_k + 1) // 2), True,
+        key=lambda t: shared_rate(Fraction(t, big_k), m) <= r)
     return {"lambda": min(max(lam, 0.0), 1.0), "m_star_over_n": x_star,
             "m_prime_over_n": Fraction(t_prime, big_k),
             "f_s_lower": math.comb(big_k, t_prime)}

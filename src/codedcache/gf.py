@@ -6,6 +6,14 @@ field GF(p^m) an element is the packed integer sum(c_i * p**i) where
 (c_0, ..., c_{m-1}) are the coefficients of the polynomial representative in
 the basis {1, x, ..., x^{m-1}}; the packed values again range over [0, q).
 
+Scalar operations are table-driven; no call unpacks an element into digits.
+Prime fields and residue rings reduce the plain integer result mod q.  In
+GF(2^m) addition and subtraction are XOR of the packed ints and negation is
+the identity.  Every extension field multiplies and inverts through log/exp
+tables of a primitive element g, and for odd p it adds through a Zech table
+zech[i] = log(1 + g^i), so a + b = g^(log a + zech[log b - log a]).  The
+tables hold O(q) entries and are built once, when the domain is constructed.
+
 All operations are exact integer computations; no floats appear anywhere in
 this module.
 """
@@ -103,6 +111,16 @@ class ScalarDomain:
     every scalar operation the rest of the package needs; elements themselves
     stay plain ints.
 
+    How the operations are computed depends on the kind of domain:
+
+    - prime field or ring: integer arithmetic mod q;
+    - GF(2^m): ``add``/``sub`` are ``a ^ b`` and ``neg`` is the identity;
+    - GF(p^m), odd p: ``add``/``sub``/``neg`` through the log/exp tables and
+      the Zech table, with ``-a = g^(log a + (q-1)/2)``;
+    - every extension field: ``mul``/``inv`` through the log/exp tables.
+
+    The tables are built once, in the constructor.
+
     Attributes
     ----------
     kind : str
@@ -116,7 +134,7 @@ class ScalarDomain:
         for extension fields, None otherwise.
     """
 
-    __slots__ = ("kind", "q", "p", "m", "modulus", "_exp", "_log")
+    __slots__ = ("kind", "q", "p", "m", "modulus", "_exp", "_log", "_zech")
 
     def __init__(self, kind: str, q: int, p: int, m: int,
                  modulus: Optional[tuple[int, ...]]):
@@ -127,6 +145,7 @@ class ScalarDomain:
         self.modulus = modulus
         self._exp: Optional[list[int]] = None
         self._log: Optional[list[int]] = None
+        self._zech: Optional[list[int]] = None
         if kind == "field" and m > 1:
             self._build_tables()
 
@@ -211,6 +230,15 @@ class ScalarDomain:
             log[acc] = i
         log[1] = 0
         self._exp, self._log = exp, log
+        if p != 2:
+            # zech[i] = log(1 + g^i); adding 1 only changes the constant digit.
+            # At i = (q-1)/2, g^i = -1 and the sum is 0: sentinel -1.
+            zech = [-1] * (q - 1)
+            for i, e in enumerate(exp):
+                one_plus = e - e % p + (e + 1) % p
+                if one_plus:
+                    zech[i] = log[one_plus]
+            self._zech = zech
 
     def _mul_raw(self, a: int, b: int) -> int:
         """Polynomial product mod (modulus, p) on packed ints; no tables."""
@@ -247,20 +275,32 @@ class ScalarDomain:
     def add(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a + b) % self.q
-        p, m = self.p, self.m
-        return _pack([(x + y) % p for x, y in zip(_unpack(a, p, m), _unpack(b, p, m))], p)
+        if self.p == 2:
+            return a ^ b
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        # g^la + g^lb = g^(la + zech[lb - la])
+        n, log = self.q - 1, self._log
+        la = log[a]
+        z = self._zech[(log[b] - la) % n]
+        return 0 if z < 0 else self._exp[(la + z) % n]
 
     def sub(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a - b) % self.q
-        p, m = self.p, self.m
-        return _pack([(x - y) % p for x, y in zip(_unpack(a, p, m), _unpack(b, p, m))], p)
+        if self.p == 2:
+            return a ^ b
+        return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
         if self.m == 1:
             return (-a) % self.q
-        p, m = self.p, self.m
-        return _pack([(-x) % p for x in _unpack(a, p, m)], p)
+        if self.p == 2 or a == 0:
+            return a
+        n = self.q - 1
+        return self._exp[(self._log[a] + n // 2) % n]
 
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:

@@ -139,10 +139,15 @@ def codeword_digest(source: SchemeSource, max_codewords: int = 1 << 20) -> str:
     Refuses enumerations larger than max_codewords."""
     from .design import codeword_matrix  # deferred: design imports codes
 
-    cm = codeword_matrix(source)
-    if cm.num_codewords > max_codewords:
+    # count first: the cap must refuse before anything is enumerated
+    if isinstance(source, CrtCodewordSource):
+        count = source.num_codewords
+    else:
+        count = source.domain.q ** source.k
+    if count > max_codewords:
         raise SchemeFileError(
-            f"{cm.num_codewords} codewords exceed digest cap {max_codewords}")
+            f"{count} codewords exceed digest cap {max_codewords}")
+    cm = codeword_matrix(source)
     h = hashlib.sha256()
     for row in cm.rows:
         h.update(",".join(str(x) for x in row).encode())

@@ -221,6 +221,31 @@ def test_memory_sharing_residuals_below_tolerance():
         assert abs(lam * x + (1 - lam) * (1 - x) - m) < 1e-9
 
 
+def test_memory_sharing_exact_t_prime_near_integer():
+    """K*x* within 1e-9 of an integer: t' is decided exactly, not by a float
+    tolerance."""
+    big_k, m = 18, Fraction(1, 2)
+
+    def shared(x):
+        lam = (1 - x - m) / (1 - 2 * x)
+
+        def h(y):
+            return big_k * (1 - y) / (1 + big_k * y)
+
+        return lam * h(x) + (1 - lam) * h(1 - x)
+
+    # x* = 5/18 exactly: t' = 5
+    b = memory_sharing_bound(big_k, m, shared(Fraction(5, big_k)))
+    assert b["m_prime_over_n"] == Fraction(5, 18)
+    assert b["f_s_lower"] == math.comb(18, 5)
+    # K*x* = 5 + 1e-10: the rate at t = 5 is above R, so t' = 6
+    x_star = Fraction(5 * 10 ** 10 + 1, big_k * 10 ** 10)
+    b = memory_sharing_bound(big_k, m, shared(x_star))
+    assert abs(big_k * b["m_star_over_n"] - 5) < 1e-9
+    assert b["m_prime_over_n"] == Fraction(6, 18)
+    assert b["f_s_lower"] == math.comb(18, 6)
+
+
 # ---------------------------------------------------------------------------
 # scaling exponents
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from codedcache.errors import (
     RingNotSupported,
 )
 from codedcache.gf import (
+    _IRREDUCIBLE,
     Matrix,
     ScalarDomain,
     mat_det_is_unit,
@@ -149,6 +150,82 @@ def test_custom_modulus_must_be_irreducible():
     # x^2 + 2x + 1 = (x+1)^2 is reducible and rejected.
     with pytest.raises(DomainError):
         ScalarDomain.field(9, modulus=[1, 2, 1])
+
+
+# Digit-wise reference arithmetic: an element of GF(p^m) is the packed int
+# sum(c_i * p**i), and addition works coefficient by coefficient mod p.
+
+
+def _unpack(a, p, m):
+    out = []
+    for _ in range(m):
+        out.append(a % p)
+        a //= p
+    return out
+
+
+def _pack(coeffs, p):
+    out = 0
+    mult = 1
+    for c in coeffs:
+        out += c * mult
+        mult *= p
+    return out
+
+
+def reference_add(dom, a, b):
+    p, m = dom.p, dom.m
+    return _pack([(x + y) % p for x, y in zip(_unpack(a, p, m), _unpack(b, p, m))], p)
+
+
+def reference_sub(dom, a, b):
+    p, m = dom.p, dom.m
+    return _pack([(x - y) % p for x, y in zip(_unpack(a, p, m), _unpack(b, p, m))], p)
+
+
+def reference_neg(dom, a):
+    p, m = dom.p, dom.m
+    return _pack([(-x) % p for x in _unpack(a, p, m)], p)
+
+
+def assert_matches_reference(dom, pairs):
+    for a in dom.elements():
+        assert dom.neg(a) == reference_neg(dom, a), (dom, a)
+    for a, b in pairs:
+        assert dom.add(a, b) == reference_add(dom, a, b), (dom, a, b)
+        assert dom.sub(a, b) == reference_sub(dom, a, b), (dom, a, b)
+
+
+def test_extension_add_sub_neg_match_reference_on_all_pairs_up_to_64():
+    for (p, m) in sorted(_IRREDUCIBLE):
+        q = p ** m
+        if q <= 64:
+            dom = ScalarDomain.field(q)
+            assert_matches_reference(dom, itertools.product(range(q), repeat=2))
+
+
+def test_extension_add_sub_neg_match_reference_on_random_pairs_above_64():
+    rng = random.Random(20261017)
+    for (p, m) in sorted(_IRREDUCIBLE):
+        q = p ** m
+        if q > 64:
+            dom = ScalarDomain.field(q)
+            assert_matches_reference(
+                dom, [(rng.randrange(q), rng.randrange(q)) for _ in range(20_000)])
+
+
+def test_extension_arithmetic_with_custom_modulus_matches_reference():
+    # x^2 + x + 2 over GF(3) and x^4 + x + 1 over GF(2): not the defaults
+    for q, modulus in ((9, [2, 1, 1]), (16, [1, 1, 0, 0, 1])):
+        dom = ScalarDomain.field(q, modulus=modulus)
+        assert dom.modulus != ScalarDomain.field(q).modulus
+        assert_matches_reference(dom, itertools.product(range(q), repeat=2))
+
+
+def test_characteristic_two_addition_is_xor():
+    gf32 = ScalarDomain.field(32)
+    for a, b in itertools.product(range(32), repeat=2):
+        assert gf32.add(a, b) == gf32.sub(a, b) == a ^ b
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from codedcache import design
 from codedcache.codes import (
     CrtCodewordSource,
     GeneratorMatrix,
@@ -213,3 +214,15 @@ def test_digest_enumeration_cap():
     with pytest.raises(SchemeFileError):
         codeword_digest(g, max_codewords=80)
     codeword_digest(g, max_codewords=81)
+
+
+def test_digest_cap_refuses_before_enumerating(monkeypatch):
+    def enumerate_all(source):
+        raise AssertionError("codeword_matrix called despite the cap")
+
+    monkeypatch.setattr(design, "codeword_matrix", enumerate_all)
+    with pytest.raises(SchemeFileError, match="exceed digest cap 80"):
+        codeword_digest(build_spc(4, GF3), max_codewords=80)  # 81 codewords
+    crt = build_crt_cyclic([([1, 1], GF2), ([1, 1, 1], GF3)], 3)  # 4 * 3
+    with pytest.raises(SchemeFileError, match="12 codewords exceed"):
+        codeword_digest(crt, max_codewords=11)
