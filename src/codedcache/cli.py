@@ -65,7 +65,7 @@ def _source_params(source: schemefile.SchemeSource) -> tuple[int, int, int, int]
         return source.n, source.q, source.k_min, source.num_codewords
     # Kronecker lifts certify at alpha = k, everything else at k + 1
     alpha = source.k if source.provenance.kind == "kron_identity" else source.k + 1
-    return source.n, source.domain.q, alpha, source.domain.q ** source.k
+    return source.n, source.domain.q, alpha, source.num_codewords
 
 
 def _print_summary(source: schemefile.SchemeSource, alpha: int,

@@ -110,6 +110,10 @@ class GeneratorMatrix:
         self.domain = dom
         self.provenance = provenance or Provenance("user")
 
+    @property
+    def num_codewords(self) -> int:
+        return self.domain.q ** self.k
+
     def __repr__(self) -> str:
         return f"GeneratorMatrix(k={self.k}, n={self.n}, {self.domain!r}, {self.provenance.kind})"
 
@@ -515,7 +519,7 @@ class CrtCodewordSource:
         self.q = math.prod(qs)
         self.components = tuple(components)
         self.k_min = min(c.k for c in components)
-        self.num_codewords = math.prod(c.domain.q ** c.k for c in components)
+        self.num_codewords = math.prod(c.num_codewords for c in components)
         self.provenance = Provenance(
             "crt_cyclic",
             {"n": n, "q": self.q,

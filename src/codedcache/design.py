@@ -53,7 +53,7 @@ def codeword_matrix(source: Source) -> CodewordMatrix:
         words = [tuple(dom.add(w[j], mu[j]) for j in range(n))
                  for w in words for mu in multiples]
     rows = tuple(tuple(w[i] for w in words) for i in range(n))
-    return CodewordMatrix(n, q ** k, q, rows, source)
+    return CodewordMatrix(n, source.num_codewords, q, rows, source)
 
 
 @dataclass(frozen=True)

@@ -140,10 +140,7 @@ def codeword_digest(source: SchemeSource, max_codewords: int = 1 << 20) -> str:
     from .design import codeword_matrix  # deferred: design imports codes
 
     # count first: the cap must refuse before anything is enumerated
-    if isinstance(source, CrtCodewordSource):
-        count = source.num_codewords
-    else:
-        count = source.domain.q ** source.k
+    count = source.num_codewords
     if count > max_codewords:
         raise SchemeFileError(
             f"{count} codewords exceed digest cap {max_codewords}")

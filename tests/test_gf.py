@@ -194,6 +194,8 @@ def assert_matches_reference(dom, pairs):
     for a, b in pairs:
         assert dom.add(a, b) == reference_add(dom, a, b), (dom, a, b)
         assert dom.sub(a, b) == reference_sub(dom, a, b), (dom, a, b)
+        if dom.p == 2:
+            assert dom.add(a, b) == a ^ b, (dom, a, b)
 
 
 def test_extension_add_sub_neg_match_reference_on_all_pairs_up_to_64():
@@ -220,12 +222,6 @@ def test_extension_arithmetic_with_custom_modulus_matches_reference():
         dom = ScalarDomain.field(q, modulus=modulus)
         assert dom.modulus != ScalarDomain.field(q).modulus
         assert_matches_reference(dom, itertools.product(range(q), repeat=2))
-
-
-def test_characteristic_two_addition_is_xor():
-    gf32 = ScalarDomain.field(32)
-    for a, b in itertools.product(range(32), repeat=2):
-        assert gf32.add(a, b) == gf32.sub(a, b) == a ^ b
 
 
 # ---------------------------------------------------------------------------
