@@ -14,6 +14,11 @@ intersections are single points and tuples with a common point contribute
 nothing; when alpha <= k each tuple serves several subfiles per user, paired
 off rank by rank in ascending point order.
 
+Delivery does not depend on the demands: the design and the recovery sets fix
+every equation, and a demand vector only decides which file fills each term
+W^s_{d_B,t}.  generate_delivery builds the equations once per (scheme, alpha);
+simulate applies one demand vector to them.
+
 Equations, users and subfiles are ordered deterministically throughout:
 recovery sets ascending, block tuples in lexicographic order, ranks ascending.
 """
@@ -155,7 +160,6 @@ class Equation:
 
 @dataclass(frozen=True)
 class DeliveryPlan:
-    demands: tuple[int, ...]
     equations: tuple[Equation, ...]
 
     @property
@@ -169,26 +173,14 @@ def expected_delta(scheme: CachingScheme) -> int:
             // scheme.alpha)
 
 
-def _check_demands(demands: Sequence[int], num_users: int) -> tuple[int, ...]:
-    if len(demands) != num_users:
-        raise IncompleteDemands(f"need {num_users} demands, got {len(demands)}")
-    out = []
-    for u, dv in enumerate(demands):
-        if not isinstance(dv, int) or dv < 0:
-            raise IncompleteDemands(f"user {u} has invalid demand {dv!r}")
-        out.append(dv)
-    return tuple(out)
-
-
-def generate_delivery(scheme: CachingScheme, graph: RecoverySetGraph,
-                      demands: Sequence[int]) -> DeliveryPlan:
+def generate_delivery(scheme: CachingScheme,
+                      graph: RecoverySetGraph) -> DeliveryPlan:
     """Enumerate all equations of the one-shot delivery scheme.
 
     Within a recovery set, every choice of one block per class is visited in
     lexicographic order; the leave-one-out intersections minus the common
     intersection give each participant's served points, paired rank by rank.
     """
-    demands = _check_demands(demands, scheme.num_users)
     if (graph.n, graph.alpha) != (scheme.n, scheme.alpha):
         raise ShapeMismatch("graph does not match scheme parameters")
     d = scheme.design
@@ -218,7 +210,7 @@ def generate_delivery(scheme: CachingScheme, graph: RecoverySetGraph,
                 terms = tuple((cls * q + l, served[idx][rank], supers[idx])
                               for idx, (cls, l) in enumerate(zip(classes, lvec)))
                 equations.append(Equation(a, terms))
-    return DeliveryPlan(demands, tuple(equations))
+    return DeliveryPlan(tuple(equations))
 
 
 def _mask(points: Sequence[int]) -> int:
@@ -304,9 +296,20 @@ def _simulate_core(caches: Sequence[frozenset[int]],
                    demands: Sequence[int], num_files: int, f_s: int,
                    subfile_bytes: int, seed: int) -> SimulationReport:
     """Shared engine: users hold cached column sets, each equation lists
-    (user, column) pairs, the payload is the XOR of the demanded subfiles."""
+    (user, column) pairs, the payload is the XOR of the demanded subfiles.
+    This is the one place that validates a demand vector.
+
+    Decodability is proved by the cache-membership test: a user that meets a
+    column outside its cache raises DecodeFailure.  Once that test passes,
+    XOR-ing the other users' source chunks back out of the payload always
+    returns the user's own chunk, so `exact` only confirms the XOR algebra
+    against the source stream; it is not an independent decoder."""
     num_users = len(caches)
-    demands = _check_demands(demands, num_users)
+    if len(demands) != num_users:
+        raise IncompleteDemands(f"need {num_users} demands, got {len(demands)}")
+    for u, dv in enumerate(demands):
+        if not isinstance(dv, int) or dv < 0:
+            raise IncompleteDemands(f"user {u} has invalid demand {dv!r}")
     if any(dv >= num_files for dv in demands):
         raise IncompleteDemands(f"demands exceed file count {num_files}")
     stream = byte_stream(seed, num_files * f_s * subfile_bytes)
@@ -346,14 +349,15 @@ def _simulate_core(caches: Sequence[frozenset[int]],
                             len(equations) * sub, seed, tuple(outcomes))
 
 
-def simulate(scheme: CachingScheme, plan: DeliveryPlan, num_files: int,
-             subfile_bytes: int = 16, seed: int = 0) -> SimulationReport:
-    """Run the broadcast byte-exactly and check every user decodes every
-    missing subfile of its demanded file."""
+def simulate(scheme: CachingScheme, plan: DeliveryPlan, demands: Sequence[int],
+             num_files: int, subfile_bytes: int = 16,
+             seed: int = 0) -> SimulationReport:
+    """Run the broadcast for one demand vector byte-exactly and check every
+    user decodes every missing subfile of its demanded file."""
     caches = [scheme.cache_cols(u) for u in range(scheme.num_users)]
     equations = [[(user, scheme.subfile_col(t, s)) for user, t, s in eq.terms]
                  for eq in plan.equations]
-    return _simulate_core(caches, equations, plan.demands, num_files,
+    return _simulate_core(caches, equations, demands, num_files,
                           scheme.f_s, subfile_bytes, seed)
 
 

@@ -5,8 +5,9 @@ verify (re-check the consecutive column property), simulate (byte-exact
 broadcast run), search (per-k candidate table and budget fit), compare
 (exact rate/subpacketization tables against the single-cache-point scheme).
 
-Exit codes: 0 success or property satisfied, 1 domain error, 2 usage error,
-3 verification or simulation failure.  With --json, errors are emitted as a
+Exit codes: 0 success or property satisfied, 1 domain error (including a
+scheme too large to simulate), 2 usage error, 3 verification or simulation
+failure.  With --json, errors are emitted as a
 machine-readable object on stdout.  All commands are deterministic given
 their flags and seed.
 """
@@ -26,6 +27,7 @@ from .errors import (
     DecodeFailure,
     DomainError,
     IncompleteDemands,
+    TooLarge,
 )
 from .gf import ScalarDomain, natural_domain
 
@@ -240,24 +242,38 @@ def _report_json(report: caching.SimulationReport, demands: Sequence[int],
     }
 
 
+def _refuse_oversize(n: int, q: int, alpha: int, num_points: int) -> None:
+    """Refuse from the closed forms, before anything is enumerated, when the
+    codewords or the base equations (the transposed subfiles) exceed the cap."""
+    cap = schemefile.SIZE_CAP
+    if num_points > cap:
+        raise TooLarge(f"{num_points} codewords exceed the size cap {cap}")
+    if alpha >= 1:  # placement rejects any other alpha
+        met = caching.code_point_metrics(n, q, alpha, num_points)
+        delta = met["F_s"] * met["R"]
+        if delta > cap:
+            raise TooLarge(f"{delta} equations exceed the size cap {cap}")
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     source, _ = schemefile.load_scheme(args.file)
-    _, _, default_alpha, _ = _source_params(source)
+    n, q, default_alpha, num_points = _source_params(source)
     alpha = args.alpha if args.alpha is not None else default_alpha
+    _refuse_oversize(n, q, alpha, num_points)
     d = design.resolvable_design(design.codeword_matrix(source))
     scheme = caching.placement(d, alpha)
     graph = caching.recovery_set_graph(scheme.n, alpha)
     demands = _parse_demands(args.demands, scheme.num_users, args.files,
                              args.seed)
-    plan = caching.generate_delivery(scheme, graph, demands)
+    plan = caching.generate_delivery(scheme, graph)
     if args.transpose:
         matrix = caching.equation_subfile_matrix(scheme, plan).transpose()
         ms = caching.scheme_from_eq_subfile(matrix)
         report = caching.simulate_matrix(ms, demands, args.files, args.bytes,
                                          args.seed)
     else:
-        report = caching.simulate(scheme, plan, args.files, args.bytes,
-                                  args.seed)
+        report = caching.simulate(scheme, plan, demands, args.files,
+                                  args.bytes, args.seed)
     json.dump(_report_json(report, demands, args.transpose), sys.stdout,
               indent=2)
     sys.stdout.write("\n")

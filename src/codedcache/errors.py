@@ -126,3 +126,8 @@ class NoFeasibleK(CodedCacheError):
 
 class SchemeFileError(CodedCacheError):
     """A scheme file is malformed or has an unsupported version."""
+
+
+class TooLarge(CodedCacheError):
+    """A command would materialize more codewords or equations than the
+    size cap allows."""

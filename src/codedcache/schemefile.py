@@ -28,6 +28,9 @@ from .gf import Matrix, ScalarDomain
 FORMAT = "codedcache-scheme"
 VERSION = 1
 
+# Largest codeword or equation count a command builds in memory.
+SIZE_CAP = 1 << 20
+
 SchemeSource = Union[GeneratorMatrix, CrtCodewordSource]
 
 
@@ -134,7 +137,7 @@ def load_scheme(path: Union[str, os.PathLike]) -> tuple[SchemeSource, dict]:
     return scheme_from_dict(data), data
 
 
-def codeword_digest(source: SchemeSource, max_codewords: int = 1 << 20) -> str:
+def codeword_digest(source: SchemeSource, max_codewords: int = SIZE_CAP) -> str:
     """sha256 over the canonical codeword matrix, for change detection.
     Refuses enumerations larger than max_codewords."""
     from .design import codeword_matrix  # deferred: design imports codes

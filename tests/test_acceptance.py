@@ -101,7 +101,7 @@ def test_criterion_2_example_scheme_end_to_end():
         assert s.m_over_n == Fraction(1, 3)
 
         graph = recovery_set_graph(4, 3)
-        plan = generate_delivery(s, graph, list(range(12)))
+        plan = generate_delivery(s, graph)
         assert plan.delta == 72
 
         eqs = [e for e in plan.equations
@@ -115,7 +115,7 @@ def test_criterion_2_example_scheme_end_to_end():
             "W^1_{d012,5} ⊕ W^1_{d258,1} ⊕ W^0_{d156,2}",
         ]
 
-        report = simulate(s, plan, 12, 8, 42)
+        report = simulate(s, plan, list(range(12)), 12, 8, 42)
         assert report.all_ok
         assert all(u.complete and u.exact for u in report.users)
         assert report.rate == Fraction(8, 3)
@@ -162,8 +162,8 @@ def test_criterion_4_transpose_point():
         s = placement(resolvable_design(codeword_matrix(g)), 6)
         graph = recovery_set_graph(9, 6)
         demands = [u % 6 for u in range(18)]
-        plan = generate_delivery(s, graph, demands)
-        assert simulate(s, plan, 6, 4, 7).all_ok
+        plan = generate_delivery(s, graph)
+        assert simulate(s, plan, demands, 6, 4, 7).all_ok
 
         ms = scheme_from_eq_subfile(equation_subfile_matrix(s, plan).transpose())
         report = simulate_matrix(ms, demands, 6, 4, 7)
@@ -284,9 +284,14 @@ def test_criterion_7_property_suite():
             graph = recovery_set_graph(scheme.n, scheme.alpha)
             check_intersections(scheme, graph)
 
-            plan = generate_delivery(scheme, graph,
-                                     [0] * scheme.num_users)
+            plan = generate_delivery(scheme, graph)
             assert plan.delta == expected_delta(scheme)
+
+            # closed forms, base and transposed, against what is built
+            n, q, alpha = scheme.n, scheme.q, scheme.alpha
+            base = code_point_metrics(n, q, alpha, scheme.num_points)
+            assert scheme.f_s == base["F_s"]
+            assert plan.delta == base["F_s"] * base["R"]
 
             served = {u: set() for u in range(scheme.num_users)}
             for eq in plan.equations:
@@ -298,18 +303,22 @@ def test_criterion_7_property_suite():
             for u in range(scheme.num_users):
                 assert served[u] == full - scheme.cache_cols(u)
 
-            # the equation layout never depends on what users demand
-            other = generate_delivery(scheme, graph,
-                                      [u % 2 for u in range(scheme.num_users)])
-            assert other.equations == plan.equations
-
             matrix = equation_subfile_matrix(scheme, plan)
+            transposed = matrix.transpose()
             assert verify_lemma4(matrix).ok
-            assert verify_lemma4(matrix.transpose()).ok
+            assert verify_lemma4(transposed).ok
+
+            flipped = code_point_metrics(n, q, alpha, scheme.num_points,
+                                         transposed=True)
+            ms = scheme_from_eq_subfile(transposed)
+            assert (ms.f_s, ms.rate) == (flipped["F_s"], flipped["R"])
+            assert all(ms.cache_fraction(u) == flipped["M_over_N"]
+                       for u in range(ms.num_users))
 
             for num_files, demands in demand_vectors(scheme.num_users):
-                p = generate_delivery(scheme, graph, demands)
-                assert simulate(scheme, p, num_files, 1, 11).all_ok
+                report = simulate(scheme, plan, demands, num_files, 1, 11)
+                assert report.all_ok
+                assert report.rate == base["R"]
         assert time.perf_counter() - start < 120.0
 
 

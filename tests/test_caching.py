@@ -144,10 +144,10 @@ def test_graph_n9_alpha6():
 # ---------------------------------------------------------------------------
 
 
-def example_plan(demands=None):
+def example_plan():
     s = placement(example_design(), 3)
     graph = recovery_set_graph(4, 3)
-    return s, generate_delivery(s, graph, demands or list(range(12)))
+    return s, generate_delivery(s, graph)
 
 
 def test_delta_72_for_example_scheme():
@@ -173,7 +173,7 @@ def test_six_rendered_equations_match_display():
 def test_first_spc_equation_structure():
     s = placement(spc_design(), 3)
     graph = recovery_set_graph(3, 3)
-    plan = generate_delivery(s, graph, list(range(6)))
+    plan = generate_delivery(s, graph)
     assert plan.delta == 4
     # all-but-one structure: U_{01} gets point 2, U_{02} point 1, U_{12} point 0
     assert plan.equations[0].terms == ((0, 2, 0), (2, 1, 0), (5, 0, 0))
@@ -227,22 +227,22 @@ def test_low_alpha_regime_delta_and_lemma4():
     s = placement(d, 2)
     assert s.z == 1 and s.f_s == 9
     graph = recovery_set_graph(4, 2)
-    plan = generate_delivery(s, graph, list(range(12)))
+    plan = generate_delivery(s, graph)
     assert plan.delta == expected_delta(s) == 36
     m = equation_subfile_matrix(s, plan)
     assert verify_lemma4(m).ok
-    sim = simulate(s, plan, num_files=12, subfile_bytes=8, seed=1)
+    sim = simulate(s, plan, list(range(12)), num_files=12, subfile_bytes=8,
+                   seed=1)
     assert sim.all_ok
     assert sim.rate == Fraction(36, 9) == 4
 
 
 def test_incomplete_demands_rejected():
-    s = placement(example_design(), 3)
-    graph = recovery_set_graph(4, 3)
+    s, plan = example_plan()
     with pytest.raises(IncompleteDemands):
-        generate_delivery(s, graph, [0] * 11)
+        simulate(s, plan, [0] * 11, num_files=12)
     with pytest.raises(IncompleteDemands):
-        generate_delivery(s, graph, [0] * 11 + [-1])
+        simulate(s, plan, [0] * 11 + [-1], num_files=12)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +274,8 @@ def test_byte_stream_deterministic_and_seed_sensitive():
 
 def test_simulate_example_scheme_rate_8_3():
     s, plan = example_plan()
-    sim = simulate(s, plan, num_files=12, subfile_bytes=8, seed=42)
+    sim = simulate(s, plan, list(range(12)), num_files=12, subfile_bytes=8,
+                   seed=42)
     assert sim.all_ok
     assert sim.rate == Fraction(8, 3)
     assert sim.load_bytes == 72 * 8
@@ -286,8 +287,9 @@ def test_simulate_example_scheme_rate_8_3():
 def test_simulate_spc_rate_1():
     s = placement(spc_design(), 3)
     graph = recovery_set_graph(3, 3)
-    plan = generate_delivery(s, graph, [0, 1, 2, 3, 4, 5])
-    sim = simulate(s, plan, num_files=6, subfile_bytes=16, seed=0)
+    plan = generate_delivery(s, graph)
+    sim = simulate(s, plan, [0, 1, 2, 3, 4, 5], num_files=6, subfile_bytes=16,
+                   seed=0)
     assert sim.all_ok
     assert sim.rate == 1
 
@@ -295,8 +297,8 @@ def test_simulate_spc_rate_1():
 def test_simulate_all_same_demand():
     s = placement(spc_design(), 3)
     graph = recovery_set_graph(3, 3)
-    plan = generate_delivery(s, graph, [2] * 6)
-    sim = simulate(s, plan, num_files=3, subfile_bytes=4, seed=9)
+    plan = generate_delivery(s, graph)
+    sim = simulate(s, plan, [2] * 6, num_files=3, subfile_bytes=4, seed=9)
     assert sim.all_ok
     assert sim.rate == 1
 
@@ -304,23 +306,23 @@ def test_simulate_all_same_demand():
 def test_simulate_brute_force_all_demand_vectors():
     """Every demand vector with K=6, N=3 reconstructs bit-exactly."""
     s = placement(spc_design(), 3)
-    graph = recovery_set_graph(3, 3)
+    plan = generate_delivery(s, recovery_set_graph(3, 3))
     for demands in itertools.product(range(3), repeat=6):
-        plan = generate_delivery(s, graph, demands)
-        sim = simulate(s, plan, num_files=3, subfile_bytes=2, seed=5)
+        sim = simulate(s, plan, demands, num_files=3, subfile_bytes=2, seed=5)
         assert sim.all_ok, demands
 
 
 def test_simulate_detects_broken_equation():
     s = placement(spc_design(), 3)
     graph = recovery_set_graph(3, 3)
-    plan = generate_delivery(s, graph, list(range(6)))
+    plan = generate_delivery(s, graph)
     # point 2 is not in user 0's block {0,1}, so user 0 cannot cancel it
     bad = Equation(plan.equations[0].recovery_set,
                    ((0, 2, 0), (2, 1, 0), (5, 2, 0)))
-    broken = DeliveryPlan(plan.demands, (bad,) + plan.equations[1:])
+    broken = DeliveryPlan((bad,) + plan.equations[1:])
     with pytest.raises(DecodeFailure):
-        simulate(s, broken, num_files=6, subfile_bytes=2, seed=0)
+        simulate(s, broken, list(range(6)), num_files=6, subfile_bytes=2,
+                 seed=0)
 
 
 def test_simulate_crt_source_end_to_end():
@@ -328,10 +330,11 @@ def test_simulate_crt_source_end_to_end():
     d = resolvable_design(codeword_matrix(src))
     s = placement(d, src.k_min)
     graph = recovery_set_graph(d.n, src.k_min)
-    plan = generate_delivery(s, graph, list(range(24)))
+    plan = generate_delivery(s, graph)
     assert plan.delta == expected_delta(s)
     assert verify_lemma4(equation_subfile_matrix(s, plan)).ok
-    sim = simulate(s, plan, num_files=24, subfile_bytes=4, seed=3)
+    sim = simulate(s, plan, list(range(24)), num_files=24, subfile_bytes=4,
+                   seed=3)
     assert sim.all_ok
 
 
@@ -389,7 +392,7 @@ def reference_lemma4(entries):
 def test_eq_subfile_matrix_spc_exact():
     s = placement(spc_design(), 3)
     graph = recovery_set_graph(3, 3)
-    plan = generate_delivery(s, graph, list(range(6)))
+    plan = generate_delivery(s, graph)
     m = equation_subfile_matrix(s, plan)
     assert (m.rows, m.cols, m.num_users) == (4, 4, 6)
     assert m == sparse(6, ((6, 3, 1, 0), (4, 5, 0, 1), (2, 0, 5, 3), (0, 2, 4, 6)))
@@ -401,7 +404,7 @@ def test_eq_subfile_matrix_rejects_shared_column():
     # users 0 and 1 would both recover subfile (point 0, superscript 0)
     clash = Equation(0, ((0, 0, 0), (1, 0, 0)))
     with pytest.raises(Lemma4Violated):
-        equation_subfile_matrix(s, DeliveryPlan(tuple(range(6)), (clash,)))
+        equation_subfile_matrix(s, DeliveryPlan((clash,)))
 
 
 def test_lemma4_flags_each_condition():
@@ -481,7 +484,7 @@ def test_scheme_from_eq_subfile_rejects_bad_matrix():
 def test_transpose_of_spc_scheme():
     s = placement(spc_design(), 3)
     graph = recovery_set_graph(3, 3)
-    plan = generate_delivery(s, graph, list(range(6)))
+    plan = generate_delivery(s, graph)
     mt = equation_subfile_matrix(s, plan).transpose()
     ms = scheme_from_eq_subfile(mt)
     assert ms.rate == Fraction(1, 1)
@@ -500,9 +503,10 @@ def test_transpose_9_5_code_hits_both_corner_points():
     s = placement(d, 6)
     assert s.f_s == 64
     graph = recovery_set_graph(9, 6)
-    plan = generate_delivery(s, graph, list(range(18)))
+    plan = generate_delivery(s, graph)
     assert plan.delta == 96
-    sim = simulate(s, plan, num_files=18, subfile_bytes=2, seed=1)
+    sim = simulate(s, plan, list(range(18)), num_files=18, subfile_bytes=2,
+                   seed=1)
     assert sim.all_ok
     assert sim.rate == Fraction(3, 2)
 
@@ -518,7 +522,7 @@ def test_transpose_9_5_code_hits_both_corner_points():
 def test_transpose_involution_metrics():
     s = placement(spc_design(), 3)
     graph = recovery_set_graph(3, 3)
-    plan = generate_delivery(s, graph, list(range(6)))
+    plan = generate_delivery(s, graph)
     m = equation_subfile_matrix(s, plan)
     twice = scheme_from_eq_subfile(m.transpose().transpose())
     once = scheme_from_eq_subfile(m)

@@ -220,6 +220,39 @@ def test_simulate_bad_demand_spec(tmp_path):
                 "--demands", "all-same:x"])[0] == 1
 
 
+def test_simulate_refuses_oversize_before_enumerating(tmp_path, monkeypatch):
+    def enumerate_all(source):
+        raise AssertionError("codeword_matrix called despite the cap")
+
+    spc15, spc10 = tmp_path / "spc15.json", tmp_path / "spc10.json"
+    assert run(["construct", "spc", "--k", 15, "--q", 4, "--skip-certify",
+                "--out", spc15])[0] == 0
+    assert run(["construct", "spc", "--k", 10, "--q", 4, "--skip-certify",
+                "--out", spc10])[0] == 0
+    monkeypatch.setattr(cli.design, "codeword_matrix", enumerate_all)
+
+    code, _, err = run(["simulate", spc15, "--files", 4])
+    assert code == 1
+    assert "1073741824 codewords exceed the size cap 1048576" in err
+    code, out, _ = run(["--json", "simulate", spc15, "--files", 4,
+                        "--transpose"])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "TooLarge"
+    # 4^10 codewords sit at the cap; Delta = 3 * 4^10 equations exceed it
+    code, _, err = run(["simulate", spc10, "--files", 4])
+    assert code == 1
+    assert "3145728 equations exceed the size cap 1048576" in err
+
+
+def test_simulate_rejects_alpha_zero(tmp_path):
+    scheme = tmp_path / "ex3.json"
+    write_ex3(scheme)
+    code, out, _ = run(["--json", "simulate", scheme, "--files", 2,
+                        "--alpha", 0])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "InvalidAlpha"
+
+
 def test_simulate_transpose_swaps_rate_and_subpacketization(tmp_path):
     scheme = tmp_path / "c95.json"
     assert run(["construct", "claim6", "--t", 3, "--z", 2, "--q", 2,
