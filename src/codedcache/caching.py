@@ -16,8 +16,12 @@ off rank by rank in ascending point order.
 
 Delivery does not depend on the demands: the design and the recovery sets fix
 every equation, and a demand vector only decides which file fills each term
-W^s_{d_B,t}.  generate_delivery builds the equations once per (scheme, alpha);
-simulate applies one demand vector to them.
+W^s_{d_B,t}.  generate_delivery builds the equations once per (scheme, alpha).
+A MatrixScheme holds what simulation needs: each user's cached columns and
+each equation's (user, column) pairs.  scheme_from_plan builds it once from
+the placement and the plan; scheme_from_eq_subfile reads it off an
+equation-subfile matrix, such as the transposed one.  simulate applies one
+demand vector to a MatrixScheme, however it was built.
 
 Equations, users and subfiles are ordered deterministically throughout:
 recovery sets ascending, block tuples in lexicographic order, ranks ascending.
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .codes import CrtCodewordSource, GeneratorMatrix, least_z
+from .codes import CrtCodewordSource, GeneratorMatrix, ccp_windows, least_z
 from .design import ResolvableDesign
 from .errors import (
     DecodeFailure,
@@ -125,16 +129,12 @@ class RecoverySetGraph:
 
 def recovery_set_graph(n: int, alpha: int) -> RecoverySetGraph:
     """Recovery sets S_a = {a*alpha, ..., a*alpha + alpha - 1} mod n for
-    a = 0 .. z*n/alpha - 1, with deterministic edge labels."""
+    a = 0 .. z*n/alpha - 1 (the CCP windows, sorted), with deterministic edge
+    labels."""
     if not 1 <= alpha <= n:
         raise ShapeMismatch(f"alpha must be in 1..{n}, got {alpha}")
     z = least_z(n, alpha)
-    sets = []
-    for a in range(z * n // alpha):
-        window = [(a * alpha + j) % n for j in range(alpha)]
-        if len(set(window)) != alpha:
-            raise ShapeMismatch(f"window {a} repeats classes")  # unreachable for alpha <= n
-        sets.append(tuple(sorted(window)))
+    sets = [tuple(sorted(w)) for w in ccp_windows(n, alpha)]
     labels: dict = {}
     counts = [0] * n
     for a, s in enumerate(sets):
@@ -291,19 +291,19 @@ class SimulationReport:
         return all(u.complete and u.exact for u in self.users)
 
 
-def _simulate_core(caches: Sequence[frozenset[int]],
-                   equations: Sequence[Sequence[tuple[int, int]]],
-                   demands: Sequence[int], num_files: int, f_s: int,
-                   subfile_bytes: int, seed: int) -> SimulationReport:
-    """Shared engine: users hold cached column sets, each equation lists
-    (user, column) pairs, the payload is the XOR of the demanded subfiles.
-    This is the one place that validates a demand vector.
+def simulate(ms: MatrixScheme, demands: Sequence[int], num_files: int,
+             subfile_bytes: int = 16, seed: int = 0) -> SimulationReport:
+    """Run the broadcast for one demand vector byte-exactly and check every
+    user decodes every missing subfile of its demanded file: the payload of
+    each equation is the XOR of the demanded subfiles of its terms.  This is
+    the one place that validates a demand vector and the subfile size.
 
     Decodability is proved by the cache-membership test: a user that meets a
     column outside its cache raises DecodeFailure.  Once that test passes,
     XOR-ing the other users' source chunks back out of the payload always
     returns the user's own chunk, so `exact` only confirms the XOR algebra
     against the source stream; it is not an independent decoder."""
+    caches, f_s = ms.caches, ms.f_s
     num_users = len(caches)
     if len(demands) != num_users:
         raise IncompleteDemands(f"need {num_users} demands, got {len(demands)}")
@@ -312,6 +312,8 @@ def _simulate_core(caches: Sequence[frozenset[int]],
             raise IncompleteDemands(f"user {u} has invalid demand {dv!r}")
     if any(dv >= num_files for dv in demands):
         raise IncompleteDemands(f"demands exceed file count {num_files}")
+    if subfile_bytes < 1:
+        raise ShapeMismatch(f"subfile_bytes must be >= 1, got {subfile_bytes}")
     stream = byte_stream(seed, num_files * f_s * subfile_bytes)
     sub = subfile_bytes
 
@@ -321,7 +323,7 @@ def _simulate_core(caches: Sequence[frozenset[int]],
 
     recovered: list[set[int]] = [set() for _ in range(num_users)]
     exact = [True] * num_users
-    for terms in equations:
+    for terms in ms.equations:
         chunks = [chunk(demands[user], col) for user, col in terms]
         payload = 0
         for c in chunks:
@@ -344,21 +346,8 @@ def _simulate_core(caches: Sequence[frozenset[int]],
         missing = all_cols - caches[u]
         outcomes.append(UserOutcome(u, demands[u], len(recovered[u]),
                                     recovered[u] == missing, exact[u]))
-    return SimulationReport(num_users, num_files, sub, f_s, len(equations),
-                            Fraction(len(equations), f_s),
-                            len(equations) * sub, seed, tuple(outcomes))
-
-
-def simulate(scheme: CachingScheme, plan: DeliveryPlan, demands: Sequence[int],
-             num_files: int, subfile_bytes: int = 16,
-             seed: int = 0) -> SimulationReport:
-    """Run the broadcast for one demand vector byte-exactly and check every
-    user decodes every missing subfile of its demanded file."""
-    caches = [scheme.cache_cols(u) for u in range(scheme.num_users)]
-    equations = [[(user, scheme.subfile_col(t, s)) for user, t, s in eq.terms]
-                 for eq in plan.equations]
-    return _simulate_core(caches, equations, demands, num_files,
-                          scheme.f_s, subfile_bytes, seed)
+    return SimulationReport(num_users, num_files, sub, f_s, ms.delta, ms.rate,
+                            ms.delta * sub, seed, tuple(outcomes))
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +441,12 @@ def verify_lemma4(m: EqSubfileMatrix) -> Lemma4Report:
 
 @dataclass(frozen=True)
 class MatrixScheme:
-    """Caching scheme read off an equation-subfile matrix: subfiles are the
-    columns, user t caches column j iff t never appears in it, and each row
-    is one delivery equation."""
+    """A caching scheme as simulate reads it: subfiles are the columns
+    0..f_s-1, caches[u] holds the columns user u stores, and each equation
+    lists (user, column) pairs.  Built from a placement and its delivery plan
+    (scheme_from_plan), or read off an equation-subfile matrix, where user t
+    caches column j iff t never appears in it and each row is one equation
+    (scheme_from_eq_subfile)."""
 
     num_users: int
     f_s: int
@@ -488,10 +480,16 @@ def scheme_from_eq_subfile(m: EqSubfileMatrix) -> MatrixScheme:
     return MatrixScheme(m.num_users, m.cols, caches, m.row_terms)
 
 
-def simulate_matrix(ms: MatrixScheme, demands: Sequence[int], num_files: int,
-                    subfile_bytes: int = 16, seed: int = 0) -> SimulationReport:
-    return _simulate_core(ms.caches, ms.equations, demands, num_files,
-                          ms.f_s, subfile_bytes, seed)
+def scheme_from_plan(scheme: CachingScheme, plan: DeliveryPlan) -> MatrixScheme:
+    """The placed scheme in simulation form: each user's cache from the
+    placement and each equation's terms as (user, column) pairs, in plan
+    order.  Nothing is sorted or checked, so a plan that a user cannot
+    decode fails in simulate with DecodeFailure."""
+    caches = tuple(scheme.cache_cols(u) for u in range(scheme.num_users))
+    equations = tuple(tuple((user, scheme.subfile_col(t, s))
+                            for user, t, s in eq.terms)
+                      for eq in plan.equations)
+    return MatrixScheme(scheme.num_users, scheme.f_s, caches, equations)
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _parse_demands(spec: str, num_users: int, num_files: int,
                    seed: int) -> list[int]:
+    if num_files < 1:
+        raise IncompleteDemands(f"need at least one file, got {num_files}")
     if spec == "uniform-random":
         stream = caching.byte_stream(seed + 1, 8 * num_users)
         return [int.from_bytes(stream[8 * u:8 * u + 8], "little") % num_files
@@ -269,11 +271,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.transpose:
         matrix = caching.equation_subfile_matrix(scheme, plan).transpose()
         ms = caching.scheme_from_eq_subfile(matrix)
-        report = caching.simulate_matrix(ms, demands, args.files, args.bytes,
-                                         args.seed)
     else:
-        report = caching.simulate(scheme, plan, demands, args.files,
-                                  args.bytes, args.seed)
+        ms = caching.scheme_from_plan(scheme, plan)
+    report = caching.simulate(ms, demands, args.files, args.bytes, args.seed)
     json.dump(_report_json(report, demands, args.transpose), sys.stdout,
               indent=2)
     sys.stdout.write("\n")

@@ -343,49 +343,26 @@ def kron_identity(base: GeneratorMatrix, t: int) -> GeneratorMatrix:
                                            {"t": t, "base": base.provenance}))
 
 
-def _assemble_block_code(t: int, z: int, domain: ScalarDomain,
-                         bs: Sequence[int], c1: int, c2: int,
-                         vandermonde: Optional[list[list[int]]]) -> Matrix:
-    """Shared row assembly for the two block constructions below.
-
-    With ``vandermonde`` given (a z x alphaCols coefficient table), rows are
-    the scaled-identity stack [b_ij I_t] topped off by circulant blocks
-    C(b, b); without it, rows are the identity/ones/scaled-identity layout
-    with a final identity + ones + C(c1, c2) strip.
-    """
-    rows: list[list[int]] = []
-    if vandermonde is not None:
-        acols = len(vandermonde[0])
-        n = t * acols
-        for i in range(z - 1):
-            for r in range(t):
-                row = [0] * n
-                for j in range(acols):
-                    row[j * t + r] = vandermonde[i][j]
-                rows.append(row)
-        for r in range(t - 1):
-            row = [0] * n
-            for j in range(acols):
-                b = vandermonde[z - 1][j]
-                row[j * t + r] = b
-                row[j * t + r + 1] = b
-            rows.append(row)
-        return Matrix.from_rows(domain, rows)
+def _banded_block_code(t: int, z: int, domain: ScalarDomain) -> Matrix:
+    """Rows of the banded block layout shared by claims 6 and 9: identity,
+    ones and scaled-identity blocks with b_i = i for i in 1..z-1, then a final
+    identity + ones + C(1, -1) strip."""
     n = (z + 1) * t
     ones_col = (z - 1) * t + (t - 1)
+    rows: list[list[int]] = []
     for i in range(z - 1):
         for r in range(t):
             row = [0] * n
             row[i * t + r] = 1
             row[ones_col] = 1
-            row[ones_col + 1 + r] = bs[i]
+            row[ones_col + 1 + r] = i + 1
             rows.append(row)
     for r in range(t - 1):
         row = [0] * n
         row[(z - 1) * t + r] = 1
         row[ones_col] = 1
-        row[ones_col + 1 + r] = c1
-        row[ones_col + 1 + r + 1] = c2
+        row[ones_col + 1 + r] = 1
+        row[ones_col + 1 + r + 1] = domain.neg(1)
         rows.append(row)
     return Matrix.from_rows(domain, rows)
 
@@ -404,8 +381,23 @@ def build_claim5(t: int, z: int, alpha_cols: int,
         raise ShapeMismatch(f"z={z} and alphaCols={alpha_cols} must be coprime")
     if domain.q <= alpha_cols:
         raise FieldTooSmall(f"need q > alphaCols, got q={domain.q}")
+    # rows: the scaled-identity stack [b_ij I_t] of the table's first z-1
+    # rows, topped off by circulant blocks C(b, b) from its last row
     table = [[domain.pow(x, i) for x in range(1, alpha_cols + 1)] for i in range(z)]
-    mat = _assemble_block_code(t, z, domain, [], 0, 0, table)
+    n = t * alpha_cols
+    rows: list[list[int]] = []
+    for i in range(z - 1):
+        for r in range(t):
+            row = [0] * n
+            for j in range(alpha_cols):
+                row[j * t + r] = table[i][j]
+            rows.append(row)
+    for r in range(t - 1):
+        row = [0] * n
+        for j in range(alpha_cols):
+            row[j * t + r] = row[j * t + r + 1] = table[z - 1][j]
+        rows.append(row)
+    mat = Matrix.from_rows(domain, rows)
     return GeneratorMatrix(mat, Provenance("claim5", {"t": t, "z": z,
                                                       "alpha_cols": alpha_cols,
                                                       "q": domain.q}))
@@ -422,8 +414,7 @@ def build_claim6(t: int, z: int, domain: ScalarDomain) -> GeneratorMatrix:
         raise ShapeMismatch(f"need t >= 1 and z >= 2; got t={t}, z={z}")
     if domain.q < z:
         raise FieldTooSmall(f"need q >= z, got q={domain.q} < z={z}")
-    bs = list(range(1, z))
-    mat = _assemble_block_code(t, z, domain, bs, 1, domain.neg(1), None)
+    mat = _banded_block_code(t, z, domain)
     return GeneratorMatrix(mat, Provenance("claim6", {"t": t, "z": z, "q": domain.q}))
 
 
@@ -435,7 +426,7 @@ def build_claim9(t: int, ring_modulus: int) -> GeneratorMatrix:
     if t < 2:
         raise ShapeMismatch(f"t must be >= 2, got {t}")
     domain = ScalarDomain.ring(ring_modulus)
-    mat = _assemble_block_code(t, 2, domain, [1], 1, domain.neg(1), None)
+    mat = _banded_block_code(t, 2, domain)
     return GeneratorMatrix(mat, Provenance("claim9", {"t": t, "q": ring_modulus}))
 
 

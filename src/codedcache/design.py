@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .codes import CrtCodewordSource, GeneratorMatrix, _digits_big_endian
+from .codes import CrtCodewordSource, GeneratorMatrix
 from .errors import RingConditionViolated
 from .gf import ScalarDomain
 

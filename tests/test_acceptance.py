@@ -29,8 +29,8 @@ from codedcache.caching import (
     recovery_set_graph,
     render_equation,
     scheme_from_eq_subfile,
+    scheme_from_plan,
     simulate,
-    simulate_matrix,
     verify_lemma4,
 )
 from codedcache.codes import (
@@ -115,7 +115,7 @@ def test_criterion_2_example_scheme_end_to_end():
             "W^1_{d012,5} ⊕ W^1_{d258,1} ⊕ W^0_{d156,2}",
         ]
 
-        report = simulate(s, plan, list(range(12)), 12, 8, 42)
+        report = simulate(scheme_from_plan(s, plan), list(range(12)), 12, 8, 42)
         assert report.all_ok
         assert all(u.complete and u.exact for u in report.users)
         assert report.rate == Fraction(8, 3)
@@ -163,10 +163,10 @@ def test_criterion_4_transpose_point():
         graph = recovery_set_graph(9, 6)
         demands = [u % 6 for u in range(18)]
         plan = generate_delivery(s, graph)
-        assert simulate(s, plan, demands, 6, 4, 7).all_ok
+        assert simulate(scheme_from_plan(s, plan), demands, 6, 4, 7).all_ok
 
         ms = scheme_from_eq_subfile(equation_subfile_matrix(s, plan).transpose())
-        report = simulate_matrix(ms, demands, 6, 4, 7)
+        report = simulate(ms, demands, 6, 4, 7)
         assert report.all_ok
         assert report.f_s == 96
         assert report.rate == Fraction(2, 3)
@@ -315,8 +315,9 @@ def test_criterion_7_property_suite():
             assert all(ms.cache_fraction(u) == flipped["M_over_N"]
                        for u in range(ms.num_users))
 
+            base_ms = scheme_from_plan(scheme, plan)
             for num_files, demands in demand_vectors(scheme.num_users):
-                report = simulate(scheme, plan, demands, num_files, 1, 11)
+                report = simulate(base_ms, demands, num_files, 1, 11)
                 assert report.all_ok
                 assert report.rate == base["R"]
         assert time.perf_counter() - start < 120.0

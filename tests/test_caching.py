@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from codedcache.caching import (
+    CachingScheme,
     DeliveryPlan,
     EqSubfileMatrix,
     Equation,
@@ -17,9 +18,9 @@ from codedcache.caching import (
     recovery_set_graph,
     render_equation,
     scheme_from_eq_subfile,
+    scheme_from_plan,
     scheme_metrics,
     simulate,
-    simulate_matrix,
     verify_lemma4,
 )
 from codedcache.codes import (
@@ -35,6 +36,7 @@ from codedcache.errors import (
     IncompleteDemands,
     InvalidAlpha,
     Lemma4Violated,
+    ShapeMismatch,
 )
 from codedcache.gf import Matrix, ScalarDomain
 
@@ -231,18 +233,18 @@ def test_low_alpha_regime_delta_and_lemma4():
     assert plan.delta == expected_delta(s) == 36
     m = equation_subfile_matrix(s, plan)
     assert verify_lemma4(m).ok
-    sim = simulate(s, plan, list(range(12)), num_files=12, subfile_bytes=8,
-                   seed=1)
+    sim = simulate(scheme_from_plan(s, plan), list(range(12)), num_files=12,
+                   subfile_bytes=8, seed=1)
     assert sim.all_ok
     assert sim.rate == Fraction(36, 9) == 4
 
 
 def test_incomplete_demands_rejected():
-    s, plan = example_plan()
+    ms = scheme_from_plan(*example_plan())
     with pytest.raises(IncompleteDemands):
-        simulate(s, plan, [0] * 11, num_files=12)
+        simulate(ms, [0] * 11, num_files=12)
     with pytest.raises(IncompleteDemands):
-        simulate(s, plan, [0] * 11 + [-1], num_files=12)
+        simulate(ms, [0] * 11 + [-1], num_files=12)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +276,8 @@ def test_byte_stream_deterministic_and_seed_sensitive():
 
 def test_simulate_example_scheme_rate_8_3():
     s, plan = example_plan()
-    sim = simulate(s, plan, list(range(12)), num_files=12, subfile_bytes=8,
-                   seed=42)
+    sim = simulate(scheme_from_plan(s, plan), list(range(12)), num_files=12,
+                   subfile_bytes=8, seed=42)
     assert sim.all_ok
     assert sim.rate == Fraction(8, 3)
     assert sim.load_bytes == 72 * 8
@@ -288,8 +290,8 @@ def test_simulate_spc_rate_1():
     s = placement(spc_design(), 3)
     graph = recovery_set_graph(3, 3)
     plan = generate_delivery(s, graph)
-    sim = simulate(s, plan, [0, 1, 2, 3, 4, 5], num_files=6, subfile_bytes=16,
-                   seed=0)
+    sim = simulate(scheme_from_plan(s, plan), [0, 1, 2, 3, 4, 5], num_files=6,
+                   subfile_bytes=16, seed=0)
     assert sim.all_ok
     assert sim.rate == 1
 
@@ -298,7 +300,8 @@ def test_simulate_all_same_demand():
     s = placement(spc_design(), 3)
     graph = recovery_set_graph(3, 3)
     plan = generate_delivery(s, graph)
-    sim = simulate(s, plan, [2] * 6, num_files=3, subfile_bytes=4, seed=9)
+    sim = simulate(scheme_from_plan(s, plan), [2] * 6, num_files=3,
+                   subfile_bytes=4, seed=9)
     assert sim.all_ok
     assert sim.rate == 1
 
@@ -306,10 +309,45 @@ def test_simulate_all_same_demand():
 def test_simulate_brute_force_all_demand_vectors():
     """Every demand vector with K=6, N=3 reconstructs bit-exactly."""
     s = placement(spc_design(), 3)
-    plan = generate_delivery(s, recovery_set_graph(3, 3))
+    ms = scheme_from_plan(s, generate_delivery(s, recovery_set_graph(3, 3)))
     for demands in itertools.product(range(3), repeat=6):
-        sim = simulate(s, plan, demands, num_files=3, subfile_bytes=2, seed=5)
+        sim = simulate(ms, demands, num_files=3, subfile_bytes=2, seed=5)
         assert sim.all_ok, demands
+
+
+def test_simulate_reads_no_design_state(monkeypatch):
+    """Once the simulation form is built, simulate never goes back to the
+    placement: caches and columns are computed once per plan."""
+    s, plan = example_plan()
+    ms = scheme_from_plan(s, plan)
+
+    def forbidden(*args):
+        raise AssertionError("simulate read the placement")
+
+    monkeypatch.setattr(CachingScheme, "cache_cols", forbidden)
+    monkeypatch.setattr(CachingScheme, "subfile_col", forbidden)
+    demand_vectors = [list(range(12)), [0] * 12, [u % 3 for u in range(12)],
+                      [11 - u for u in range(12)]]
+    for seed, demands in enumerate(demand_vectors):
+        report = simulate(ms, demands, num_files=12, subfile_bytes=4, seed=seed)
+        assert report.all_ok, demands
+
+
+def test_scheme_from_plan_keeps_plan_order_and_placement_caches():
+    s, plan = example_plan()
+    ms = scheme_from_plan(s, plan)
+    assert (ms.num_users, ms.f_s, ms.delta) == (12, 27, 72)
+    assert ms.caches == tuple(s.cache_cols(u) for u in range(12))
+    assert ms.equations == tuple(
+        tuple((u, s.subfile_col(t, sup)) for u, t, sup in eq.terms)
+        for eq in plan.equations)
+
+
+def test_simulate_rejects_nonpositive_subfile_bytes():
+    ms = scheme_from_plan(*example_plan())
+    for size in (0, -1):
+        with pytest.raises(ShapeMismatch):
+            simulate(ms, list(range(12)), num_files=12, subfile_bytes=size)
 
 
 def test_simulate_detects_broken_equation():
@@ -321,8 +359,8 @@ def test_simulate_detects_broken_equation():
                    ((0, 2, 0), (2, 1, 0), (5, 2, 0)))
     broken = DeliveryPlan((bad,) + plan.equations[1:])
     with pytest.raises(DecodeFailure):
-        simulate(s, broken, list(range(6)), num_files=6, subfile_bytes=2,
-                 seed=0)
+        simulate(scheme_from_plan(s, broken), list(range(6)), num_files=6,
+                 subfile_bytes=2, seed=0)
 
 
 def test_simulate_crt_source_end_to_end():
@@ -333,8 +371,8 @@ def test_simulate_crt_source_end_to_end():
     plan = generate_delivery(s, graph)
     assert plan.delta == expected_delta(s)
     assert verify_lemma4(equation_subfile_matrix(s, plan)).ok
-    sim = simulate(s, plan, list(range(24)), num_files=24, subfile_bytes=4,
-                   seed=3)
+    sim = simulate(scheme_from_plan(s, plan), list(range(24)), num_files=24,
+                   subfile_bytes=4, seed=3)
     assert sim.all_ok
 
 
@@ -466,7 +504,7 @@ def test_scheme_from_displayed_4x6_matrix():
     col_sets = sorted(tuple(u + 1 for u in range(4) if j in ms.caches[u])
                       for j in range(6))
     assert col_sets == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
-    sim = simulate_matrix(ms, [0, 1, 2, 3], num_files=4, subfile_bytes=8, seed=11)
+    sim = simulate(ms, [0, 1, 2, 3], num_files=4, subfile_bytes=8, seed=11)
     assert sim.all_ok
     assert sim.rate == Fraction(2, 3)
 
@@ -489,7 +527,7 @@ def test_transpose_of_spc_scheme():
     ms = scheme_from_eq_subfile(mt)
     assert ms.rate == Fraction(1, 1)
     assert all(ms.cache_fraction(u) == Fraction(1, 2) for u in range(6))
-    sim = simulate_matrix(ms, [0, 1, 0, 1, 2, 2], num_files=3, subfile_bytes=4, seed=7)
+    sim = simulate(ms, [0, 1, 0, 1, 2, 2], num_files=3, subfile_bytes=4, seed=7)
     assert sim.all_ok
     met = scheme_metrics(ms)
     assert met["M_over_N"] == Fraction(1, 2)
@@ -505,8 +543,8 @@ def test_transpose_9_5_code_hits_both_corner_points():
     graph = recovery_set_graph(9, 6)
     plan = generate_delivery(s, graph)
     assert plan.delta == 96
-    sim = simulate(s, plan, list(range(18)), num_files=18, subfile_bytes=2,
-                   seed=1)
+    sim = simulate(scheme_from_plan(s, plan), list(range(18)), num_files=18,
+                   subfile_bytes=2, seed=1)
     assert sim.all_ok
     assert sim.rate == Fraction(3, 2)
 
@@ -515,7 +553,7 @@ def test_transpose_9_5_code_hits_both_corner_points():
     assert ms.f_s == 96
     assert ms.rate == Fraction(2, 3)
     assert all(ms.cache_fraction(u) == Fraction(2, 3) for u in range(18))
-    simt = simulate_matrix(ms, list(range(18)), num_files=18, subfile_bytes=2, seed=2)
+    simt = simulate(ms, list(range(18)), num_files=18, subfile_bytes=2, seed=2)
     assert simt.all_ok
 
 

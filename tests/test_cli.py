@@ -220,6 +220,33 @@ def test_simulate_bad_demand_spec(tmp_path):
                 "--demands", "all-same:x"])[0] == 1
 
 
+def test_simulate_rejects_zero_files(tmp_path):
+    scheme = tmp_path / "ex3.json"
+    write_ex3(scheme)
+    code, out, err = run(["simulate", scheme, "--files", 0])
+    assert code == 1
+    assert out == ""
+    assert err == "error: need at least one file, got 0\n"
+    code, out, _ = run(["--json", "simulate", scheme, "--files", 0])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "IncompleteDemands"
+
+
+def test_simulate_rejects_nonpositive_bytes(tmp_path):
+    scheme = tmp_path / "ex3.json"
+    write_ex3(scheme)
+    for size in (0, -1):
+        code, out, err = run(["simulate", scheme, "--files", 2,
+                              "--bytes", size])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: subfile_bytes must be >= 1, got {size}\n"
+        code, out, _ = run(["--json", "simulate", scheme, "--files", 2,
+                            "--bytes", size, "--transpose"])
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "ShapeMismatch"
+
+
 def test_simulate_refuses_oversize_before_enumerating(tmp_path, monkeypatch):
     def enumerate_all(source):
         raise AssertionError("codeword_matrix called despite the cap")
