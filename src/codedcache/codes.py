@@ -35,7 +35,7 @@ from .errors import (
     ZeroColumn,
     ZeroConstantTerm,
 )
-from .gf import Matrix, ScalarDomain, mat_det_is_unit, mat_rank
+from .gf import Matrix, ScalarDomain, mat_det_is_unit, mat_rank, row_reduce
 
 # ---------------------------------------------------------------------------
 # provenance
@@ -160,18 +160,30 @@ def ccp_windows(n: int, alpha: int) -> list[tuple[int, ...]]:
 
 def _check_window_full(g: GeneratorMatrix, alpha: int,
                        cols: tuple[int, ...]) -> tuple[tuple[tuple[str, bool], ...], bool]:
+    """Verdicts for one window: per dropped column at alpha = k+1, else one.
+
+    A field window at alpha = k+1 is reduced once.  Dropping column d leaves
+    rank k iff the window has rank k and its kernel vector v has v_d != 0;
+    in the RREF, v is 1 at the free column and -rows[i][free] at the pivot
+    column of row i.  Ring windows take one determinant per dropped column.
+    """
     dom = g.domain
     win = g.mat.take_cols(cols)
     checks: list[tuple[str, bool]] = []
     if alpha == g.k + 1:
-        for d in range(alpha):
-            sub = win.take_cols([c for c in range(alpha) if c != d])
-            if dom.is_field:
-                ok = mat_rank(sub) == g.k
-            else:
-                ok = mat_det_is_unit(sub)[1]
-            checks.append((f"drop column {cols[d]}", ok))
-        return tuple(checks), all(ok for _, ok in checks)
+        if dom.is_field:
+            rows, pivots, _ = row_reduce(win)
+            keeps = [False] * alpha
+            if len(pivots) == g.k:
+                (free,) = set(range(alpha)).difference(pivots)
+                keeps[free] = True
+                for i, c in enumerate(pivots):
+                    keeps[c] = rows[i][free] != 0
+        else:
+            keeps = [mat_det_is_unit(win.take_cols([c for c in range(alpha) if c != d]))[1]
+                     for d in range(alpha)]
+        checks = [(f"drop column {cols[d]}", ok) for d, ok in enumerate(keeps)]
+        return tuple(checks), all(keeps)
     if dom.is_field:
         ok = mat_rank(win) == alpha
         checks.append((f"column rank == {alpha}", ok))
@@ -188,9 +200,10 @@ def _check_window_full(g: GeneratorMatrix, alpha: int,
 def check_ccp(g: GeneratorMatrix, alpha: int) -> CcpCertificate:
     """Certify the (k, alpha)-CCP of g by checking every column window.
 
-    alpha = k+1 tests all k x k submatrices of each window; alpha <= k tests
-    for alpha independent columns (fields: rank; rings: exhaustive search for
-    a unit alpha x alpha row minor).
+    alpha = k+1 tests all k x k submatrices of each window: over a field by
+    one kernel vector per window, over a ring by one determinant per dropped
+    column.  alpha <= k tests for alpha independent columns (fields: rank;
+    rings: exhaustive search for a unit alpha x alpha row minor).
     """
     if not 1 <= alpha <= g.k + 1:
         raise InvalidAlpha(f"alpha must be in 1..{g.k + 1}, got {alpha}")

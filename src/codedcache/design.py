@@ -42,18 +42,17 @@ def codeword_matrix(source: Source) -> CodewordMatrix:
         rows = tuple(tuple(w[i] for w in words) for i in range(source.n))
         return CodewordMatrix(source.n, len(words), source.q, rows, source)
     dom: ScalarDomain = source.domain
-    q, k, n = dom.q, source.k, source.n
-    # grow codewords digit by digit, most significant message symbol first
-    words: list[tuple[int, ...]] = [(0,) * n]
-    for a in range(k):
-        row = source.mat.row(a)
-        multiples = []
-        for u in range(q):
-            multiples.append(tuple(dom.mul(u, x) for x in row))
-        words = [tuple(dom.add(w[j], mu[j]) for j in range(n))
-                 for w in words for mu in multiples]
-    rows = tuple(tuple(w[i] for w in words) for i in range(n))
-    return CodewordMatrix(n, source.num_codewords, q, rows, source)
+    add, mul, q = dom.add, dom.mul, dom.q
+    rows = []
+    # coordinate j of every codeword, one message symbol at a time, most
+    # significant first: each entry v splits into v + u*G[a][j], u = 0..q-1
+    for j in range(source.n):
+        row = [0]
+        for g in source.mat.column(j):
+            multiples = [mul(u, g) for u in range(q)]
+            row = [add(v, m) for v in row for m in multiples]
+        rows.append(tuple(row))
+    return CodewordMatrix(source.n, source.num_codewords, q, tuple(rows), source)
 
 
 @dataclass(frozen=True)

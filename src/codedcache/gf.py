@@ -307,7 +307,6 @@ class ScalarDomain:
             return (a * b) % self.q
         if a == 0 or b == 0:
             return 0
-        assert self._exp is not None and self._log is not None
         return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
 
     def inv(self, a: int) -> int:
@@ -322,7 +321,6 @@ class ScalarDomain:
                 raise NotAUnit(f"{a} is not a unit in {self!r}") from None
         if self.m == 1:
             return pow(a, self.q - 2, self.q)
-        assert self._exp is not None and self._log is not None
         return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
 
     def is_unit(self, a: int) -> bool:
@@ -330,9 +328,6 @@ class ScalarDomain:
         if self.kind == "field":
             return a != 0
         return math.gcd(a, self.q) == 1
-
-    def is_zero(self, a: int) -> bool:
-        return a % self.q == 0
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -443,16 +438,16 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix(self.domain, self.cols, self.rows,
-                      tuple(self.get(i, j)
-                            for j in range(self.cols) for i in range(self.rows)))
+                      tuple(x for j in range(self.cols) for x in self.column(j)))
 
     def take_cols(self, idx: Sequence[int]) -> "Matrix":
+        rows = [self.row(i) for i in range(self.rows)]
         return Matrix(self.domain, self.rows, len(idx),
-                      tuple(self.get(i, j) for i in range(self.rows) for j in idx))
+                      tuple(row[j] for row in rows for j in idx))
 
     def take_rows(self, idx: Sequence[int]) -> "Matrix":
         return Matrix(self.domain, len(idx), self.cols,
-                      tuple(self.get(i, j) for i in idx for j in range(self.cols)))
+                      tuple(x for i in idx for x in self.row(i)))
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.domain != other.domain:
@@ -460,14 +455,16 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
         dom = self.domain
+        add, mul = dom.add, dom.mul
+        cols = [other.column(j) for j in range(other.cols)]
         out = []
         for i in range(self.rows):
             ri = self.row(i)
-            for j in range(other.cols):
+            for cj in cols:
                 acc = 0
-                for t, a in enumerate(ri):
+                for a, b in zip(ri, cj):
                     if a:
-                        acc = dom.add(acc, dom.mul(a, other.get(t, j)))
+                        acc = add(acc, mul(a, b))
                 out.append(acc)
         return Matrix(dom, self.rows, other.cols, tuple(out))
 
@@ -475,90 +472,63 @@ class Matrix:
         return "\n".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
 
 
+def row_reduce(m: Matrix) -> tuple[list[list[int]], list[int], int]:
+    """Gauss-Jordan elimination to reduced row echelon form; fields only.
+
+    Returns ``(rows, pivots, scale)``: the RREF as lists of rows, the pivot
+    column of each nonzero row in order, and the product of the pivots met
+    times the sign of the row swaps.  ``len(pivots)`` is the rank, and when m
+    is square and of full rank ``scale`` is its determinant.  Pivoting takes
+    the first nonzero entry at or below the current row.
+    """
+    if not m.domain.is_field:
+        raise RingNotSupported("row reduction is defined here over fields only")
+    dom = m.domain
+    sub, mul = dom.sub, dom.mul
+    work = m.to_rows()
+    nrows = m.rows
+    pivots: list[int] = []
+    scale = 1
+    for col in range(m.cols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        for pivot in range(r, nrows):
+            if work[pivot][col]:
+                break
+        else:
+            continue
+        if pivot != r:
+            work[r], work[pivot] = work[pivot], work[r]
+            scale = dom.neg(scale)
+        p = work[r][col]
+        scale = mul(scale, p)
+        inv = dom.inv(p)
+        # left of col the pivot row is zero, so only its tail takes part
+        tail = [mul(inv, x) for x in work[r][col:]]
+        work[r][col:] = tail
+        for i in range(nrows):
+            f = work[i][col]
+            if f and i != r:
+                row = work[i]
+                row[col:] = [sub(x, mul(f, y)) for x, y in zip(row[col:], tail)]
+        pivots.append(col)
+    return work, pivots, scale
+
+
 def mat_rank(m: Matrix) -> int:
-    """Rank by Gaussian elimination with first-nonzero pivoting; fields only."""
+    """Rank over a field: the number of pivots ``row_reduce`` finds."""
     if not m.domain.is_field:
         raise RingNotSupported("rank is defined here over fields only; "
                                "use mat_det_is_unit for square ring matrices")
-    dom = m.domain
-    work = m.to_rows()
-    rank = 0
-    for col in range(m.cols):
-        pivot = None
-        for r in range(rank, m.rows):
-            if work[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = dom.inv(work[rank][col])
-        for r in range(rank + 1, m.rows):
-            c = work[r][col]
-            if c:
-                f = dom.mul(c, inv)
-                for j in range(col, m.cols):
-                    work[r][j] = dom.sub(work[r][j], dom.mul(f, work[rank][j]))
-        rank += 1
-        if rank == m.rows:
-            break
-    return rank
-
-
-def _det_cofactor(m: Matrix) -> int:
-    dom = m.domain
-    n = m.rows
-    if n == 0:
-        return 1
-    if n == 1:
-        return m.get(0, 0)
-    if n == 2:
-        return dom.sub(dom.mul(m.get(0, 0), m.get(1, 1)),
-                       dom.mul(m.get(0, 1), m.get(1, 0)))
-    total = 0
-    cols = list(range(1, n))
-    sub = m.take_rows(range(1, n))
-    for j in range(n):
-        a = m.get(0, j)
-        if a == 0:
-            continue
-        minor = sub.take_cols([c for c in range(n) if c != j])
-        term = dom.mul(a, _det_cofactor(minor))
-        total = dom.add(total, term) if j % 2 == 0 else dom.sub(total, term)
-    return total
-
-
-def _det_field_elim(m: Matrix) -> int:
-    dom = m.domain
-    n = m.rows
-    work = m.to_rows()
-    det = 1
-    sign = 1
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if work[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            return 0
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            sign = -sign
-        det = dom.mul(det, work[col][col])
-        inv = dom.inv(work[col][col])
-        for r in range(col + 1, n):
-            c = work[r][col]
-            if c:
-                f = dom.mul(c, inv)
-                for j in range(col, n):
-                    work[r][j] = dom.sub(work[r][j], dom.mul(f, work[col][j]))
-    return dom.neg(det) if sign < 0 else det
+    return len(row_reduce(m)[1])
 
 
 def _det_bareiss_int(rows: list[list[int]]) -> int:
     """Fraction-free determinant of an integer matrix (exact divisions)."""
     n = len(rows)
+    if n == 0:
+        return 1
     work = [list(r) for r in rows]
     sign = 1
     prev = 1
@@ -585,17 +555,17 @@ def _det_bareiss_int(rows: list[list[int]]) -> int:
 def mat_det_is_unit(m: Matrix) -> tuple[int, bool]:
     """Determinant of a square matrix and whether it is a unit.
 
-    Cofactor expansion up to 4x4; above that, fields use exact Gaussian
-    elimination and rings use integer Bareiss elimination with a final
-    reduction mod q (both division-exact).
+    Fields read it off ``row_reduce``: the signed product of the pivots when
+    every column has one, else 0.  Rings use integer Bareiss elimination on
+    the canonical representatives with a final reduction mod q (all
+    divisions exact).  The 0x0 determinant is 1.
     """
     if m.rows != m.cols:
         raise NonSquare(f"{m.rows}x{m.cols} matrix has no determinant")
     dom = m.domain
-    if m.rows <= 4:
-        det = _det_cofactor(m)
-    elif dom.is_field:
-        det = _det_field_elim(m)
+    if dom.is_field:
+        _, pivots, scale = row_reduce(m)
+        det = scale if len(pivots) == m.rows else 0
     else:
         det = _det_bareiss_int(m.to_rows()) % dom.q
     return det, dom.is_unit(det)
@@ -604,6 +574,7 @@ def mat_det_is_unit(m: Matrix) -> tuple[int, bool]:
 def mat_solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
     """One solution x of a x = b over a field, or None when inconsistent.
 
+    Row-reduces ``[a | b]``; a pivot in b's columns is a row 0 = nonzero.
     Free variables are set to zero, so the result is deterministic.
     """
     if not a.domain.is_field:
@@ -613,35 +584,13 @@ def mat_solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
     if a.rows != b.rows:
         raise DimensionMismatch(f"lhs has {a.rows} rows, rhs has {b.rows}")
     dom = a.domain
-    rows, cols, wide = a.rows, a.cols, a.cols + b.cols
-    work = [list(a.row(i)) + list(b.row(i)) for i in range(rows)]
-    pivots: list[int] = []
-    r = 0
-    for col in range(cols):
-        pivot = None
-        for rr in range(r, rows):
-            if work[rr][col]:
-                pivot = rr
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = dom.inv(work[r][col])
-        work[r] = [dom.mul(inv, x) for x in work[r]]
-        for rr in range(rows):
-            if rr != r and work[rr][col]:
-                f = work[rr][col]
-                work[rr] = [dom.sub(x, dom.mul(f, y)) for x, y in zip(work[rr], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == rows:
-            break
-    # an inconsistent row has zero lhs and nonzero rhs
-    for rr in range(rows):
-        if not any(work[rr][:cols]) and any(work[rr][cols:]):
-            return None
+    cols = a.cols
+    joined = Matrix(dom, a.rows, cols + b.cols,
+                    tuple(x for i in range(a.rows) for x in a.row(i) + b.row(i)))
+    rows, pivots, _ = row_reduce(joined)
+    if pivots and pivots[-1] >= cols:
+        return None
     out = [[0] * b.cols for _ in range(cols)]
     for i, col in enumerate(pivots):
-        for j in range(b.cols):
-            out[col][j] = work[i][cols + j]
+        out[col] = rows[i][cols:]
     return Matrix.from_rows(dom, out)

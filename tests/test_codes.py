@@ -40,7 +40,7 @@ from codedcache.errors import (
     ZeroColumn,
     ZeroConstantTerm,
 )
-from codedcache.gf import Matrix, ScalarDomain, mat_det_is_unit
+from codedcache.gf import Matrix, ScalarDomain, mat_det_is_unit, mat_rank
 
 GF2 = ScalarDomain.field(2)
 GF3 = ScalarDomain.field(3)
@@ -145,6 +145,45 @@ def test_alpha_below_k_plus_one_checks_column_independence():
     g = example_code_4_2()
     assert check_ccp(g, 2).satisfied
     assert check_ccp(g, 1).satisfied
+
+
+def per_drop_rank_checks(g, cols):
+    """Reference: one rank per k x k submatrix left by dropping a column."""
+    checks = []
+    for d in range(len(cols)):
+        kept = [c for i, c in enumerate(cols) if i != d]
+        checks.append((f"drop column {cols[d]}", mat_rank(g.mat.take_cols(kept)) == g.k))
+    checks = tuple(checks)
+    return checks, all(ok for _, ok in checks)
+
+
+def test_ccp_window_checks_match_per_drop_rank():
+    rng = random.Random(1234)
+    windows = failing = 0
+    for q in (2, 3, 4, 5, 9, 16):
+        dom = ScalarDomain.field(q)
+        for _ in range(40):
+            k = rng.randrange(1, 5)
+            n = rng.randrange(k + 1, k + 5)
+            rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+            shape = rng.randrange(3)
+            if shape == 1 and k > 1:  # rank-deficient: last row repeats the first
+                rows[-1] = list(rows[0])
+            elif shape == 2:  # a repeated column
+                for row in rows:
+                    row[1] = row[0]
+            for b in range(n):  # no zero columns; repeats stay repeats
+                if not any(row[b] for row in rows):
+                    for row in rows:
+                        row[b] = 1
+            g = gmat(dom, rows)
+            cert = check_ccp(g, k + 1)
+            for w in cert.windows:
+                assert (w.checks, w.ok) == per_drop_rank_checks(g, w.columns)
+                failing += not w.ok
+            windows += len(cert.windows)
+            assert cert.satisfied == all(w.ok for w in cert.windows)
+    assert 50 <= failing <= windows - 50
 
 
 def test_invalid_alpha_rejected():

@@ -19,6 +19,7 @@ from codedcache.gf import (
     mat_rank,
     mat_solve,
     natural_domain,
+    row_reduce,
 )
 
 PRIME_POWERS_LE_64 = [
@@ -329,7 +330,7 @@ def test_det_oracle_4x4_z6_binary_entries():
 
 
 def test_det_oracle_random_5x5_and_6x6():
-    """Above 4x4 the Bareiss path takes over; cross-check it too."""
+    """Larger ring matrices through Bareiss elimination; cross-check them too."""
     rng = random.Random(99)
     for q in (6, 10):
         dom = ScalarDomain.ring(q)
@@ -363,6 +364,38 @@ def test_det_multiplicative_on_fields():
         db, _ = mat_det_is_unit(b)
         dab, _ = mat_det_is_unit(a.mul(b))
         assert dab == gf5.mul(da, db)
+
+
+def test_det_of_empty_matrix_is_one():
+    for dom in (ScalarDomain.ring(6), ScalarDomain.field(5)):
+        assert mat_det_is_unit(Matrix.from_rows(dom, [])) == (1, True)
+
+
+def test_row_reduce_scale_rank_and_echelon_form():
+    rng = random.Random(2718)
+    full_rank = 0
+    for q in (2, 3, 4, 5, 7, 8, 9, 16):
+        dom = ScalarDomain.field(q)
+        for _ in range(40):
+            n = rng.randrange(1, 6)
+            cols = n if rng.random() < 0.6 else rng.randrange(1, 7)
+            rows = [[rng.randrange(q) for _ in range(cols)] for _ in range(n)]
+            m = Matrix.from_rows(dom, rows)
+            red, pivots, scale = row_reduce(m)
+            assert len(pivots) == mat_rank(m.transpose())
+            assert pivots == sorted(set(pivots))
+            for i, row in enumerate(red):
+                if i >= len(pivots):
+                    assert not any(row)
+                    continue
+                assert not any(row[:pivots[i]]) and row[pivots[i]] == 1
+                assert all(red[r][pivots[i]] == 0 for r in range(n) if r != i)
+            if cols == n and len(pivots) == n:
+                assert scale == brute_force_det(dom, rows)
+                full_rank += 1
+    assert full_rank >= 50
+    with pytest.raises(RingNotSupported):
+        row_reduce(Matrix.identity(ScalarDomain.ring(6), 2))
 
 
 def test_det_rejects_non_square():
