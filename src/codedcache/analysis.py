@@ -180,10 +180,13 @@ def construct_candidate_set(n: int, q: int,
     parity-check and banded-block families for z <= 2, then the Vandermonde
     construction when q >= n', then the block constructions for alpha_cols
     = z+1 and alpha_cols > z+1.  Non-prime-power moduli only support the
-    z <= 2 families.
+    z <= 2 families.  A negative limit raises DomainError.
     """
     if n < 2 or q < 2:
         raise DomainError(f"need n >= 2 and q >= 2, got n={n}, q={q}")
+    if cyclic_search_limit < 0:
+        raise DomainError(
+            f"cyclic search limit must be >= 0, got {cyclic_search_limit}")
     return [_candidate_for_k(n, q, k, cyclic_search_limit) for k in range(1, n)]
 
 

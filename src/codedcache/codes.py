@@ -281,6 +281,103 @@ def _divides_xn_minus_1(gen: Sequence[int], n: int, dom: ScalarDomain) -> bool:
     return not any(rem)
 
 
+def _poly_trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_mul(a: Sequence[int], b: Sequence[int], dom: ScalarDomain) -> list[int]:
+    add, mul = dom.add, dom.mul
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = add(out[i + j], mul(x, y))
+    return out
+
+
+def _poly_gcd(a: list[int], b: list[int], dom: ScalarDomain) -> list[int]:
+    """Monic gcd over a field of a nonzero a and any b (both trimmed)."""
+    while b:
+        inv = dom.inv(b[-1])
+        b = [dom.mul(inv, x) for x in b]
+        a, b = b, _poly_trim(_poly_divmod(a, b, dom)[1])
+    inv = dom.inv(a[-1])
+    return [dom.mul(inv, x) for x in a]
+
+
+def _berlekamp(f: list[int], dom: ScalarDomain) -> list[list[int]]:
+    """Monic irreducible factors of a monic squarefree f over a field.
+
+    Row i of the Q-matrix is X^(iq) mod f.  Each kernel vector v of Q - I is
+    a polynomial with v^q = v mod f, so f is the product of gcd(f, v - s)
+    over the field elements s; the kernel has one dimension per irreducible
+    factor, and splitting by every kernel vector in turn separates them all.
+    """
+    d = len(f) - 1
+    x_q = _poly_divmod([0] * dom.q + [1], f, dom)[1]
+    q_rows = [[1] + [0] * (d - 1)]
+    for _ in range(d - 1):
+        q_rows.append(_poly_divmod(_poly_mul(q_rows[-1], x_q, dom), f, dom)[1])
+    # v (Q - I) = 0, reduced as (Q - I)^T v = 0
+    rows, pivots, _ = row_reduce(Matrix.from_rows(
+        dom, [[dom.sub(q_rows[i][j], int(i == j)) for i in range(d)]
+              for j in range(d)]))
+    factors = [f]
+    for free in sorted(set(range(d)).difference(pivots)):
+        if len(factors) == d - len(pivots):
+            break
+        v = [0] * d
+        v[free] = 1
+        for i, c in enumerate(pivots):
+            v[c] = dom.neg(rows[i][free])
+        split = []
+        for h in factors:
+            vh = _poly_divmod(v, h, dom)[1]
+            left = len(h) - 1
+            for s in dom.elements():
+                if left == 0:
+                    break
+                g = _poly_gcd(h, _poly_trim([dom.sub(vh[0], s)] + vh[1:]), dom)
+                if len(g) > 1:
+                    split.append(g)
+                    left -= len(g) - 1
+        factors = split
+    return factors
+
+
+def _xn_minus_1_divisors(n: int, deg: int, dom: ScalarDomain) -> Iterator[list[int]]:
+    """Monic degree-deg divisors of X^n - 1 over a field, in no set order.
+
+    With n = p^e * n' and p not dividing n', X^n - 1 = (X^n' - 1)^(p^e) and
+    X^n' - 1 is squarefree, so the divisors are the products of its
+    irreducible factors, each to a power of at most p^e.
+    """
+    n_prime, mult = n, 1
+    while n_prime % dom.p == 0:
+        n_prime //= dom.p
+        mult *= dom.p
+    factors = _berlekamp([dom.neg(1)] + [0] * (n_prime - 1) + [1], dom)
+    reach = [0] * (len(factors) + 1)  # the most degree factors j.. can add
+    for j in range(len(factors) - 1, -1, -1):
+        reach[j] = reach[j + 1] + mult * (len(factors[j]) - 1)
+
+    def extend(j: int, poly: list[int], left: int) -> Iterator[list[int]]:
+        if left == 0:
+            yield poly
+            return
+        if left > reach[j]:
+            return
+        yield from extend(j + 1, poly, left)
+        for _ in range(min(mult, left // (len(factors[j]) - 1))):
+            poly = _poly_mul(poly, factors[j], dom)
+            left -= len(factors[j]) - 1
+            yield from extend(j + 1, poly, left)
+
+    return extend(0, [1], deg)
+
+
 # ---------------------------------------------------------------------------
 # constructions
 # ---------------------------------------------------------------------------
@@ -476,28 +573,34 @@ def cyclic_search_space(n: int, k: int, domain: ScalarDomain) -> int:
 
 def search_cyclic_generators(n: int, k: int, domain: ScalarDomain,
                              limit: int = 10 ** 6) -> list[list[int]]:
-    """All generator polynomials of (n, k) cyclic codes over the domain,
-    in lexicographic coefficient order (constant term first).
+    """Generator polynomials of (n, k) cyclic codes over a field, in
+    lexicographic coefficient order (constant term first).
 
-    Enumerates monic degree-(n-k) polynomials with nonzero constant term and
-    keeps the divisors of X^n - 1.  At most ``limit`` candidates are examined,
-    so a result from a truncated enumeration may be incomplete; compare
-    cyclic_search_space to detect that.
+    The result is every monic degree-(n-k) divisor of X^n - 1 whose
+    candidate rank is below ``limit``.  The candidates are the monic
+    degree-(n-k) polynomials with nonzero constant term, ranked in that
+    order from 0 to cyclic_search_space - 1, so a limit below the space may
+    drop divisors and ``limit=0`` gives [].  The divisors come from
+    factoring X^n - 1 by Berlekamp's algorithm, not from the candidates, so
+    the cost grows with the number of divisors, whatever the limit.
     """
+    if limit < 0:
+        raise DomainError(f"cyclic search limit must be >= 0, got {limit}")
+    if not domain.is_field:
+        raise RingNotSupported("cyclic generator search requires a field")
     deg = n - k
-    if deg < 1:
+    if deg < 1 or k < 0:
         return []
     q = domain.q
-    found: list[list[int]] = []
-    examined = 0
-    for g0_mid in itertools.product(range(1, q), *([range(q)] * (deg - 1))):
-        examined += 1
-        if examined > limit:
-            break
-        cand = list(g0_mid) + [1]
-        if _divides_xn_minus_1(cand, n, domain):
-            found.append(cand)
-    return found
+
+    def rank(gen: list[int]) -> int:
+        r = gen[0] - 1
+        for c in gen[1:deg]:
+            r = r * q + c
+        return r
+
+    return sorted(gen for gen in _xn_minus_1_divisors(n, deg, domain)
+                  if rank(gen) < limit)
 
 
 # ---------------------------------------------------------------------------

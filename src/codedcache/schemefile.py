@@ -148,8 +148,10 @@ def codeword_digest(source: SchemeSource, max_codewords: int = SIZE_CAP) -> str:
         raise SchemeFileError(
             f"{count} codewords exceed digest cap {max_codewords}")
     cm = codeword_matrix(source)
+    # entries lie in [0, q): look their decimal forms up, not format each
+    digits = [str(v) for v in range(cm.q)]
     h = hashlib.sha256()
     for row in cm.rows:
-        h.update(",".join(str(x) for x in row).encode())
+        h.update(",".join([digits[x] for x in row]).encode())
         h.update(b"\n")
     return "sha256:" + h.hexdigest()

@@ -338,6 +338,13 @@ def test_search_ring_reports_field_only_steps():
     assert "requires a field" in out
 
 
+def test_search_negative_cyclic_limit_is_domain_error():
+    code, out, err = run(["search", "--n", 12, "--q", 5, "--cyclic-limit", -1])
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "limit" in err
+
+
 def test_search_budget_too_small_is_domain_error():
     code, _, err = run(["search", "--n", 6, "--q", 3, "--budget", 1])
     assert code == 1

@@ -333,6 +333,76 @@ def test_search_is_lexicographic_and_bounded():
     assert cyclic_search_space(8, 4, GF3) == 2 * 3 ** 3
 
 
+def reference_divides_xn_minus_1(cand, n, dom):
+    """Long division of X^n - 1 by a monic candidate, kept apart from the
+    library's polynomial helpers."""
+    rem = [dom.neg(1)] + [0] * (n - 1) + [1]
+    d = len(cand) - 1
+    for top in range(n, d - 1, -1):
+        c = rem[top]
+        if c:
+            for j in range(d + 1):
+                rem[top - d + j] = dom.sub(rem[top - d + j], dom.mul(c, cand[j]))
+    return not any(rem[:d])
+
+
+def reference_divisors_by_rank(n, k, dom):
+    """(rank, candidate) of every divisor found by trying the candidates in
+    itertools.product order: monic, degree n-k, nonzero constant term."""
+    deg = n - k
+    space = itertools.product(range(1, dom.q), *([range(dom.q)] * (deg - 1)))
+    return [(rank, list(c) + [1]) for rank, c in enumerate(space)
+            if reference_divides_xn_minus_1(list(c) + [1], n, dom)]
+
+
+def test_search_matches_brute_force_enumeration():
+    """Factoring X^n - 1 finds exactly the divisors, in candidate order, cut
+    at the candidate rank ``limit``; lengths with p | n need the repeated
+    factors of X^n - 1 = (X^n' - 1)^(p^e)."""
+    checked = repeated = 0
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        dom = ScalarDomain.field(q)
+        for n in (5, 6, 7, 8, 9, 10, 12, 16):
+            for k in range(1, n):
+                space = cyclic_search_space(n, k, dom)
+                if space > 2000:
+                    continue
+                ref = reference_divisors_by_rank(n, k, dom)
+                limits = {0, 1, space // 3, space}
+                for rank, _ in ref[:: max(1, len(ref) // 3)]:
+                    limits.update((rank, rank + 1))
+                for limit in sorted(limits):
+                    got = search_cyclic_generators(n, k, dom, limit)
+                    assert got == [c for r, c in ref if r < limit], (q, n, k, limit)
+                    checked += 1
+                if n % dom.p == 0 and any(len(c) > 2 for _, c in ref):
+                    repeated += 1
+    assert checked >= 500
+    assert repeated >= 30
+
+
+def test_search_finds_all_256_divisors_of_x12_minus_1_over_gf5():
+    """X^12 - 1 has 8 irreducible factors over GF(5), the cyclotomic cosets
+    of 5 mod 12, so 2^8 monic divisors; degrees 1..11 hold all but the
+    trivial divisors 1 and X^12 - 1."""
+    total = 0
+    for k in range(1, 12):
+        gens = search_cyclic_generators(12, k, GF5,
+                                        cyclic_search_space(12, k, GF5))
+        assert gens == sorted(gens)
+        assert all(len(g) == 13 - k and reference_divides_xn_minus_1(g, 12, GF5)
+                   for g in gens)
+        total += len(set(map(tuple, gens)))
+    assert total == 256 - 2
+
+
+def test_search_refuses_negative_limit_and_rings():
+    with pytest.raises(DomainError):
+        search_cyclic_generators(8, 4, GF3, limit=-1)
+    with pytest.raises(RingNotSupported):
+        search_cyclic_generators(6, 3, ScalarDomain.ring(6))
+
+
 # ---------------------------------------------------------------------------
 # construction: SPC
 # ---------------------------------------------------------------------------

@@ -29,3 +29,28 @@ def test_readme_library_example_prints_its_comments():
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     assert out.getvalue().splitlines() == expected
+
+
+def search_example():
+    """The `codedcache search` command and its output block from README."""
+    section = README.read_text(encoding="utf-8").split("\n### search\n", 1)[1]
+    command, output = re.findall(r"```(?:sh)?\n(.*?)```", section, re.DOTALL)[:2]
+    argv = command.split()
+    assert argv[:2] == ["codedcache", "search"]
+    return argv[1:], output.splitlines()
+
+
+def test_readme_search_example_prints_its_table(tmp_path, monkeypatch):
+    """Every line of the README's search output, bar the `...` elisions,
+    appears in the command's output, in order."""
+    from codedcache import cli
+
+    argv, expected = search_example()
+    monkeypatch.chdir(tmp_path)  # the example writes table.csv
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    lines = iter(out.getvalue().splitlines())
+    for want in expected:
+        if want.strip() != "...":
+            assert any(line == want for line in lines), want
