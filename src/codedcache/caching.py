@@ -34,14 +34,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .codes import CrtCodewordSource, GeneratorMatrix, ccp_windows, least_z
-from .design import ResolvableDesign
+from .codes import CrtCodewordSource, ccp_windows, least_z
+from .design import ResolvableDesign, Source
 from .errors import (
     DecodeFailure,
     IncompleteDemands,
     InvalidAlpha,
     Lemma4Violated,
     ShapeMismatch,
+    TooLarge,
 )
 
 # ---------------------------------------------------------------------------
@@ -87,19 +88,22 @@ class CachingScheme:
                          for t in self.user_block(u) for s in range(self.z))
 
 
+def check_alpha(source: Source, alpha: int) -> None:
+    """Refuse an alpha outside 1..k+1 (generator) or 1..k_min (residue)."""
+    if isinstance(source, CrtCodewordSource):
+        if not 1 <= alpha <= source.k_min:
+            raise InvalidAlpha(
+                f"residue sources support alpha in 1..{source.k_min}, got {alpha}")
+    elif not 1 <= alpha <= source.k + 1:
+        raise InvalidAlpha(f"alpha must be in 1..{source.k + 1}, got {alpha}")
+
+
 def placement(d: ResolvableDesign, alpha: int) -> CachingScheme:
     """Cache block points at every superscript; subpacketization numPoints*z
     with z the least positive integer such that alpha divides n*z."""
     src = d.source
-    if isinstance(src, CrtCodewordSource):
-        k = None
-        if not 1 <= alpha <= src.k_min:
-            raise InvalidAlpha(
-                f"residue sources support alpha in 1..{src.k_min}, got {alpha}")
-    else:
-        k = src.k
-        if not 1 <= alpha <= k + 1:
-            raise InvalidAlpha(f"alpha must be in 1..{k + 1}, got {alpha}")
+    check_alpha(src, alpha)
+    k = None if isinstance(src, CrtCodewordSource) else src.k
     return CachingScheme(d, alpha, least_z(d.n, alpha), d.n, d.q, d.num_points, k)
 
 
@@ -252,6 +256,9 @@ _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
 _LCG_MASK = (1 << 64) - 1
 
+# Largest payload stream, in bytes, that simulate generates.
+PAYLOAD_CAP = 1 << 26
+
 
 def byte_stream(seed: int, count: int) -> bytes:
     """Deterministic test payload: a 64-bit linear congruential generator
@@ -296,7 +303,8 @@ def simulate(ms: MatrixScheme, demands: Sequence[int], num_files: int,
     """Run the broadcast for one demand vector byte-exactly and check every
     user decodes every missing subfile of its demanded file: the payload of
     each equation is the XOR of the demanded subfiles of its terms.  This is
-    the one place that validates a demand vector and the subfile size.
+    the one place that validates a demand vector and the subfile size, and
+    it refuses a payload stream over PAYLOAD_CAP bytes with TooLarge.
 
     Decodability is proved by the cache-membership test: a user that meets a
     column outside its cache raises DecodeFailure.  Once that test passes,
@@ -314,7 +322,10 @@ def simulate(ms: MatrixScheme, demands: Sequence[int], num_files: int,
         raise IncompleteDemands(f"demands exceed file count {num_files}")
     if subfile_bytes < 1:
         raise ShapeMismatch(f"subfile_bytes must be >= 1, got {subfile_bytes}")
-    stream = byte_stream(seed, num_files * f_s * subfile_bytes)
+    size = num_files * f_s * subfile_bytes
+    if size > PAYLOAD_CAP:
+        raise TooLarge(f"{size} payload bytes exceed the payload cap {PAYLOAD_CAP}")
+    stream = byte_stream(seed, size)
     sub = subfile_bytes
 
     def chunk(file_idx: int, col: int) -> int:

@@ -118,8 +118,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     cert = None
     if not args.skip_certify:
         if isinstance(source, codes.CrtCodewordSource):
-            comp_certs = [codes.check_ccp(c, min(alpha, c.k))
-                          for c in source.components]
+            comp_certs = [codes.check_ccp(c, alpha) for c in source.components]
             satisfied = all(c.satisfied for c in comp_certs)
             cert = codes.CcpCertificate(alpha, caching.least_z(n, alpha),
                                         satisfied, "componentwise",
@@ -246,21 +245,22 @@ def _report_json(report: caching.SimulationReport, demands: Sequence[int],
 
 def _refuse_oversize(n: int, q: int, alpha: int, num_points: int) -> None:
     """Refuse from the closed forms, before anything is enumerated, when the
-    codewords or the base equations (the transposed subfiles) exceed the cap."""
+    codewords or the base equations (the transposed subfiles) exceed the cap.
+    alpha must already have passed caching.check_alpha."""
     cap = schemefile.SIZE_CAP
     if num_points > cap:
         raise TooLarge(f"{num_points} codewords exceed the size cap {cap}")
-    if alpha >= 1:  # placement rejects any other alpha
-        met = caching.code_point_metrics(n, q, alpha, num_points)
-        delta = met["F_s"] * met["R"]
-        if delta > cap:
-            raise TooLarge(f"{delta} equations exceed the size cap {cap}")
+    met = caching.code_point_metrics(n, q, alpha, num_points)
+    delta = met["F_s"] * met["R"]
+    if delta > cap:
+        raise TooLarge(f"{delta} equations exceed the size cap {cap}")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     source, _ = schemefile.load_scheme(args.file)
     n, q, default_alpha, num_points = _source_params(source)
     alpha = args.alpha if args.alpha is not None else default_alpha
+    caching.check_alpha(source, alpha)
     _refuse_oversize(n, q, alpha, num_points)
     d = design.resolvable_design(design.codeword_matrix(source))
     scheme = caching.placement(d, alpha)
@@ -367,6 +367,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         source, _ = schemefile.load_scheme(path)
         n, q, default_alpha, num_points = _source_params(source)
         alpha = args.alpha if args.alpha is not None else default_alpha
+        caching.check_alpha(source, alpha)
         sid = os.path.splitext(os.path.basename(path))[0]
         points.append({"scheme_id": sid, "n": n, "q": q, "alpha": alpha,
                        "num_points": num_points})

@@ -614,11 +614,13 @@ class CrtCodewordSource:
 
     There are q_1^k_1 * ... * q_d^k_d codewords.  The delivery gain parameter
     is k_min = min k_i: the combined code supports the (k, k_min)-CCP
-    machinery because each component does.
+    machinery because each component does.  basis[i] is the idempotent e_i
+    (1 mod q_i, 0 mod every other q_j) that joins component words w_i into
+    the residue word sum_i e_i * w_i mod q; design.codeword_matrix lists them.
     """
 
     __slots__ = ("n", "q", "components", "k_min", "num_codewords", "provenance",
-                 "_basis")
+                 "basis")
 
     def __init__(self, components: Sequence[GeneratorMatrix], n: int):
         qs = [c.domain.q for c in components]
@@ -637,37 +639,7 @@ class CrtCodewordSource:
         for qi in qs:
             mi = self.q // qi
             basis.append((mi * pow(mi, -1, qi)) % self.q)
-        self._basis = tuple(basis)
-
-    def codewords(self) -> Iterator[tuple[int, ...]]:
-        """Codewords in componentwise message order, first component most
-        significant; index 0 is the all-zero word."""
-        comp_words = []
-        for g in self.components:
-            dom = g.domain
-            words = []
-            for idx in range(dom.q ** g.k):
-                msg = _digits_big_endian(idx, dom.q, g.k)
-                word = [0] * self.n
-                for a, u in enumerate(msg):
-                    if u:
-                        row = g.mat.row(a)
-                        for j in range(self.n):
-                            word[j] = dom.add(word[j], dom.mul(u, row[j]))
-                words.append(tuple(word))
-            comp_words.append(words)
-        for combo in itertools.product(*comp_words):
-            yield tuple(sum(e * w[j] for e, w in zip(self._basis, combo)) % self.q
-                        for j in range(self.n))
-
-
-def _digits_big_endian(value: int, base: int, width: int) -> list[int]:
-    digits = []
-    for _ in range(width):
-        digits.append(value % base)
-        value //= base
-    digits.reverse()
-    return digits
+        self.basis = tuple(basis)
 
 
 def build_crt_cyclic(components: Sequence[tuple[Sequence[int], ScalarDomain]],

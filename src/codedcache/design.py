@@ -3,7 +3,10 @@
 The codeword matrix T of an (n, k) code over an alphabet of size q lists all
 codewords column by column; column index L is the codeword of the message
 whose base-q digits (most significant first) spell L, so column 0 is the
-all-zero word.  Reading T row by row partitions the column indices: block
+all-zero word.  A residue source builds each row of T from the same rows of
+its component codes, first component most significant: column L combines the
+component messages whose indices spell L in the mixed radix (q_i^k_i).
+Reading T row by row partitions the column indices: block
 B_{i,l} collects the columns whose i-th coordinate equals l.  Each row i
 yields the parallel class P_i = {B_{i,0}, ..., B_{i,q-1}}, and together they
 form a resolvable design over the point set X = {0, ..., numCodewords - 1}.
@@ -36,11 +39,26 @@ def codeword_matrix(source: Source) -> CodewordMatrix:
     """Materialize the n x numCodewords codeword matrix of a generator matrix
     or a residue codeword source.  Intended for moderate code sizes; the
     column count is q^k (generator) or prod q_i^k_i (residue source).
+    Residue rows expand component rows: coordinate j of a residue word is
+    sum_i e_i * w_i[j] mod q, e_i = source.basis[i]; message order unchanged.
     """
     if isinstance(source, CrtCodewordSource):
-        words = list(source.codewords())
-        rows = tuple(tuple(w[i] for w in words) for i in range(source.n))
-        return CodewordMatrix(source.n, len(words), source.q, rows, source)
+        q = source.q
+        parts = [_generator_rows(g) for g in source.components]
+        rows = []
+        for j in range(source.n):
+            row = [0]
+            for e, part in zip(source.basis, parts):
+                terms = [e * c for c in part[j]]
+                row = [(v + t) % q for v in row for t in terms]
+            rows.append(tuple(row))
+        return CodewordMatrix(source.n, source.num_codewords, q, tuple(rows), source)
+    return CodewordMatrix(source.n, source.num_codewords, source.domain.q,
+                          _generator_rows(source), source)
+
+
+def _generator_rows(source: GeneratorMatrix) -> tuple[tuple[int, ...], ...]:
+    """Rows of the codeword matrix of a generator matrix, message order."""
     dom: ScalarDomain = source.domain
     add, mul, q = dom.add, dom.mul, dom.q
     rows = []
@@ -52,7 +70,7 @@ def codeword_matrix(source: Source) -> CodewordMatrix:
             multiples = [mul(u, g) for u in range(q)]
             row = [add(v, m) for v in row for m in multiples]
         rows.append(tuple(row))
-    return CodewordMatrix(source.n, source.num_codewords, q, tuple(rows), source)
+    return tuple(rows)
 
 
 @dataclass(frozen=True)

@@ -63,14 +63,10 @@ def scheme_to_dict(source: SchemeSource,
                    digests: Optional[dict] = None) -> dict:
     out: dict = {"format": FORMAT, "version": VERSION}
     if isinstance(source, CrtCodewordSource):
+        params = source.provenance.params
         out["domain"] = {"kind": "ring", "q": source.q, "p": source.q, "m": 1}
-        out["source"] = {
-            "type": "crt",
-            "n": source.n,
-            "components": [{"q": c.domain.q,
-                            "gen_poly": list(c.provenance.params["gen_poly"])}
-                           for c in source.components],
-        }
+        out["source"] = {"type": "crt", "n": params["n"],
+                         "components": params["components"]}
     elif isinstance(source, GeneratorMatrix):
         out["domain"] = _domain_descriptor(source.domain)
         out["source"] = {"type": "generator",

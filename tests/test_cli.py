@@ -280,6 +280,62 @@ def test_simulate_rejects_alpha_zero(tmp_path):
     assert json.loads(out)["error"]["type"] == "InvalidAlpha"
 
 
+def write_c84(path):
+    """README's (8, 4) cyclic code over GF(3); k + 1 = 5."""
+    assert run(["construct", "cyclic", "--n", 8, "--q", 3, "--g", "2,1,0,1,1",
+                "--out", path])[0] == 0
+
+
+def test_simulate_rejects_out_of_range_alpha(tmp_path):
+    scheme = tmp_path / "c84.json"
+    write_c84(scheme)
+    for alpha in (-3, 6):
+        code, out, err = run(["simulate", scheme, "--files", 2,
+                              "--alpha", alpha])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: alpha must be in 1..5, got {alpha}\n"
+
+
+def test_simulate_checks_alpha_before_the_size_cap(tmp_path, monkeypatch):
+    def enumerate_all(source):
+        raise AssertionError("codeword_matrix called for a refused alpha")
+
+    spc15 = tmp_path / "spc15.json"
+    assert run(["construct", "spc", "--k", 15, "--q", 4, "--skip-certify",
+                "--out", spc15])[0] == 0
+    monkeypatch.setattr(cli.design, "codeword_matrix", enumerate_all)
+    for alpha in (0, 17):
+        code, out, _ = run(["--json", "simulate", spc15, "--files", 4,
+                            "--alpha", alpha])
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "type": "InvalidAlpha",
+            "message": f"alpha must be in 1..16, got {alpha}"}
+
+
+def test_simulate_refuses_oversize_payload_before_building_it(tmp_path,
+                                                             monkeypatch):
+    def build_payload(seed, count):
+        raise AssertionError(f"byte_stream asked for {count} bytes")
+
+    scheme = tmp_path / "c84.json"
+    write_c84(scheme)
+    monkeypatch.setattr(cli.caching, "byte_stream", build_payload)
+    # F_s = 81 * 5 = 405 subfiles per file
+    for extra, size in ((["--files", 10 ** 9], 405 * 16 * 10 ** 9),
+                        (["--files", 2, "--bytes", 10 ** 8], 2 * 405 * 10 ** 8)):
+        argv = ["simulate", scheme, "--demands", "all-same:0"] + extra
+        code, out, err = run(argv)
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: {size} payload bytes exceed the payload cap "
+                       f"{1 << 26}\n")
+        code, out, _ = run(["--json"] + argv + ["--transpose"])
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "TooLarge"
+
+
 def test_simulate_transpose_swaps_rate_and_subpacketization(tmp_path):
     scheme = tmp_path / "c95.json"
     assert run(["construct", "claim6", "--t", 3, "--z", 2, "--q", 2,
@@ -376,6 +432,35 @@ def test_compare_memory_sharing_bound(tmp_path):
     assert code == 0
     assert "mn-sharing" in out
     assert "8568" in out
+
+
+def test_compare_rejects_out_of_range_alpha(tmp_path):
+    scheme = tmp_path / "c84.json"
+    write_c84(scheme)
+    for alpha in (0, -3, 6):
+        code, out, err = run(["compare", scheme, "--alpha", alpha])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: alpha must be in 1..5, got {alpha}\n"
+        code, out, _ = run(["--json", "compare", scheme, "--alpha", alpha])
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "type": "InvalidAlpha",
+            "message": f"alpha must be in 1..5, got {alpha}"}
+
+
+def test_compare_rejects_alpha_above_k_min_of_a_residue_source(tmp_path):
+    crt, c84 = tmp_path / "crt.json", tmp_path / "c84.json"
+    assert run(["construct", "crt", "--n", 4, "--component", "2:1,1",
+                "--component", "3:1,1", "--out", crt])[0] == 0
+    write_c84(c84)
+    code, out, _ = run(["compare", c84, crt, "--alpha", 3])
+    assert code == 0
+    assert out.splitlines()[0] == "scheme_id,K,M_over_N,R,F_s,gain"
+    code, out, err = run(["compare", c84, crt, "--alpha", 4])
+    assert code == 1
+    assert out == ""
+    assert err == "error: residue sources support alpha in 1..3, got 4\n"
 
 
 def test_compare_without_files_is_usage_error():

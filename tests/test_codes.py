@@ -24,6 +24,7 @@ from codedcache.codes import (
     least_z,
     search_cyclic_generators,
 )
+from codedcache.design import codeword_matrix
 from codedcache.errors import (
     BaseNotCcp,
     ComponentInvalid,
@@ -602,7 +603,7 @@ def test_crt_q6_codeword_count_and_kmin():
     assert src.q == 6
     assert src.num_codewords == 12
     assert src.k_min == 1
-    words = list(src.codewords())
+    words = list(zip(*codeword_matrix(src).rows))
     assert len(words) == 12
     assert len(set(words)) == 12
     assert words[0] == (0, 0, 0)
@@ -621,7 +622,7 @@ def test_crt_codewords_reduce_to_component_codewords():
                 for j in range(g.n))
             words.add(word)
         comp_words.append(words)
-    for word in src.codewords():
+    for word in zip(*codeword_matrix(src).rows):
         for g, words in zip(src.components, comp_words):
             assert tuple(c % g.domain.q for c in word) in words
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import pytest
 
@@ -21,6 +22,7 @@ from codedcache.design import (
 )
 from codedcache.errors import RingConditionViolated
 from codedcache.gf import Matrix, ScalarDomain
+from codedcache.schemefile import codeword_digest
 
 GF2 = ScalarDomain.field(2)
 GF3 = ScalarDomain.field(3)
@@ -72,6 +74,83 @@ def test_codeword_matrix_crt_source():
     assert cm.num_codewords == src.num_codewords == 2 ** 3 * 3 ** 3
     assert len(cm.rows) == 4
     assert all(len(r) == cm.num_codewords for r in cm.rows)
+
+
+def crt_idempotents(qs):
+    """e_i = 1 mod q_i and 0 mod every other modulus, found by search."""
+    return [next(x for x in range(math.prod(qs)) if all(x % qj == int(qj == qi) for qj in qs))
+            for qi in qs]
+
+
+def reference_codewords(src):
+    """Residue words one at a time, in componentwise message order with the
+    first component most significant: every component word from its message
+    digits (most significant first), then the words joined by the
+    idempotents of the Chinese remainder map."""
+    comp_words = []
+    for g in src.components:
+        dom = g.domain
+        words = []
+        for msg in itertools.product(range(dom.q), repeat=g.k):
+            word = [0] * src.n
+            for a, u in enumerate(msg):
+                if u:
+                    row = g.mat.row(a)
+                    for j in range(src.n):
+                        word[j] = dom.add(word[j], dom.mul(u, row[j]))
+            words.append(tuple(word))
+        comp_words.append(words)
+    basis = crt_idempotents([g.domain.q for g in src.components])
+    for combo in itertools.product(*comp_words):
+        yield tuple(sum(e * w[j] for e, w in zip(basis, combo)) % src.q
+                    for j in range(src.n))
+
+
+CRT_SOURCES = {
+    # name: (n, [(q_i, generator polynomial)]), with the codeword count
+    "n3-2x3": (3, [(2, [1, 1]), (3, [1, 1, 1])]),            # 12
+    "n4-2x3": (4, [(2, [1, 1]), (3, [1, 1])]),               # 216
+    "n6-2x3": (6, [(2, [1, 1, 1]), (3, [2, 1])]),            # 3,888
+    "n4-2x3x5": (4, [(2, [1, 1]), (3, [1, 1]), (5, [1, 1])]),  # 27,000
+    "n4-5": (4, [(5, [4, 1])]),                              # 125
+}
+
+
+def build_named_crt(name):
+    n, comps = CRT_SOURCES[name]
+    return build_crt_cyclic([(g, ScalarDomain.field(q)) for q, g in comps], n)
+
+
+@pytest.mark.parametrize("name, count", [
+    ("n3-2x3", 12), ("n4-2x3", 216), ("n6-2x3", 3888), ("n4-2x3x5", 27000),
+    ("n4-5", 125)])
+def test_codeword_matrix_crt_matches_word_by_word_reference(name, count):
+    src = build_named_crt(name)
+    cm = codeword_matrix(src)
+    assert cm.num_codewords == count
+    assert cm.q == src.q
+    columns = list(reference_codewords(src))
+    assert len(columns) == count
+    assert cm.rows == tuple(zip(*columns))
+
+
+def test_crt_basis_is_the_crt_idempotents():
+    for name in CRT_SOURCES:
+        src = build_named_crt(name)
+        assert list(src.basis) == crt_idempotents(
+            [g.domain.q for g in src.components])
+
+
+CRT_DIGESTS = {
+    "n4-2x3": "sha256:65c2e5532f8e8089cb31546e51822895ebb07ad53a04754c9605c0a94133b9f5",
+    "n3-2x3": "sha256:0a0813ff6c670990a697ead358d50d4c94998a4a6853d9719181fd62e82488f3",
+    "n4-2x3x5": "sha256:4a45e563a59268bf8e0fadf3a46efc1a66d203ba26213cdd342d71e922f2519d",
+}
+
+
+@pytest.mark.parametrize("name", CRT_DIGESTS)
+def test_crt_codeword_digests_are_pinned(name):
+    assert codeword_digest(build_named_crt(name)) == CRT_DIGESTS[name]
 
 
 # ---------------------------------------------------------------------------

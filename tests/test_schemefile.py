@@ -89,7 +89,8 @@ def test_round_trip_crt_source(tmp_path):
     again, doc = load_scheme(path)
     assert isinstance(again, CrtCodewordSource)
     assert again.q == 6 and again.k_min == 1
-    assert list(again.codewords()) == list(src.codewords())
+    assert (list(zip(*design.codeword_matrix(again).rows))
+            == list(zip(*design.codeword_matrix(src).rows)))
     assert doc["source"]["type"] == "crt"
     assert doc["source"]["components"] == [
         {"q": 2, "gen_poly": [1, 1]},
