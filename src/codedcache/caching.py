@@ -6,13 +6,15 @@ by a point t and a superscript s in [0, z); subfile (t, s) maps to flat column
 t*z + s.  User B caches every subfile whose point lies in B, so M/N = 1/q.
 
 Delivery works per recovery set: the cyclically-consecutive groups of alpha
-parallel classes.  For each choice of one block per class in the group, the
-leave-one-out intersections decide which missing subfiles the equation serves,
-and the edge labels of the recovery-set graph pick the superscript.  One
-enumeration covers both delivery regimes: when alpha = k+1 the leave-one-out
-intersections are single points and tuples with a common point contribute
-nothing; when alpha <= k each tuple serves several subfiles per user, paired
-off rank by rank in ascending point order.
+parallel classes.  Each point gets an integer key from its labels on the
+set's classes and is bucketed by every leave-one-out key (one class's label
+dropped).  For each choice of one block per class in the group, a
+participant is served the points of its leave-one-out bucket outside the
+chosen blocks' common intersection, and the edge labels of the
+recovery-set graph pick the superscript.  One enumeration covers both
+delivery regimes: when alpha = k+1 the buckets are single points and tuples
+with a common point contribute nothing; when alpha <= k each tuple serves
+several subfiles per user, paired off rank by rank in ascending point order.
 
 Delivery does not depend on the demands: the design and the recovery sets fix
 every equation, and a demand vector only decides which file fills each term
@@ -21,7 +23,8 @@ A MatrixScheme holds what simulation needs: each user's cached columns and
 each equation's (user, column) pairs.  scheme_from_plan builds it once from
 the placement and the plan; scheme_from_eq_subfile reads it off an
 equation-subfile matrix, such as the transposed one.  simulate applies one
-demand vector to a MatrixScheme, however it was built.
+demand vector to a MatrixScheme, however it was built, and generates the
+payload of the demanded files only.
 
 Equations, users and subfiles are ordered deterministically throughout:
 recovery sets ascending, block tuples in lexicographic order, ranks ascending.
@@ -30,6 +33,7 @@ recovery sets ascending, block tuples in lexicographic order, ranks ascending.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -181,56 +185,70 @@ def generate_delivery(scheme: CachingScheme,
                       graph: RecoverySetGraph) -> DeliveryPlan:
     """Enumerate all equations of the one-shot delivery scheme.
 
-    Within a recovery set, every choice of one block per class is visited in
-    lexicographic order; the leave-one-out intersections minus the common
-    intersection give each participant's served points, paired rank by rank.
+    Within a recovery set with classes c_0 < ... < c_{m-1}, each point gets
+    the integer key sum_j label_{c_j}(point) * q^(m-1-j), first class most
+    significant, so key order is the lexicographic order of block tuples.
+    Points are also bucketed by each leave-one-out key, the key with digit j
+    removed.  The tuple with key L serves participant j the points of its
+    leave-one-out bucket whose key is not L, in ascending order, and the
+    participants' served points are paired rank by rank.  Only
+    design.classes is read, so generator, ring and residue sources take one
+    path, and each tuple costs one bucket per participant: the work grows
+    with the equation terms, not with the number of points.
     """
     if (graph.n, graph.alpha) != (scheme.n, scheme.alpha):
         raise ShapeMismatch("graph does not match scheme parameters")
     d = scheme.design
     q = scheme.q
-    masks = [[_mask(d.classes[i][l]) for l in range(q)] for i in range(d.n)]
+    labels = []  # labels[i][point] = l for the block B_{i,l} holding the point
+    for cls in d.classes:
+        row = [0] * d.num_points
+        for l, block in enumerate(cls):
+            for p in block:
+                row[p] = l
+        labels.append(row)
     equations: list[Equation] = []
     for a, classes in enumerate(graph.sets):
-        supers = [graph.labels[(i, a)] for i in classes]
-        for lvec in itertools.product(range(q), repeat=len(classes)):
-            chosen = [masks[i][l] for i, l in zip(classes, lvec)]
-            # leave-one-out intersections via prefix/suffix products
-            m = len(chosen)
-            prefix = [0] * (m + 1)
-            suffix = [0] * (m + 1)
-            prefix[0] = suffix[m] = ~0
-            for idx in range(m):
-                prefix[idx + 1] = prefix[idx] & chosen[idx]
-            for idx in range(m - 1, -1, -1):
-                suffix[idx] = suffix[idx + 1] & chosen[idx]
-            total = prefix[m]
-            served = [_bits((prefix[idx] & suffix[idx + 1]) & ~total)
-                      for idx in range(m)]
-            count = len(served[0])
-            if any(len(sv) != count for sv in served):  # pragma: no cover
+        m = len(classes)
+        supers = tuple(graph.labels[(i, a)] for i in classes)
+        keys = [0] * d.num_points
+        for i in classes:
+            keys = [key * q + l for key, l in zip(keys, labels[i])]
+        common = [0] * q ** m  # common[L]: points in every block of tuple L
+        for key in keys:
+            common[key] += 1
+        # loo[j] yields the leave-one-out bucket of digit j for keys 0, 1, ...:
+        # with low the place value of digit j, each run of low buckets
+        # repeats q times
+        loo = []
+        sizes = set()
+        for j in range(m):
+            low = q ** (m - 1 - j)
+            buckets = [[] for _ in range(q ** (m - 1))]
+            for p, key in enumerate(keys):
+                buckets[key // (low * q) * low + key % low].append(p)
+            # tuples of ints are smaller than lists and untracked by the gc
+            buckets = list(map(tuple, buckets))
+            sizes.update(map(len, buckets))
+            runs = [buckets[h:h + low] for h in range(0, len(buckets), low)]
+            loo.append(itertools.chain.from_iterable(
+                map(operator.mul, runs, itertools.repeat(q))))
+        # with equal buckets (every window of the code full rank) all
+        # participants of a tuple are served the same number of points
+        uniform = len(sizes) == 1
+        tuples = itertools.product(*(range(i * q, i * q + q) for i in classes))
+        for key, users, served in zip(itertools.count(), tuples, zip(*loo)):
+            inside = common[key]
+            if uniform and len(served[0]) == inside:
+                continue  # the buckets hold only common points: nothing served
+            if inside:
+                served = [[p for p in points if keys[p] != key]
+                          for points in served]
+            if not uniform and len(set(map(len, served))) != 1:
                 raise DecodeFailure("unequal served-point counts within a tuple")
-            for rank in range(count):
-                terms = tuple((cls * q + l, served[idx][rank], supers[idx])
-                              for idx, (cls, l) in enumerate(zip(classes, lvec)))
-                equations.append(Equation(a, terms))
+            for points in zip(*served):
+                equations.append(Equation(a, tuple(zip(users, points, supers))))
     return DeliveryPlan(tuple(equations))
-
-
-def _mask(points: Sequence[int]) -> int:
-    m = 0
-    for p in points:
-        m |= 1 << p
-    return m
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def render_equation(scheme: CachingScheme, eq: Equation) -> str:
@@ -259,17 +277,64 @@ _LCG_MASK = (1 << 64) - 1
 # Largest payload stream, in bytes, that simulate generates.
 PAYLOAD_CAP = 1 << 26
 
+# Words per block of the payload generator; even, since lanes pair off.
+_LANES = 256
+
+# Chunk bytes that simulate decodes in one batch.
+_BATCH_BYTES = 1 << 16
+
 
 def byte_stream(seed: int, count: int) -> bytes:
     """Deterministic test payload: a 64-bit linear congruential generator
     (state <- state * 6364136223846793005 + 1442695040888963407 mod 2^64)
     emitting 8 little-endian bytes per step."""
-    state = seed & _LCG_MASK
-    out = bytearray()
-    while len(out) < count:
+    return bytes(_stream_slice(seed, 0, count))
+
+
+def _stream_slice(seed: int, start: int, count: int) -> bytearray:
+    """byte_stream(seed, start + count)[start:], generating only the words
+    that hold those bytes.  The state jumps to the first of them in O(log
+    start) steps.  After _LANES words made one at a time, each next block of
+    _LANES words is the previous block advanced _LANES steps at once, lane
+    by lane: the even and the odd lanes sit in 128-bit slots of two big
+    integers (a 64-bit product fits a slot), and the odd ones shifted onto
+    the upper halves give the block's words in order."""
+    first, skip = divmod(start, 8)
+    words = -(-(skip + count) // 8)
+    mult, inc = _lcg_power(first)
+    state = (seed * mult + inc) & _LCG_MASK
+    head = []
+    for _ in range(min(words, _LANES)):
         state = (state * _LCG_MULT + _LCG_INC) & _LCG_MASK
-        out += state.to_bytes(8, "little")
-    return bytes(out[:count])
+        head.append(state)
+    out = bytearray(b"".join(w.to_bytes(8, "little") for w in head))
+    if words > _LANES:
+        slots = sum(1 << (128 * i) for i in range(_LANES // 2))
+        mult, inc = _lcg_power(_LANES)
+        mask, inc = _LCG_MASK * slots, inc * slots
+        even, odd = (sum(w << (128 * i) for i, w in enumerate(head[lane::2]))
+                     for lane in (0, 1))
+        for _ in range(-(-(words - _LANES) // _LANES)):
+            even = ((even * mult & mask) + inc) & mask
+            odd = ((odd * mult & mask) + inc) & mask
+            out += (even | odd << 64).to_bytes(8 * _LANES, "little")
+    del out[:skip]
+    del out[count:]
+    return out
+
+
+def _lcg_power(steps: int) -> tuple[int, int]:
+    """(a, c) such that x -> a*x + c mod 2^64 is the generator's step taken
+    `steps` times, by repeated squaring of the step."""
+    a, c = 1, 0
+    mult, inc = _LCG_MULT, _LCG_INC
+    while steps:
+        if steps & 1:
+            a, c = a * mult & _LCG_MASK, (c * mult + inc) & _LCG_MASK
+        # x -> m*(m*x + i) + i = m^2*x + (m + 1)*i
+        mult, inc = mult * mult & _LCG_MASK, (mult + 1) * inc & _LCG_MASK
+        steps >>= 1
+    return a, c
 
 
 @dataclass(frozen=True)
@@ -306,11 +371,21 @@ def simulate(ms: MatrixScheme, demands: Sequence[int], num_files: int,
     the one place that validates a demand vector and the subfile size, and
     it refuses a payload stream over PAYLOAD_CAP bytes with TooLarge.
 
+    File f is bytes f*F_s*subfile_bytes onwards of byte_stream(seed, ...);
+    only the demanded files are generated.  Each term's chunk is read once,
+    and every user gets the payload XOR-ed with the other terms' chunks
+    through prefix and suffix XORs, so the XOR work is linear in the terms.
+    Equations of one length are decoded in batches, position by position,
+    with each position's chunks side by side in one integer.
+
     Decodability is proved by the cache-membership test: a user that meets a
     column outside its cache raises DecodeFailure.  Once that test passes,
     XOR-ing the other users' source chunks back out of the payload always
     returns the user's own chunk, so `exact` only confirms the XOR algebra
-    against the source stream; it is not an independent decoder."""
+    against the source stream; it is not an independent decoder.  The test
+    runs per user over all of its equations at once; if it does not pass,
+    the equations are decoded again term by term, in order, skipping a
+    user's own terms, and the first column a user cannot cancel is named."""
     caches, f_s = ms.caches, ms.f_s
     num_users = len(caches)
     if len(demands) != num_users:
@@ -325,21 +400,87 @@ def simulate(ms: MatrixScheme, demands: Sequence[int], num_files: int,
     size = num_files * f_s * subfile_bytes
     if size > PAYLOAD_CAP:
         raise TooLarge(f"{size} payload bytes exceed the payload cap {PAYLOAD_CAP}")
-    stream = byte_stream(seed, size)
     sub = subfile_bytes
+    span = f_s * sub
+    files = {f: _stream_slice(seed, f * span, span) for f in sorted(set(demands))}
+    wanted = [files[f] for f in demands]
 
-    def chunk(file_idx: int, col: int) -> int:
-        off = (file_idx * f_s + col) * sub
-        return int.from_bytes(stream[off:off + sub], "little")
-
-    recovered: list[set[int]] = [set() for _ in range(num_users)]
-    exact = [True] * num_users
+    # user u's i-th term sits in equation joined[u][i] at column served[u][i]
+    joined: list[list] = [[] for _ in range(num_users)]
+    served: list[list[int]] = [[] for _ in range(num_users)]
     for terms in ms.equations:
-        chunks = [chunk(demands[user], col) for user, col in terms]
+        for user, col in terms:
+            joined[user].append(terms)
+            served[user].append(col)
+    if all(_cancels(cache, joined[u], served[u]) for u, cache in enumerate(caches)):
+        exact = [True] * num_users
+        for width, group in itertools.groupby(ms.equations, len):
+            group = list(group)
+            step = max(1, _BATCH_BYTES // (sub * max(width, 1)))
+            for start in range(0, len(group), step):
+                _decode_batch(group[start:start + step], wanted, sub, exact)
+    else:
+        exact = _decode_term_by_term(ms.equations, caches, wanted, sub)
+    all_cols = frozenset(range(f_s))
+    outcomes = []
+    for u in range(num_users):
+        recovered = set(served[u])
+        outcomes.append(UserOutcome(u, demands[u], len(recovered),
+                                    recovered == all_cols - caches[u], exact[u]))
+    return SimulationReport(num_users, num_files, sub, f_s, ms.delta, ms.rate,
+                            ms.delta * sub, seed, tuple(outcomes))
+
+
+def _cancels(cache: frozenset[int], equations: list, served: list[int]) -> bool:
+    """Whether a user caches every other term's column of the equations it
+    joins (listed once per term, served[i] its column in equations[i]).
+    Each equation holds the user's own column, which must be uncached, so
+    the uncached columns over the list number exactly one per term iff all
+    others are cached; a user repeated within an equation fails the count."""
+    if not cache.isdisjoint(served):
+        return False
+    cols = map(operator.itemgetter(1), itertools.chain.from_iterable(equations))
+    entries = sum(map(len, equations))
+    return entries - sum(map(cache.__contains__, cols)) == len(served)
+
+
+def _decode_batch(batch: list, wanted: list, sub: int, exact: list[bool]) -> None:
+    """Decode equations of one length whose users are distinct.  The chunks
+    at term position j of every equation form one integer, sub bytes per
+    equation, so one XOR of such integers serves the whole batch: the user at
+    position j gets the payload XOR-ed with the prefix XOR of positions
+    before j and the suffix XOR of positions after it."""
+    columns = list(zip(*batch))
+    chunks = [int.from_bytes(b"".join([wanted[user][col * sub:col * sub + sub]
+                                       for user, col in column]), "little")
+              for column in columns]
+    after = chunks + [0]
+    for j in range(len(chunks) - 1, -1, -1):
+        after[j] ^= after[j + 1]
+    payload, before = after[0], 0
+    for column, chunk, rest in zip(columns, chunks, after[1:]):
+        value = payload ^ before ^ rest
+        if value != chunk:
+            got = value.to_bytes(len(column) * sub, "little")
+            want = chunk.to_bytes(len(column) * sub, "little")
+            for e, (user, _) in enumerate(column):
+                if got[e * sub:e * sub + sub] != want[e * sub:e * sub + sub]:
+                    exact[user] = False
+        before ^= chunk
+
+
+def _decode_term_by_term(equations, caches, wanted: list, sub: int) -> list[bool]:
+    """Decode equation by equation, user by user, cancelling every term of
+    another user in term order; the first column a user does not cache
+    raises DecodeFailure.  Returns whether each user's values all matched."""
+    exact = [True] * len(caches)
+    for terms in equations:
+        chunks = [int.from_bytes(wanted[user][col * sub:col * sub + sub], "little")
+                  for user, col in terms]
         payload = 0
         for c in chunks:
             payload ^= c
-        for (user, col), own in zip(terms, chunks):
+        for (user, _), own in zip(terms, chunks):
             value = payload
             for (other, other_col), c in zip(terms, chunks):
                 if other == user:
@@ -350,15 +491,7 @@ def simulate(ms: MatrixScheme, demands: Sequence[int], num_files: int,
                 value ^= c
             if value != own:
                 exact[user] = False
-            recovered[user].add(col)
-    all_cols = frozenset(range(f_s))
-    outcomes = []
-    for u in range(num_users):
-        missing = all_cols - caches[u]
-        outcomes.append(UserOutcome(u, demands[u], len(recovered[u]),
-                                    recovered[u] == missing, exact[u]))
-    return SimulationReport(num_users, num_files, sub, f_s, ms.delta, ms.rate,
-                            ms.delta * sub, seed, tuple(outcomes))
+    return exact
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 import itertools
 import random
+import signal
 from fractions import Fraction
 
 import pytest
 
+from codedcache import caching
 from codedcache.caching import (
     CachingScheme,
     DeliveryPlan,
     EqSubfileMatrix,
     Equation,
+    MatrixScheme,
     byte_stream,
     code_point_metrics,
     equation_subfile_matrix,
@@ -24,10 +27,13 @@ from codedcache.caching import (
     verify_lemma4,
 )
 from codedcache.codes import (
+    CrtCodewordSource,
     GeneratorMatrix,
     build_claim6,
+    build_claim9,
     build_crt_cyclic,
     build_cyclic,
+    build_mds,
     build_spc,
 )
 from codedcache.design import codeword_matrix, resolvable_design
@@ -42,6 +48,7 @@ from codedcache.gf import Matrix, ScalarDomain
 
 GF2 = ScalarDomain.field(2)
 GF3 = ScalarDomain.field(3)
+GF7 = ScalarDomain.field(7)
 
 
 def example_design():
@@ -239,6 +246,126 @@ def test_low_alpha_regime_delta_and_lemma4():
     assert sim.rate == Fraction(36, 9) == 4
 
 
+def reference_delivery(scheme, graph):
+    """The mask-intersection delivery, kept as the reference: for each block
+    tuple, the leave-one-out intersections of the chosen blocks' point masks
+    (prefix and suffix products) minus their common intersection, paired
+    rank by rank.  The products start from the all-points mask, so with one
+    class (alpha = 1) a user is served every point outside its block."""
+    d, q = scheme.design, scheme.q
+    everything = (1 << d.num_points) - 1
+    masks = [[sum(1 << p for p in block) for block in cls] for cls in d.classes]
+
+    def bits(mask):
+        return [p for p in range(mask.bit_length()) if mask >> p & 1]
+
+    equations = []
+    for a, classes in enumerate(graph.sets):
+        supers = [graph.labels[(i, a)] for i in classes]
+        for lvec in itertools.product(range(q), repeat=len(classes)):
+            chosen = [masks[i][l] for i, l in zip(classes, lvec)]
+            m = len(chosen)
+            prefix = [everything] * (m + 1)
+            suffix = [everything] * (m + 1)
+            for idx in range(m):
+                prefix[idx + 1] = prefix[idx] & chosen[idx]
+            for idx in range(m - 1, -1, -1):
+                suffix[idx] = suffix[idx + 1] & chosen[idx]
+            total = prefix[m]
+            served = [bits(prefix[idx] & suffix[idx + 1] & ~total)
+                      for idx in range(m)]
+            count = len(served[0])
+            if any(len(sv) != count for sv in served):
+                raise DecodeFailure("unequal served-point counts within a tuple")
+            for rank in range(count):
+                terms = tuple((cls * q + l, served[idx][rank], supers[idx])
+                              for idx, (cls, l) in enumerate(zip(classes, lvec)))
+                equations.append(Equation(a, terms))
+    return DeliveryPlan(tuple(equations))
+
+
+@pytest.fixture
+def deadline():
+    """Fail the test, instead of stalling the suite, if it runs over 60 s
+    (alpha = 1 once sent delivery into an endless loop)."""
+    def expire(signum, frame):
+        raise TimeoutError("test ran over 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def every_alpha(source):
+    top = source.k_min if isinstance(source, CrtCodewordSource) else source.k + 1
+    return range(1, top + 1)
+
+
+DELIVERY_SOURCES = {
+    "spc(3)/GF(3)": lambda: build_spc(3, GF3),
+    "spc(4)/GF(3)": lambda: build_spc(4, GF3),
+    "spc(3)/GF(4)": lambda: build_spc(3, ScalarDomain.field(4)),
+    "mds(6,3)/GF(7)": lambda: build_mds(6, 3, GF7),
+    "claim6(3,2)/GF(2)": lambda: build_claim6(3, 2, GF2),
+    "claim9(2)/Z6": lambda: build_claim9(2, 6),
+    "crt GF(2) x+1, GF(3) x+1, n=4": lambda: build_crt_cyclic(
+        [([1, 1], GF2), ([1, 1], GF3)], 4),
+    "crt GF(2) x+1, GF(3) x^2+x+1, n=3": lambda: build_crt_cyclic(
+        [([1, 1], GF2), ([1, 1, 1], GF3)], 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DELIVERY_SOURCES))
+def test_delivery_matches_mask_reference_at_every_alpha(name, deadline):
+    """Same equations in the same order as the mask algorithm, for generator,
+    ring and residue sources at every alpha they support."""
+    source = DELIVERY_SOURCES[name]()
+    d = resolvable_design(codeword_matrix(source))
+    for alpha in every_alpha(source):
+        s = placement(d, alpha)
+        graph = recovery_set_graph(s.n, alpha)
+        plan = generate_delivery(s, graph)
+        assert plan == reference_delivery(s, graph), (name, alpha)
+        assert plan.delta == expected_delta(s), (name, alpha)
+
+
+def test_delivery_matches_mask_reference_without_the_ccp(deadline):
+    """Codes whose windows are not all full rank: where the served-point
+    counts of a tuple differ, both refuse with the same DecodeFailure."""
+    outcomes = []
+    for rows, dom in (([[1, 0, 1], [0, 1, 0]], GF2),
+                      ([[1, 0, 1, 1], [0, 1, 0, 0]], GF3),
+                      ([[1, 0, 0, 1], [0, 1, 1, 0], [0, 0, 0, 1]], GF2)):
+        g = GeneratorMatrix(Matrix.from_rows(dom, rows))
+        d = resolvable_design(codeword_matrix(g))
+        for alpha in every_alpha(g):
+            s = placement(d, alpha)
+            graph = recovery_set_graph(s.n, alpha)
+            got = want = None
+            try:
+                got = generate_delivery(s, graph)
+            except DecodeFailure as exc:
+                got = str(exc)
+            try:
+                want = reference_delivery(s, graph)
+            except DecodeFailure as exc:
+                want = str(exc)
+            assert got == want, (rows, alpha)
+            outcomes.append(isinstance(got, str))
+    assert any(outcomes) and not all(outcomes)
+
+
+def test_alpha_1_serves_each_user_its_missing_points_uncoded(deadline):
+    s = placement(example_design(), 1)
+    plan = generate_delivery(s, recovery_set_graph(4, 1))
+    assert plan.delta == expected_delta(s) == 9 * 2 * 4
+    for eq in plan.equations:
+        (user, point, sup), = eq.terms
+        assert point not in s.user_block(user) and sup == 0
+
+
 def test_incomplete_demands_rejected():
     ms = scheme_from_plan(*example_plan())
     with pytest.raises(IncompleteDemands):
@@ -374,6 +501,195 @@ def test_simulate_crt_source_end_to_end():
     sim = simulate(scheme_from_plan(s, plan), list(range(24)), num_files=24,
                    subfile_bytes=4, seed=3)
     assert sim.all_ok
+
+
+def reference_simulate(ms, demands, num_files, subfile_bytes, seed):
+    """The term-by-term simulation over the whole payload stream, kept as the
+    reference: per equation and user, every term of another user is checked
+    against the cache and XOR-ed out of the payload.  Returns the users'
+    (user, demanded, recovered, complete, exact) rows, or the DecodeFailure
+    message."""
+    caches, f_s, sub = ms.caches, ms.f_s, subfile_bytes
+    stream = byte_stream(seed, num_files * f_s * sub)
+
+    def chunk(file_idx, col):
+        off = (file_idx * f_s + col) * sub
+        return int.from_bytes(stream[off:off + sub], "little")
+
+    recovered = [set() for _ in caches]
+    exact = [True] * len(caches)
+    try:
+        for terms in ms.equations:
+            chunks = [chunk(demands[user], col) for user, col in terms]
+            payload = 0
+            for c in chunks:
+                payload ^= c
+            for (user, col), own in zip(terms, chunks):
+                value = payload
+                for (other, other_col), c in zip(terms, chunks):
+                    if other == user:
+                        continue
+                    if other_col not in caches[user]:
+                        raise DecodeFailure(
+                            f"user {user} cannot cancel column {other_col}")
+                    value ^= c
+                if value != own:
+                    exact[user] = False
+                recovered[user].add(col)
+    except DecodeFailure as exc:
+        return str(exc)
+    every = frozenset(range(f_s))
+    return tuple((u, demands[u], len(recovered[u]),
+                  recovered[u] == every - caches[u], exact[u])
+                 for u in range(len(caches)))
+
+
+def simulated(ms, demands, num_files, subfile_bytes, seed):
+    """simulate's outcome in reference_simulate's form."""
+    try:
+        report = simulate(ms, demands, num_files, subfile_bytes, seed)
+    except DecodeFailure as exc:
+        return str(exc)
+    return tuple((o.user, o.demanded, o.recovered_count, o.complete, o.exact)
+                 for o in report.users)
+
+
+def edited(ms, index, terms=None, caches=None):
+    """ms with equation `index` replaced by `terms` and/or new caches."""
+    equations = list(ms.equations)
+    if terms is not None:
+        equations[index] = tuple(terms)
+    return MatrixScheme(ms.num_users, ms.f_s, caches or ms.caches,
+                        tuple(equations))
+
+
+def assert_same_failure(ms, message):
+    for demands, files, sub, seed in ((list(range(12)), 12, 8, 1),
+                                      ([0] * 12, 1, 3, 0)):
+        want = reference_simulate(ms, demands, files, sub, seed)
+        assert want == message
+        assert simulated(ms, demands, files, sub, seed) == want
+        with pytest.raises(DecodeFailure, match=f"^{message}$"):
+            simulate(ms, demands, files, sub, seed)
+
+
+def test_decode_failure_in_a_late_equation_names_the_reference_pair():
+    ms = scheme_from_plan(*example_plan())
+    (u0, c0), (u1, _), (u2, c2) = ms.equations[-1]
+    x = min(set(range(27)) - ms.caches[u0] - {c0})
+    assert_same_failure(edited(ms, -1, [(u0, c0), (u1, x), (u2, c2)]),
+                        f"user {u0} cannot cancel column {x}")
+
+
+def test_decode_failure_with_a_user_repeated_in_one_equation():
+    """The repeated user skips its own other term; the next user, which does
+    not cache that column, is the one named."""
+    ms = scheme_from_plan(*example_plan())
+    (u0, c0), _, (u2, c2) = ms.equations[40]
+    x = min(set(range(27)) - ms.caches[u0] - ms.caches[u2])
+    assert_same_failure(edited(ms, 40, [(u0, c0), (u0, x), (u2, c2)]),
+                        f"user {u2} cannot cancel column {x}")
+
+
+def test_decode_failure_with_a_column_missing_from_two_caches():
+    ms = scheme_from_plan(*example_plan())
+    (u0, c0), (u1, c1), (u2, c2) = ms.equations[17]
+    caches = list(ms.caches)
+    caches[u0] = caches[u0] - {c2}
+    caches[u1] = caches[u1] - {c2}
+    broken = edited(ms, 17, caches=tuple(caches))
+    first = next((user, col) for terms in ms.equations
+                 for user, _ in terms for other, col in terms
+                 if other != user and col not in caches[user])
+    assert_same_failure(broken, "user {} cannot cancel column {}".format(*first))
+
+
+def test_repeated_users_and_twice_served_subfiles_keep_reference_reports():
+    """A user repeated in an equation whose columns every other user caches
+    decodes, but recovers its terms XOR-ed together (exact False); a subfile
+    served twice leaves complete and exact as they were."""
+    s, plan = example_plan()
+    ms = scheme_from_plan(s, plan)
+    (u0, c0), (u1, c1), (u2, c2) = ms.equations[5]
+    repeated = edited(ms, 5, [(u0, c0), (u0, c1), (u2, c2)])
+    twice = MatrixScheme(12, 27, ms.caches, ms.equations + ms.equations[:3])
+    for scheme in (repeated, twice):
+        for demands, files, sub, seed in ((list(range(12)), 12, 8, 1),
+                                          ([u % 3 for u in range(12)], 3, 5, 4)):
+            want = reference_simulate(scheme, demands, files, sub, seed)
+            assert simulated(scheme, demands, files, sub, seed) == want
+    rows = reference_simulate(repeated, list(range(12)), 12, 8, 1)
+    assert not rows[u0][4] and not rows[u0][3] and not rows[u1][3]
+    assert all(row[3] and row[4]
+               for row in reference_simulate(twice, list(range(12)), 12, 8, 1))
+
+
+def test_simulate_matches_reference_on_random_edits():
+    """Random edits of base and transposed schemes: reports and failure
+    messages equal the reference's."""
+    rng = random.Random(20170601)
+    s, plan = example_plan()
+    bases = [scheme_from_plan(s, plan),
+             scheme_from_eq_subfile(equation_subfile_matrix(s, plan).transpose())]
+    outcomes = set()
+    for ms in bases:
+        k = ms.num_users
+        for _ in range(40):
+            equations = [list(terms) for terms in ms.equations]
+            i = rng.randrange(len(equations))
+            j = rng.randrange(len(equations[i]))
+            user, col = equations[i][j]
+            kind = rng.randrange(4)
+            if kind == 0:
+                equations[i][j] = (rng.randrange(k), col)
+            elif kind == 1:
+                equations[i][j] = (user, rng.randrange(ms.f_s))
+            elif kind == 2:
+                equations.append(equations[i])
+            else:
+                del equations[i]
+            variant = MatrixScheme(k, ms.f_s, ms.caches,
+                                   tuple(map(tuple, equations)))
+            files = rng.randrange(1, 5)
+            demands = [rng.randrange(files) for _ in range(k)]
+            sub, seed = rng.choice((1, 3, 8, 17)), rng.randrange(100)
+            want = reference_simulate(variant, demands, files, sub, seed)
+            assert simulated(variant, demands, files, sub, seed) == want
+            outcomes.add(want if isinstance(want, str) else
+                         (all(r[3] for r in want), all(r[4] for r in want)))
+    assert {(True, True), (False, True), (False, False)} <= outcomes
+    assert any(isinstance(o, str) for o in outcomes)
+
+
+@pytest.mark.parametrize("sub", [1, 3, 8, 16, 17])
+def test_file_payload_equals_the_stream_slice(sub):
+    """Each file's bytes, generated from a jump to its first word, equal the
+    file's slice of the whole stream: first and last file, odd F_s, lengths
+    across the generator's lane blocks."""
+    for f_s, num_files in ((27, 5), (81, 3), (405, 2), (2187, 2)):
+        span = f_s * sub
+        for seed in (0, 7, 2 ** 64 + 3):
+            stream = byte_stream(seed, num_files * span)
+            for f in (0, num_files - 1):
+                got = caching._stream_slice(seed, f * span, span)
+                assert got == stream[f * span:(f + 1) * span], (f_s, f, seed)
+
+
+def test_simulate_generates_only_demanded_files(monkeypatch):
+    ms = scheme_from_plan(*example_plan())
+    calls = []
+    real = caching._stream_slice
+
+    def recorded(seed, start, count):
+        calls.append((seed, start, count))
+        return real(seed, start, count)
+
+    monkeypatch.setattr(caching, "_stream_slice", recorded)
+    assert simulate(ms, [0] * 12, num_files=12, subfile_bytes=16, seed=5).all_ok
+    assert calls == [(5, 0, 27 * 16)]
+    calls.clear()
+    assert simulate(ms, [4, 9] * 6, num_files=12, subfile_bytes=3, seed=5).all_ok
+    assert calls == [(5, 4 * 81, 81), (5, 9 * 81, 81)]
 
 
 # ---------------------------------------------------------------------------

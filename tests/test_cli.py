@@ -7,8 +7,23 @@ stdout/stderr text, and the files the commands leave behind.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from codedcache import cli
+from codedcache import caching, cli, design, schemefile
+
+
+def run_child(argv, cwd):
+    """Invoke the CLI in a child process that is killed after 60 s, so a
+    command that never ends fails its test instead of stalling the suite."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "codedcache.cli"]
+                          + [str(a) for a in argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 def run(argv):
@@ -316,12 +331,13 @@ def test_simulate_checks_alpha_before_the_size_cap(tmp_path, monkeypatch):
 
 def test_simulate_refuses_oversize_payload_before_building_it(tmp_path,
                                                              monkeypatch):
-    def build_payload(seed, count):
-        raise AssertionError(f"byte_stream asked for {count} bytes")
+    def build_payload(*args):
+        raise AssertionError(f"payload generation asked for {args}")
 
     scheme = tmp_path / "c84.json"
     write_c84(scheme)
     monkeypatch.setattr(cli.caching, "byte_stream", build_payload)
+    monkeypatch.setattr(cli.caching, "_stream_slice", build_payload)
     # F_s = 81 * 5 = 405 subfiles per file
     for extra, size in ((["--files", 10 ** 9], 405 * 16 * 10 ** 9),
                         (["--files", 2, "--bytes", 10 ** 8], 2 * 405 * 10 ** 8)):
@@ -334,6 +350,30 @@ def test_simulate_refuses_oversize_payload_before_building_it(tmp_path,
         code, out, _ = run(["--json"] + argv + ["--transpose"])
         assert code == 1
         assert json.loads(out)["error"]["type"] == "TooLarge"
+
+
+def test_simulate_all_same_demand_generates_only_that_file(tmp_path,
+                                                           monkeypatch):
+    calls = []
+    real = caching._stream_slice
+
+    def recorded(seed, start, count):
+        calls.append((seed, start, count))
+        return real(seed, start, count)
+
+    scheme = tmp_path / "c84.json"
+    write_c84(scheme)
+    monkeypatch.setattr(caching, "_stream_slice", recorded)
+    # 16-byte subfiles; F_s is 405 for the base scheme, 1296 transposed
+    for f in (0, 7):
+        for extra, f_s in (([], 405), (["--transpose"], 1296)):
+            calls.clear()
+            code, out, _ = run(["simulate", scheme, "--files", 9, "--seed", 3,
+                                "--demands", f"all-same:{f}"] + extra)
+            assert code == 0
+            report = json.loads(out)
+            assert report["F_s"] == f_s and report["all_ok"] is True
+            assert calls == [(3, f * f_s * 16, f_s * 16)]
 
 
 def test_simulate_transpose_swaps_rate_and_subpacketization(tmp_path):
@@ -356,6 +396,38 @@ def test_simulate_transpose_swaps_rate_and_subpacketization(tmp_path):
     assert flipped["rate"] == "2/3"
     assert flipped["F_s"] == 96
     assert flipped["all_ok"] is True
+
+
+def test_simulate_alpha_1_finishes(tmp_path):
+    """With one class per recovery set every user is served its missing
+    subfiles uncoded; alpha = 1 once looped forever in delivery."""
+    scheme = tmp_path / "spc3.json"
+    assert run(["construct", "spc", "--k", 3, "--q", 3, "--out", scheme])[0] == 0
+    d = design.resolvable_design(design.codeword_matrix(
+        schemefile.load_scheme(scheme)[0]))
+    expected = caching.expected_delta(caching.placement(d, 1))
+    proc = run_child(["simulate", scheme, "--files", 3, "--alpha", 1], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["delta"] == expected == 216
+    assert report["all_ok"] is True
+
+
+def test_simulate_residue_source_with_k_min_1_finishes(tmp_path):
+    """A residue source whose smallest component dimension is 1 simulates at
+    its default alpha = 1."""
+    scheme = tmp_path / "crt.json"
+    assert run(["construct", "crt", "--n", 3, "--component", "2:1,1",
+                "--component", "3:1,1,1", "--out", scheme])[0] == 0
+    source = schemefile.load_scheme(scheme)[0]
+    assert source.k_min == 1
+    d = design.resolvable_design(design.codeword_matrix(source))
+    expected = caching.expected_delta(caching.placement(d, 1))
+    proc = run_child(["simulate", scheme, "--files", 3], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert (report["delta"], report["F_s"]) == (expected, 12) == (180, 12)
+    assert report["all_ok"] is True
 
 
 # ---------------------------------------------------------------------------
