@@ -383,9 +383,10 @@ def simulate(ms: MatrixScheme, demands: Sequence[int], num_files: int,
     XOR-ing the other users' source chunks back out of the payload always
     returns the user's own chunk, so `exact` only confirms the XOR algebra
     against the source stream; it is not an independent decoder.  The test
-    runs per user over all of its equations at once; if it does not pass,
-    the equations are decoded again term by term, in order, skipping a
-    user's own terms, and the first column a user cannot cancel is named."""
+    is one mask test per term: is its user the only one of the equation's
+    distinct users that lacks its column?  If it does not pass, the
+    equations are decoded again term by term, in order, skipping a user's
+    own terms, and the first column a user cannot cancel is named."""
     caches, f_s = ms.caches, ms.f_s
     num_users = len(caches)
     if len(demands) != num_users:
@@ -405,14 +406,21 @@ def simulate(ms: MatrixScheme, demands: Sequence[int], num_files: int,
     files = {f: _stream_slice(seed, f * span, span) for f in sorted(set(demands))}
     wanted = [files[f] for f in demands]
 
-    # user u's i-th term sits in equation joined[u][i] at column served[u][i]
-    joined: list[list] = [[] for _ in range(num_users)]
+    miss = [(1 << num_users) - 1] * f_s  # miss[c]: the users lacking column c
+    for u, cache in enumerate(caches):
+        for c in cache:
+            miss[c] ^= 1 << u
     served: list[list[int]] = [[] for _ in range(num_users)]
+    decodable = True
     for terms in ms.equations:
+        user_mask = 0
         for user, col in terms:
-            joined[user].append(terms)
             served[user].append(col)
-    if all(_cancels(cache, joined[u], served[u]) for u, cache in enumerate(caches)):
+            user_mask |= 1 << user
+        # a mask holds fewer bits than its terms iff it repeats a user
+        decodable = decodable and user_mask.bit_count() == len(terms) and all(
+            miss[col] & user_mask == 1 << user for user, col in terms)
+    if decodable:
         exact = [True] * num_users
         for width, group in itertools.groupby(ms.equations, len):
             group = list(group)
@@ -429,19 +437,6 @@ def simulate(ms: MatrixScheme, demands: Sequence[int], num_files: int,
                                     recovered == all_cols - caches[u], exact[u]))
     return SimulationReport(num_users, num_files, sub, f_s, ms.delta, ms.rate,
                             ms.delta * sub, seed, tuple(outcomes))
-
-
-def _cancels(cache: frozenset[int], equations: list, served: list[int]) -> bool:
-    """Whether a user caches every other term's column of the equations it
-    joins (listed once per term, served[i] its column in equations[i]).
-    Each equation holds the user's own column, which must be uncached, so
-    the uncached columns over the list number exactly one per term iff all
-    others are cached; a user repeated within an equation fails the count."""
-    if not cache.isdisjoint(served):
-        return False
-    cols = map(operator.itemgetter(1), itertools.chain.from_iterable(equations))
-    entries = sum(map(len, equations))
-    return entries - sum(map(cache.__contains__, cols)) == len(served)
 
 
 def _decode_batch(batch: list, wanted: list, sub: int, exact: list[bool]) -> None:
@@ -551,11 +546,29 @@ def verify_lemma4(m: EqSubfileMatrix) -> Lemma4Report:
     none within a row, and any two occurrences of one user sit on a zero
     'rectangle' (the swapped positions are empty).
 
-    Only nonzeros are visited.  A user v at (i, j) and any other nonzero
+    The verdict is one mask test per nonzero: with no user repeated in a
+    column or a row, the matrix is corner-free iff each nonzero's user is
+    the only one its column and its row share.  Only when that test fails
+    are the violations enumerated: a user v at (i, j) and any other nonzero
     (i, j2) of row i break the rectangle with every occurrence of v in
-    column j2 outside row i, so the corner check costs the sum of squared
-    row lengths plus one entry per violation.  Violations are listed in the
-    order a row-major scan of the dense matrix would find them."""
+    column j2 outside row i.  They are listed in the order a row-major scan
+    of the dense matrix would find them."""
+    col_mask = [0] * m.cols
+    row_masks = []
+    for row in m.row_terms:
+        row_mask = 0
+        for user, j in row:
+            col_mask[j] |= 1 << user
+            row_mask |= 1 << user
+        row_masks.append(row_mask)
+    # a mask holds fewer bits than its nonzeros iff it repeats a user
+    nonzeros = sum(map(len, m.row_terms))
+    if (sum(map(int.bit_count, col_mask)) == nonzeros
+            and sum(map(int.bit_count, row_masks)) == nonzeros
+            and all(col_mask[j] & row_mask == 1 << user
+                    for row, row_mask in zip(m.row_terms, row_masks)
+                    for user, j in row)):
+        return Lemma4Report(True, ())
     where: dict[tuple[int, int], list[int]] = {}  # (user, column) -> rows
     first: dict[int, int] = {}  # user -> rank of its first occurrence
     for i, row in enumerate(m.row_terms):

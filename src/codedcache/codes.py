@@ -423,6 +423,8 @@ def build_cyclic(n: int, gen_poly: Sequence[int], domain: ScalarDomain) -> Gener
 
 def build_spc(k: int, domain: ScalarDomain) -> GeneratorMatrix:
     """Single parity check code [I_k | 1]; works over fields and rings."""
+    if k < 1:
+        raise ShapeMismatch(f"k must be >= 1, got {k}")
     rows = [[1 if i == j else 0 for j in range(k)] + [1] for i in range(k)]
     mat = Matrix.from_rows(domain, rows)
     return GeneratorMatrix(mat, Provenance("spc", {"k": k, "q": domain.q}))

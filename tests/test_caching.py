@@ -48,7 +48,9 @@ from codedcache.gf import Matrix, ScalarDomain
 
 GF2 = ScalarDomain.field(2)
 GF3 = ScalarDomain.field(3)
+GF4 = ScalarDomain.field(4)
 GF7 = ScalarDomain.field(7)
+GF9 = ScalarDomain.field(9)
 
 
 def example_design():
@@ -58,6 +60,21 @@ def example_design():
 
 def spc_design():
     return resolvable_design(codeword_matrix(build_spc(2, GF2)))
+
+
+# (source, alpha); mds(9,2)/GF(9) has 81 users, so its masks pass 64 bits
+PLANNED = {
+    "spc(3)/GF(3)": (lambda: build_spc(3, GF3), 4),
+    "spc(4)/GF(4)": (lambda: build_spc(4, GF4), 5),
+    "mds(6,3)/GF(7)": (lambda: build_mds(6, 3, GF7), 2),
+    "mds(9,2)/GF(9)": (lambda: build_mds(9, 2, GF9), 3),
+}
+
+
+def planned(name):
+    build, alpha = PLANNED[name]
+    s = placement(resolvable_design(codeword_matrix(build())), alpha)
+    return s, generate_delivery(s, recovery_set_graph(s.n, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -661,6 +678,38 @@ def test_simulate_matches_reference_on_random_edits():
     assert any(isinstance(o, str) for o in outcomes)
 
 
+@pytest.mark.parametrize("transposed", [False, True])
+def test_simulate_matches_reference_past_64_users(transposed):
+    """mds(9,2)/GF(9) has 81 users, so its user masks pass 64 bits.  The
+    scheme and three edits of one equation get the reference's report or
+    DecodeFailure text: two users swapped, a user repeated with a column
+    another user lacks, and a user repeated with a column every other user
+    caches, which decodes but not exactly."""
+    s, plan = planned("mds(9,2)/GF(9)")
+    ms = (scheme_from_eq_subfile(equation_subfile_matrix(s, plan).transpose())
+          if transposed else scheme_from_plan(s, plan))
+    assert ms.num_users == 81
+    terms = list(ms.equations[7])
+    (u0, c0), (u1, c1) = terms[:2]
+    others = [user for user, _ in terms[1:]]
+    lacking = sorted(set(range(ms.f_s)) - ms.caches[u1] - {c1})
+    cached = [c for c in sorted(set(range(ms.f_s)) - ms.caches[u0])
+              if all(c in ms.caches[user] for user in others)]
+    demands = [u % 5 for u in range(81)]
+
+    def outcome(variant):
+        want = reference_simulate(variant, demands, 5, 8, 3)
+        assert simulated(variant, demands, 5, 8, 3) == want
+        return want
+
+    assert all(row[3] and row[4] for row in outcome(ms))
+    swapped = [(u1, c0), (u0, c1)] + terms[2:]
+    for broken in (swapped, terms + [(u0, lacking[-1])]):
+        assert "cannot cancel column" in outcome(edited(ms, 7, broken))
+    rows = outcome(edited(ms, 7, terms + [(u0, cached[-1])]))
+    assert not rows[u0][4] and all(row[3] for row in rows)
+
+
 @pytest.mark.parametrize("sub", [1, 3, 8, 16, 17])
 def test_file_payload_equals_the_stream_slice(sub):
     """Each file's bytes, generated from a jump to its first word, equal the
@@ -791,6 +840,48 @@ def test_lemma4_matches_dense_reference_on_random_matrices():
         for mat in (m, m.transpose()):
             rep = verify_lemma4(mat)
             assert (rep.ok, rep.violations) == reference_lemma4(dense(mat)), entries
+
+
+def single_edit(m, rng):
+    """m with one nonzero's user changed (half the time to another user of
+    its row), the nonzero moved to an empty cell of its row, or the nonzero
+    copied to an empty cell of its column in another row."""
+    rows = [list(row) for row in m.row_terms]
+    i = rng.choice([r for r, row in enumerate(rows) if row])
+    t = rng.randrange(len(rows[i]))
+    user, j = rows[i][t]
+    kind = rng.randrange(3)
+    if kind == 0:
+        mates = [u for u, _ in rows[i] if u != user]
+        others = [u for u in range(m.num_users) if u != user]
+        rows[i][t] = (rng.choice(mates if mates and rng.random() < 0.5 else others), j)
+        return EqSubfileMatrix(m.num_users, m.cols, tuple(map(tuple, rows)))
+    if kind == 1:
+        del rows[i][t]
+        j = rng.choice(sorted(set(range(m.cols)) - {c for _, c in m.row_terms[i]}))
+    else:
+        i = rng.choice([r for r, row in enumerate(rows) if all(c != j for _, c in row)])
+    rows[i] = sorted(rows[i] + [(user, j)], key=lambda term: term[1])
+    return EqSubfileMatrix(m.num_users, m.cols, tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("name", sorted(PLANNED))
+def test_lemma4_mask_verdict_matches_reference_on_edited_plans(name):
+    """Base and transposed matrices of real plans pass; each of 60 seeded
+    single edits of either gets the dense reference's verdict and
+    violations, in order."""
+    m = equation_subfile_matrix(*planned(name))
+    rng = random.Random(20170601)
+    kinds = set()
+    for mat in (m, m.transpose()):
+        assert verify_lemma4(mat) == caching.Lemma4Report(True, ())
+        for _ in range(60):
+            variant = single_edit(mat, rng)
+            rep = verify_lemma4(variant)
+            assert (rep.ok, rep.violations) == reference_lemma4(dense(variant))
+            # "user v appears twice ...", "row i repeats ...", "user v at ..."
+            kinds.update(v.split()[2] for v in rep.violations)
+    assert kinds == {"appears", "repeats", "at"}
 
 
 def test_lemma4_transpose_symmetry():

@@ -93,6 +93,18 @@ def test_json_error_payload(tmp_path):
     assert doc["error"]["message"]
 
 
+def test_construct_spc_rejects_nonpositive_k():
+    for k in (0, -2):
+        code, out, err = run(["construct", "spc", "--k", k, "--q", 3])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: k must be >= 1, got {k}\n"
+        code, out, _ = run(["--json", "construct", "spc", "--k", k, "--q", 3])
+        assert code == 1
+        assert json.loads(out)["error"] == {"type": "ShapeMismatch",
+                                            "message": f"k must be >= 1, got {k}"}
+
+
 def test_construct_stdout_json_is_deterministic(tmp_path):
     code1, out1, err1 = run(["construct", "spc", "--k", 2, "--q", 3])
     code2, out2, _ = run(["construct", "spc", "--k", 2, "--q", 3])
