@@ -19,12 +19,15 @@ several subfiles per user, paired off rank by rank in ascending point order.
 Delivery does not depend on the demands: the design and the recovery sets fix
 every equation, and a demand vector only decides which file fills each term
 W^s_{d_B,t}.  generate_delivery builds the equations once per (scheme, alpha).
-A MatrixScheme holds what simulation needs: each user's cached columns and
-each equation's (user, column) pairs.  scheme_from_plan builds it once from
-the placement and the plan; scheme_from_eq_subfile reads it off an
-equation-subfile matrix, such as the transposed one.  simulate applies one
-demand vector to a MatrixScheme, however it was built, and generates the
-payload of the demanded files only.
+Every equation term, in a plan, a matrix row or a MatrixScheme, is a (user,
+column) pair.  A MatrixScheme holds what simulation needs: each user's
+cached columns and the equations' terms.  scheme_from_plan builds it from
+the placement and shares the plan's term tuples; scheme_from_eq_subfile
+reads it off an equation-subfile matrix, such as the transposed one.
+EqSubfileMatrix and MatrixScheme check once, at construction, that every
+user and column is in range.  simulate applies one demand vector to a
+MatrixScheme, however it was built, and generates the payload of the
+demanded files only.
 
 Equations, users and subfiles are ordered deterministically throughout:
 recovery sets ascending, block tuples in lexicographic order, ranks ascending.
@@ -83,9 +86,6 @@ class CachingScheme:
 
     def user_label(self, u: int) -> tuple[int, int]:
         return (u // self.q, u % self.q)
-
-    def subfile_col(self, point: int, superscript: int) -> int:
-        return point * self.z + superscript
 
     def cache_cols(self, u: int) -> frozenset[int]:
         return frozenset(t * self.z + s
@@ -161,9 +161,9 @@ def recovery_set_graph(n: int, alpha: int) -> RecoverySetGraph:
 
 @dataclass(frozen=True)
 class Equation:
+    """One broadcast XOR, a (user, column) term per participating user."""
     recovery_set: int
-    # one term per participating user: (user, point, superscript)
-    terms: tuple[tuple[int, int, int], ...]
+    terms: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -188,10 +188,10 @@ def generate_delivery(scheme: CachingScheme,
     Within a recovery set with classes c_0 < ... < c_{m-1}, each point gets
     the integer key sum_j label_{c_j}(point) * q^(m-1-j), first class most
     significant, so key order is the lexicographic order of block tuples.
-    Points are also bucketed by each leave-one-out key, the key with digit j
-    removed.  The tuple with key L serves participant j the points of its
-    leave-one-out bucket whose key is not L, in ascending order, and the
-    participants' served points are paired rank by rank.  Only
+    Participant j's columns p*z + s_j (s_j its class's superscript) are
+    bucketed by point p's key with digit j removed.  The tuple with key L
+    serves participant j the columns of its bucket whose point's key is not
+    L, in ascending order, paired rank by rank across participants.  Only
     design.classes is read, so generator, ring and residue sources take one
     path, and each tuple costs one bucket per participant: the work grows
     with the equation terms, not with the number of points.
@@ -199,7 +199,7 @@ def generate_delivery(scheme: CachingScheme,
     if (graph.n, graph.alpha) != (scheme.n, scheme.alpha):
         raise ShapeMismatch("graph does not match scheme parameters")
     d = scheme.design
-    q = scheme.q
+    q, z = scheme.q, scheme.z
     labels = []  # labels[i][point] = l for the block B_{i,l} holding the point
     for cls in d.classes:
         row = [0] * d.num_points
@@ -225,8 +225,8 @@ def generate_delivery(scheme: CachingScheme,
         for j in range(m):
             low = q ** (m - 1 - j)
             buckets = [[] for _ in range(q ** (m - 1))]
-            for p, key in enumerate(keys):
-                buckets[key // (low * q) * low + key % low].append(p)
+            for c, key in zip(range(supers[j], d.num_points * z, z), keys):
+                buckets[key // (low * q) * low + key % low].append(c)
             # tuples of ints are smaller than lists and untracked by the gc
             buckets = list(map(tuple, buckets))
             sizes.update(map(len, buckets))
@@ -242,12 +242,12 @@ def generate_delivery(scheme: CachingScheme,
             if uniform and len(served[0]) == inside:
                 continue  # the buckets hold only common points: nothing served
             if inside:
-                served = [[p for p in points if keys[p] != key]
-                          for points in served]
+                served = [[c for c in cols if keys[c // z] != key]
+                          for cols in served]
             if not uniform and len(set(map(len, served))) != 1:
                 raise DecodeFailure("unequal served-point counts within a tuple")
-            for points in zip(*served):
-                equations.append(Equation(a, tuple(zip(users, points, supers))))
+            for cols in zip(*served):
+                equations.append(Equation(a, tuple(zip(users, cols))))
     return DeliveryPlan(tuple(equations))
 
 
@@ -256,7 +256,8 @@ def render_equation(scheme: CachingScheme, eq: Equation) -> str:
     names the user's block (digits concatenated for designs with at most 10
     points, comma-separated otherwise)."""
     parts = []
-    for user, point, sup in eq.terms:
+    for user, col in eq.terms:
+        point, sup = divmod(col, scheme.z)
         block = scheme.user_block(user)
         if scheme.num_points <= 10:
             label = "".join(str(x) for x in block)
@@ -494,17 +495,32 @@ def _decode_term_by_term(equations, caches, wanted: list, sub: int) -> list[bool
 # ---------------------------------------------------------------------------
 
 
+def _check_terms(num_users: int, cols: int, equations) -> None:
+    """Refuse a term whose user is outside 0..num_users-1 or whose column is
+    outside 0..cols-1, naming the first equation that holds one."""
+    for i, terms in enumerate(equations):
+        for user, col in terms:
+            if not (0 <= user < num_users and 0 <= col < cols):
+                raise ShapeMismatch(
+                    f"equation {i} has user {user} at column {col}, outside "
+                    f"{num_users} users and {cols} columns")
+
+
 @dataclass(frozen=True)
 class EqSubfileMatrix:
     """Delta x F_s equation-subfile matrix stored by its nonzeros.
 
-    row_terms[i] lists the (user, column) pairs of equation i, 0-based and in
+    row_terms[i] lists the (user, column) terms of equation i, 0-based and in
     ascending column order; every other cell is empty.  In the paper's
-    notation entry (i, j) is the 1-based user index user + 1, or 0."""
+    notation entry (i, j) is the 1-based user index user + 1, or 0.  A user
+    or column out of range raises ShapeMismatch at construction."""
 
     num_users: int
     cols: int
     row_terms: tuple[tuple[tuple[int, int], ...], ...]
+
+    def __post_init__(self) -> None:
+        _check_terms(self.num_users, self.cols, self.row_terms)
 
     @property
     def rows(self) -> int:
@@ -523,15 +539,15 @@ class EqSubfileMatrix:
 def equation_subfile_matrix(scheme: CachingScheme,
                             plan: DeliveryPlan) -> EqSubfileMatrix:
     """One row per equation of the plan, its terms sorted by column."""
+    by_col = operator.itemgetter(1)
     rows = []
     for eq in plan.equations:
-        row = sorted((scheme.subfile_col(point, sup), user)
-                     for user, point, sup in eq.terms)
-        for (col, _), (nxt, _) in zip(row, row[1:]):
+        row = tuple(sorted(eq.terms, key=by_col))
+        for (_, col), (_, nxt) in zip(row, row[1:]):
             if col == nxt:
                 raise Lemma4Violated(
                     f"two users recover subfile column {col} in one equation")
-        rows.append(tuple((user, col) for col, user in row))
+        rows.append(row)
     return EqSubfileMatrix(scheme.num_users, scheme.f_s, tuple(rows))
 
 
@@ -600,15 +616,27 @@ def verify_lemma4(m: EqSubfileMatrix) -> Lemma4Report:
 class MatrixScheme:
     """A caching scheme as simulate reads it: subfiles are the columns
     0..f_s-1, caches[u] holds the columns user u stores, and each equation
-    lists (user, column) pairs.  Built from a placement and its delivery plan
-    (scheme_from_plan), or read off an equation-subfile matrix, where user t
-    caches column j iff t never appears in it and each row is one equation
-    (scheme_from_eq_subfile)."""
+    is a tuple of (user, column) terms.  Built from a placement and its
+    delivery plan, sharing the plan's term tuples (scheme_from_plan), or
+    read off an equation-subfile matrix, where user t caches column j iff t
+    never appears in it and each row is one equation
+    (scheme_from_eq_subfile).  One cache per user, and every user and
+    column in range, are checked at construction (ShapeMismatch)."""
 
     num_users: int
     f_s: int
     caches: tuple[frozenset[int], ...]
-    equations: tuple[tuple[tuple[int, int], ...], ...]  # (user, column) pairs
+    equations: tuple[tuple[tuple[int, int], ...], ...]
+
+    def __post_init__(self) -> None:
+        if len(self.caches) != self.num_users:
+            raise ShapeMismatch(
+                f"{len(self.caches)} caches for {self.num_users} users")
+        for u, cache in enumerate(self.caches):
+            if cache and not (0 <= min(cache) and max(cache) < self.f_s):
+                raise ShapeMismatch(f"cache of user {u} holds a column "
+                                    f"outside 0..{self.f_s - 1}")
+        _check_terms(self.num_users, self.f_s, self.equations)
 
     @property
     def delta(self) -> int:
@@ -639,14 +667,12 @@ def scheme_from_eq_subfile(m: EqSubfileMatrix) -> MatrixScheme:
 
 def scheme_from_plan(scheme: CachingScheme, plan: DeliveryPlan) -> MatrixScheme:
     """The placed scheme in simulation form: each user's cache from the
-    placement and each equation's terms as (user, column) pairs, in plan
-    order.  Nothing is sorted or checked, so a plan that a user cannot
-    decode fails in simulate with DecodeFailure."""
+    placement and the plan's term tuples as they stand, in plan order.
+    Nothing is sorted or checked beyond the range check, so a plan that a
+    user cannot decode fails in simulate with DecodeFailure."""
     caches = tuple(scheme.cache_cols(u) for u in range(scheme.num_users))
-    equations = tuple(tuple((user, scheme.subfile_col(t, s))
-                            for user, t, s in eq.terms)
-                      for eq in plan.equations)
-    return MatrixScheme(scheme.num_users, scheme.f_s, caches, equations)
+    return MatrixScheme(scheme.num_users, scheme.f_s, caches,
+                        tuple(eq.terms for eq in plan.equations))
 
 
 # ---------------------------------------------------------------------------

@@ -245,7 +245,8 @@ def _report_json(report: caching.SimulationReport, demands: Sequence[int],
 
 def _refuse_oversize(n: int, q: int, alpha: int, num_points: int) -> None:
     """Refuse from the closed forms, before anything is enumerated, when the
-    codewords or the base equations (the transposed subfiles) exceed the cap.
+    codewords or the base equations (the transposed subfiles) exceed the
+    size cap, or their terms, alpha per equation, exceed the term cap.
     alpha must already have passed caching.check_alpha."""
     cap = schemefile.SIZE_CAP
     if num_points > cap:
@@ -254,6 +255,9 @@ def _refuse_oversize(n: int, q: int, alpha: int, num_points: int) -> None:
     delta = met["F_s"] * met["R"]
     if delta > cap:
         raise TooLarge(f"{delta} equations exceed the size cap {cap}")
+    terms, term_cap = delta * alpha, schemefile.TERM_CAP
+    if terms > term_cap:
+        raise TooLarge(f"{terms} equation terms exceed the term cap {term_cap}")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

@@ -31,6 +31,12 @@ VERSION = 1
 # Largest codeword or equation count a command builds in memory.
 SIZE_CAP = 1 << 20
 
+# Largest equation-term count (Delta * alpha) simulate builds in memory.  A
+# term costs about 210 bytes of peak RSS in the base scheme and 370 in the
+# transposed one at alpha = k+1 (CLI simulate of spc(9) and spc(10)/GF(3),
+# CPython 3.11, 64-bit), so a run at the cap stays under 1 GiB.
+TERM_CAP = 1 << 21
+
 SchemeSource = Union[GeneratorMatrix, CrtCodewordSource]
 
 

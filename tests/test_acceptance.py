@@ -105,7 +105,7 @@ def test_criterion_2_example_scheme_end_to_end():
         assert plan.delta == 72
 
         eqs = [e for e in plan.equations
-               if e.recovery_set == 1 and any(u == 0 for u, _, _ in e.terms)]
+               if e.recovery_set == 1 and any(u == 0 for u, _ in e.terms)]
         assert [render_equation(s, e) for e in eqs] == [
             "W^1_{d012,3} ⊕ W^1_{d036,2} ⊕ W^0_{d237,0}",
             "W^1_{d012,6} ⊕ W^1_{d036,1} ⊕ W^0_{d156,0}",
@@ -295,8 +295,7 @@ def test_criterion_7_property_suite():
 
             served = {u: set() for u in range(scheme.num_users)}
             for eq in plan.equations:
-                for u, t, sup in eq.terms:
-                    col = scheme.subfile_col(t, sup)
+                for u, col in eq.terms:
                     assert col not in served[u]
                     served[u].add(col)
             full = set(range(scheme.f_s))

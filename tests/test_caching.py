@@ -185,7 +185,7 @@ def test_delta_72_for_example_scheme():
 def test_six_rendered_equations_match_display():
     s, plan = example_plan()
     eqs = [e for e in plan.equations
-           if e.recovery_set == 1 and any(u == 0 for u, _, _ in e.terms)]
+           if e.recovery_set == 1 and any(u == 0 for u, _ in e.terms)]
     assert [render_equation(s, e) for e in eqs] == [
         "W^1_{d012,3} ⊕ W^1_{d036,2} ⊕ W^0_{d237,0}",
         "W^1_{d012,6} ⊕ W^1_{d036,1} ⊕ W^0_{d156,0}",
@@ -196,20 +196,44 @@ def test_six_rendered_equations_match_display():
     ]
 
 
+def test_rendered_equations_use_comma_labels_past_10_points():
+    """spc(3)/GF(3) at alpha 3 has 27 points and z = 3: block labels are
+    comma-separated, and each column splits into point and superscript."""
+    s = placement(resolvable_design(codeword_matrix(build_spc(3, GF3))), 3)
+    assert (s.num_points, s.z) == (27, 3)
+    plan = generate_delivery(s, recovery_set_graph(s.n, 3))
+    assert [render_equation(s, plan.equations[i]) for i in (100, 215)] == [
+        "W^1_{d18,19,20,21,22,23,24,25,26,4} ⊕ W^1_{d3,4,5,12,13,14,21,22,23,18}"
+        " ⊕ W^0_{d2,4,6,10,12,17,18,23,25,21}",
+        "W^2_{d6,7,8,15,16,17,24,25,26,23} ⊕ W^2_{d2,5,8,11,14,17,20,23,26,25}"
+        " ⊕ W^2_{d2,4,6,10,12,17,18,23,25,26}",
+    ]
+    eqs = [e for e in plan.equations
+           if e.recovery_set == 2 and any(u == 0 for u, _ in e.terms)]
+    assert [render_equation(s, e) for e in eqs[:3]] == [
+        "W^2_{d0,1,2,3,4,5,6,7,8,15} ⊕ W^1_{d0,3,6,9,12,15,18,21,24,5}"
+        " ⊕ W^1_{d0,5,7,11,13,15,19,21,26,3}",
+        "W^2_{d0,1,2,3,4,5,6,7,8,21} ⊕ W^1_{d0,3,6,9,12,15,18,21,24,7}"
+        " ⊕ W^1_{d0,5,7,11,13,15,19,21,26,6}",
+        "W^2_{d0,1,2,3,4,5,6,7,8,9} ⊕ W^1_{d0,3,6,9,12,15,18,21,24,1}"
+        " ⊕ W^1_{d1,3,8,9,14,16,20,22,24,0}",
+    ]
+
+
 def test_first_spc_equation_structure():
     s = placement(spc_design(), 3)
     graph = recovery_set_graph(3, 3)
     plan = generate_delivery(s, graph)
     assert plan.delta == 4
     # all-but-one structure: U_{01} gets point 2, U_{02} point 1, U_{12} point 0
-    assert plan.equations[0].terms == ((0, 2, 0), (2, 1, 0), (5, 0, 0))
+    assert plan.equations[0].terms == ((0, 2), (2, 1), (5, 0))
 
 
 def test_equations_use_distinct_classes_of_one_set():
     s, plan = example_plan()
     graph = recovery_set_graph(4, 3)
     for eq in plan.equations:
-        classes = [u // 3 for u, _, _ in eq.terms]
+        classes = [u // 3 for u, _ in eq.terms]
         assert len(set(classes)) == len(classes) == 3
         assert tuple(sorted(classes)) == graph.sets[eq.recovery_set]
 
@@ -217,9 +241,10 @@ def test_equations_use_distinct_classes_of_one_set():
 def test_decodability_every_cross_point_is_cached():
     s, plan = example_plan()
     for eq in plan.equations:
-        for u, _, _ in eq.terms:
+        for u, _ in eq.terms:
             blk = set(s.user_block(u))
-            for v, pt, _ in eq.terms:
+            for v, col in eq.terms:
+                pt, _ = divmod(col, s.z)
                 if v != u:
                     assert pt in blk
 
@@ -228,8 +253,8 @@ def test_coverage_exact_no_gaps_no_duplicates():
     s, plan = example_plan()
     got: dict[int, list] = {u: [] for u in range(12)}
     for eq in plan.equations:
-        for u, pt, sup in eq.terms:
-            got[u].append((pt, sup))
+        for u, col in eq.terms:
+            got[u].append(divmod(col, s.z))
     for u in range(12):
         missing = {(t, sp) for t in range(9) if t not in s.user_block(u)
                    for sp in range(3)}
@@ -244,7 +269,7 @@ def test_per_user_participation_per_recovery_set():
         cls = u // 3
         for a in graph.sets_of_class(cls):
             count = sum(1 for eq in plan.equations
-                        if eq.recovery_set == a and any(v == u for v, _, _ in eq.terms))
+                        if eq.recovery_set == a and any(v == u for v, _ in eq.terms))
             assert count == 9 - 3  # q^k - q^(k-1)
 
 
@@ -295,7 +320,8 @@ def reference_delivery(scheme, graph):
             if any(len(sv) != count for sv in served):
                 raise DecodeFailure("unequal served-point counts within a tuple")
             for rank in range(count):
-                terms = tuple((cls * q + l, served[idx][rank], supers[idx])
+                terms = tuple((cls * q + l,
+                               served[idx][rank] * scheme.z + supers[idx])
                               for idx, (cls, l) in enumerate(zip(classes, lvec)))
                 equations.append(Equation(a, terms))
     return DeliveryPlan(tuple(equations))
@@ -379,7 +405,8 @@ def test_alpha_1_serves_each_user_its_missing_points_uncoded(deadline):
     plan = generate_delivery(s, recovery_set_graph(4, 1))
     assert plan.delta == expected_delta(s) == 9 * 2 * 4
     for eq in plan.equations:
-        (user, point, sup), = eq.terms
+        (user, col), = eq.terms
+        point, sup = divmod(col, s.z)
         assert point not in s.user_block(user) and sup == 0
 
 
@@ -469,7 +496,6 @@ def test_simulate_reads_no_design_state(monkeypatch):
         raise AssertionError("simulate read the placement")
 
     monkeypatch.setattr(CachingScheme, "cache_cols", forbidden)
-    monkeypatch.setattr(CachingScheme, "subfile_col", forbidden)
     demand_vectors = [list(range(12)), [0] * 12, [u % 3 for u in range(12)],
                       [11 - u for u in range(12)]]
     for seed, demands in enumerate(demand_vectors):
@@ -482,9 +508,30 @@ def test_scheme_from_plan_keeps_plan_order_and_placement_caches():
     ms = scheme_from_plan(s, plan)
     assert (ms.num_users, ms.f_s, ms.delta) == (12, 27, 72)
     assert ms.caches == tuple(s.cache_cols(u) for u in range(12))
-    assert ms.equations == tuple(
-        tuple((u, s.subfile_col(t, sup)) for u, t, sup in eq.terms)
-        for eq in plan.equations)
+    assert ms.equations == tuple(eq.terms for eq in plan.equations)
+    # the plan's term tuples are shared, not rebuilt
+    assert all(terms is eq.terms
+               for terms, eq in zip(ms.equations, plan.equations))
+
+
+@pytest.mark.parametrize("user, col", [(0, -1), (0, 2), (2, 0)])
+def test_matrix_scheme_refuses_terms_out_of_range(user, col):
+    caches = (frozenset({1}), frozenset({0}))
+    equations = (((0, 0), (1, 1)), ((1, 0), (user, col)))
+    with pytest.raises(ShapeMismatch, match=(
+            f"^equation 1 has user {user} at column {col}, outside 2 users "
+            "and 2 columns$")):
+        MatrixScheme(2, 2, caches, equations)
+
+
+def test_matrix_scheme_refuses_caches_out_of_range():
+    for caches in ((frozenset({1}), frozenset({-1})),
+                   (frozenset({1}), frozenset({0, 2}))):
+        with pytest.raises(ShapeMismatch,
+                           match="^cache of user 1 holds a column outside 0..1$"):
+            MatrixScheme(2, 2, caches, (((0, 0), (1, 1)),))
+    with pytest.raises(ShapeMismatch, match="^1 caches for 2 users$"):
+        MatrixScheme(2, 2, (frozenset(),), (((0, 0), (1, 1)),))
 
 
 def test_simulate_rejects_nonpositive_subfile_bytes():
@@ -499,8 +546,7 @@ def test_simulate_detects_broken_equation():
     graph = recovery_set_graph(3, 3)
     plan = generate_delivery(s, graph)
     # point 2 is not in user 0's block {0,1}, so user 0 cannot cancel it
-    bad = Equation(plan.equations[0].recovery_set,
-                   ((0, 2, 0), (2, 1, 0), (5, 2, 0)))
+    bad = Equation(plan.equations[0].recovery_set, ((0, 2), (2, 1), (5, 2)))
     broken = DeliveryPlan((bad,) + plan.equations[1:])
     with pytest.raises(DecodeFailure):
         simulate(scheme_from_plan(s, broken), list(range(6)), num_files=6,
@@ -805,9 +851,19 @@ def test_eq_subfile_matrix_spc_exact():
 def test_eq_subfile_matrix_rejects_shared_column():
     s = placement(spc_design(), 3)
     # users 0 and 1 would both recover subfile (point 0, superscript 0)
-    clash = Equation(0, ((0, 0, 0), (1, 0, 0)))
+    clash = Equation(0, ((0, 0), (1, 0)))
     with pytest.raises(Lemma4Violated):
         equation_subfile_matrix(s, DeliveryPlan((clash,)))
+
+
+@pytest.mark.parametrize("user, col", [(0, -1), (0, 2), (2, 0)])
+def test_eq_subfile_matrix_refuses_terms_out_of_range(user, col):
+    """A column of -1 would read the last column's mask, and a column or
+    user past the end would index past the masks."""
+    with pytest.raises(ShapeMismatch, match=(
+            f"^equation 1 has user {user} at column {col}, outside 2 users "
+            "and 2 columns$")):
+        EqSubfileMatrix(2, 2, (((0, 0),), ((1, 1), (user, col))))
 
 
 def test_lemma4_flags_each_condition():

@@ -298,6 +298,29 @@ def test_simulate_refuses_oversize_before_enumerating(tmp_path, monkeypatch):
     assert "3145728 equations exceed the size cap 1048576" in err
 
 
+def test_simulate_refuses_too_many_terms_before_enumerating(tmp_path,
+                                                           monkeypatch):
+    def enumerate_all(source):
+        raise AssertionError("codeword_matrix called despite the term cap")
+
+    spc19 = tmp_path / "spc19.json"
+    assert run(["construct", "spc", "--k", 19, "--q", 2, "--skip-certify",
+                "--out", spc19])[0] == 0
+    monkeypatch.setattr(cli.design, "codeword_matrix", enumerate_all)
+    # 2^19 codewords and 2^19 equations pass the size cap; their 20 terms
+    # each do not pass the term cap
+    for extra in ([], ["--transpose"]):
+        code, out, err = run(["simulate", spc19, "--files", 2, "--alpha", 20]
+                             + extra)
+        assert code == 1
+        assert out == ""
+        assert err == ("error: 10485760 equation terms exceed the term cap "
+                       "2097152\n")
+    code, out, _ = run(["--json", "simulate", spc19, "--files", 2])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "TooLarge"
+
+
 def test_simulate_rejects_alpha_zero(tmp_path):
     scheme = tmp_path / "ex3.json"
     write_ex3(scheme)
