@@ -20,10 +20,10 @@ Delivery does not depend on the demands: the design and the recovery sets fix
 every equation, and a demand vector only decides which file fills each term
 W^s_{d_B,t}.  generate_delivery builds the equations once per (scheme, alpha).
 Every equation term, in a plan, a matrix row or a MatrixScheme, is a (user,
-column) pair.  A MatrixScheme holds what simulation needs: each user's
-cached columns and the equations' terms.  scheme_from_plan builds it from
-the placement and shares the plan's term tuples; scheme_from_eq_subfile
-reads it off an equation-subfile matrix, such as the transposed one.
+column) pair.  A MatrixScheme holds what simulation needs: per column, a
+bitmask of the users that lack it, and the equations' terms.
+scheme_from_plan builds it from the placement and shares the plan's term
+tuples; scheme_from_eq_subfile reads it off an equation-subfile matrix.
 EqSubfileMatrix and MatrixScheme check once, at construction, that every
 user and column is in range.  simulate applies one demand vector to a
 MatrixScheme, however it was built, and generates the payload of the
@@ -35,6 +35,7 @@ recovery sets ascending, block tuples in lexicographic order, ranks ascending.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -253,17 +254,15 @@ def generate_delivery(scheme: CachingScheme,
 
 def render_equation(scheme: CachingScheme, eq: Equation) -> str:
     """Human-readable form: terms W^s_{dB,t} joined by XOR symbols, where B
-    names the user's block (digits concatenated for designs with at most 10
-    points, comma-separated otherwise)."""
+    names the user's block.  For designs with at most 10 points B's digits
+    are concatenated and a comma precedes t; otherwise B's points are
+    comma-separated and a semicolon precedes t."""
+    join, sep = ("".join, ",") if scheme.num_points <= 10 else (",".join, ";")
     parts = []
     for user, col in eq.terms:
         point, sup = divmod(col, scheme.z)
-        block = scheme.user_block(user)
-        if scheme.num_points <= 10:
-            label = "".join(str(x) for x in block)
-        else:
-            label = ",".join(str(x) for x in block)
-        parts.append(f"W^{sup}_{{d{label},{point}}}")
+        label = join(map(str, scheme.user_block(user)))
+        parts.append(f"W^{sup}_{{d{label}{sep}{point}}}")
     return " ⊕ ".join(parts)
 
 
@@ -379,17 +378,17 @@ def simulate(ms: MatrixScheme, demands: Sequence[int], num_files: int,
     Equations of one length are decoded in batches, position by position,
     with each position's chunks side by side in one integer.
 
-    Decodability is proved by the cache-membership test: a user that meets a
-    column outside its cache raises DecodeFailure.  Once that test passes,
-    XOR-ing the other users' source chunks back out of the payload always
-    returns the user's own chunk, so `exact` only confirms the XOR algebra
-    against the source stream; it is not an independent decoder.  The test
-    is one mask test per term: is its user the only one of the equation's
-    distinct users that lacks its column?  If it does not pass, the
+    Decodability is proved by the cache-membership test against ms.miss: a
+    user that meets a column outside its cache raises DecodeFailure.  Once
+    that test passes, XOR-ing the other users' source chunks back out of the
+    payload always returns the user's own chunk, so `exact` only confirms
+    the XOR algebra against the source stream; it is not an independent
+    decoder.  The test is one mask test per term: is its user the only one
+    of the equation's distinct users that lacks its column?  If not, the
     equations are decoded again term by term, in order, skipping a user's
-    own terms, and the first column a user cannot cancel is named."""
-    caches, f_s = ms.caches, ms.f_s
-    num_users = len(caches)
+    own terms, and the first column a user cannot cancel is named.  A user
+    is `complete` iff its bit agrees in every column's served and miss mask."""
+    miss, f_s, num_users = ms.miss, ms.f_s, ms.num_users
     if len(demands) != num_users:
         raise IncompleteDemands(f"need {num_users} demands, got {len(demands)}")
     for u, dv in enumerate(demands):
@@ -407,17 +406,17 @@ def simulate(ms: MatrixScheme, demands: Sequence[int], num_files: int,
     files = {f: _stream_slice(seed, f * span, span) for f in sorted(set(demands))}
     wanted = [files[f] for f in demands]
 
-    miss = [(1 << num_users) - 1] * f_s  # miss[c]: the users lacking column c
-    for u, cache in enumerate(caches):
-        for c in cache:
-            miss[c] ^= 1 << u
-    served: list[list[int]] = [[] for _ in range(num_users)]
+    served = [0] * f_s  # served[c]: the users that recover column c
+    recovered = [0] * num_users
     decodable = True
     for terms in ms.equations:
         user_mask = 0
         for user, col in terms:
-            served[user].append(col)
-            user_mask |= 1 << user
+            bit = 1 << user
+            if not served[col] & bit:
+                served[col] |= bit
+                recovered[user] += 1
+            user_mask |= bit
         # a mask holds fewer bits than its terms iff it repeats a user
         decodable = decodable and user_mask.bit_count() == len(terms) and all(
             miss[col] & user_mask == 1 << user for user, col in terms)
@@ -429,15 +428,12 @@ def simulate(ms: MatrixScheme, demands: Sequence[int], num_files: int,
             for start in range(0, len(group), step):
                 _decode_batch(group[start:start + step], wanted, sub, exact)
     else:
-        exact = _decode_term_by_term(ms.equations, caches, wanted, sub)
-    all_cols = frozenset(range(f_s))
-    outcomes = []
-    for u in range(num_users):
-        recovered = set(served[u])
-        outcomes.append(UserOutcome(u, demands[u], len(recovered),
-                                    recovered == all_cols - caches[u], exact[u]))
+        exact = _decode_term_by_term(ms.equations, miss, wanted, sub)
+    wrong = functools.reduce(operator.or_, map(operator.xor, served, miss), 0)
+    outcomes = tuple(UserOutcome(u, demands[u], recovered[u], not wrong >> u & 1,
+                                 exact[u]) for u in range(num_users))
     return SimulationReport(num_users, num_files, sub, f_s, ms.delta, ms.rate,
-                            ms.delta * sub, seed, tuple(outcomes))
+                            ms.delta * sub, seed, outcomes)
 
 
 def _decode_batch(batch: list, wanted: list, sub: int, exact: list[bool]) -> None:
@@ -465,11 +461,11 @@ def _decode_batch(batch: list, wanted: list, sub: int, exact: list[bool]) -> Non
         before ^= chunk
 
 
-def _decode_term_by_term(equations, caches, wanted: list, sub: int) -> list[bool]:
+def _decode_term_by_term(equations, miss, wanted: list, sub: int) -> list[bool]:
     """Decode equation by equation, user by user, cancelling every term of
     another user in term order; the first column a user does not cache
     raises DecodeFailure.  Returns whether each user's values all matched."""
-    exact = [True] * len(caches)
+    exact = [True] * len(wanted)
     for terms in equations:
         chunks = [int.from_bytes(wanted[user][col * sub:col * sub + sub], "little")
                   for user, col in terms]
@@ -481,7 +477,7 @@ def _decode_term_by_term(equations, caches, wanted: list, sub: int) -> list[bool
             for (other, other_col), c in zip(terms, chunks):
                 if other == user:
                     continue
-                if other_col not in caches[user]:
+                if miss[other_col] >> user & 1:
                     raise DecodeFailure(
                         f"user {user} cannot cancel column {other_col}")
                 value ^= c
@@ -615,27 +611,28 @@ def verify_lemma4(m: EqSubfileMatrix) -> Lemma4Report:
 @dataclass(frozen=True)
 class MatrixScheme:
     """A caching scheme as simulate reads it: subfiles are the columns
-    0..f_s-1, caches[u] holds the columns user u stores, and each equation
-    is a tuple of (user, column) terms.  Built from a placement and its
-    delivery plan, sharing the plan's term tuples (scheme_from_plan), or
-    read off an equation-subfile matrix, where user t caches column j iff t
-    never appears in it and each row is one equation
-    (scheme_from_eq_subfile).  One cache per user, and every user and
-    column in range, are checked at construction (ShapeMismatch)."""
+    0..f_s-1, bit u of miss[c] is set iff user u lacks column c, and each
+    equation is a tuple of (user, column) terms.  Built from a placement and
+    its delivery plan, sharing the plan's term tuples (scheme_from_plan), or
+    read off an equation-subfile matrix, where user t lacks column j iff t
+    appears in it and each row is one equation (scheme_from_eq_subfile).
+    One mask per column, and every user and column in range, are checked at
+    construction (ShapeMismatch)."""
 
     num_users: int
     f_s: int
-    caches: tuple[frozenset[int], ...]
+    miss: tuple[int, ...]
     equations: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.caches) != self.num_users:
-            raise ShapeMismatch(
-                f"{len(self.caches)} caches for {self.num_users} users")
-        for u, cache in enumerate(self.caches):
-            if cache and not (0 <= min(cache) and max(cache) < self.f_s):
-                raise ShapeMismatch(f"cache of user {u} holds a column "
-                                    f"outside 0..{self.f_s - 1}")
+        if len(self.miss) != self.f_s:
+            raise ShapeMismatch(f"{len(self.miss)} masks for {self.f_s} columns")
+        everyone = 1 << self.num_users
+        if self.miss and not 0 <= min(self.miss) <= max(self.miss) < everyone:
+            c = next(c for c, mask in enumerate(self.miss)
+                     if not 0 <= mask < everyone)
+            raise ShapeMismatch(f"mask of column {c} names a user outside "
+                                f"0..{self.num_users - 1}")
         _check_terms(self.num_users, self.f_s, self.equations)
 
     @property
@@ -647,7 +644,8 @@ class MatrixScheme:
         return Fraction(self.delta, self.f_s)
 
     def cache_fraction(self, u: int) -> Fraction:
-        return Fraction(len(self.caches[u]), self.f_s)
+        lacking = sum(map((1 << u).__and__, self.miss)) >> u
+        return Fraction(self.f_s - lacking, self.f_s)
 
 
 def scheme_from_eq_subfile(m: EqSubfileMatrix) -> MatrixScheme:
@@ -656,22 +654,23 @@ def scheme_from_eq_subfile(m: EqSubfileMatrix) -> MatrixScheme:
     report = verify_lemma4(m)
     if not report.ok:
         raise Lemma4Violated("; ".join(report.violations[:3]))
-    present: list[set[int]] = [set() for _ in range(m.num_users)]
+    miss = [0] * m.cols  # a user lacks exactly the columns it appears in
     for row in m.row_terms:
         for user, j in row:
-            present[user].add(j)
-    all_cols = frozenset(range(m.cols))
-    caches = tuple(all_cols - cols for cols in present)
-    return MatrixScheme(m.num_users, m.cols, caches, m.row_terms)
+            miss[j] |= 1 << user
+    return MatrixScheme(m.num_users, m.cols, tuple(miss), m.row_terms)
 
 
 def scheme_from_plan(scheme: CachingScheme, plan: DeliveryPlan) -> MatrixScheme:
-    """The placed scheme in simulation form: each user's cache from the
-    placement and the plan's term tuples as they stand, in plan order.
+    """The placed scheme in simulation form: miss masks with each user's bit
+    cleared at its cache_cols, and the plan's term tuples in plan order.
     Nothing is sorted or checked beyond the range check, so a plan that a
     user cannot decode fails in simulate with DecodeFailure."""
-    caches = tuple(scheme.cache_cols(u) for u in range(scheme.num_users))
-    return MatrixScheme(scheme.num_users, scheme.f_s, caches,
+    miss = [(1 << scheme.num_users) - 1] * scheme.f_s
+    for u in range(scheme.num_users):
+        for c in scheme.cache_cols(u):
+            miss[c] ^= 1 << u
+    return MatrixScheme(scheme.num_users, scheme.f_s, tuple(miss),
                         tuple(eq.terms for eq in plan.equations))
 
 

@@ -77,6 +77,12 @@ def planned(name):
     return s, generate_delivery(s, recovery_set_graph(s.n, alpha))
 
 
+def cached(ms):
+    """Each user's cached columns as a set, read off the miss masks."""
+    return tuple(frozenset(c for c, mask in enumerate(ms.miss) if not mask >> u & 1)
+                 for u in range(ms.num_users))
+
+
 # ---------------------------------------------------------------------------
 # placement
 # ---------------------------------------------------------------------------
@@ -198,25 +204,26 @@ def test_six_rendered_equations_match_display():
 
 def test_rendered_equations_use_comma_labels_past_10_points():
     """spc(3)/GF(3) at alpha 3 has 27 points and z = 3: block labels are
-    comma-separated, and each column splits into point and superscript."""
+    comma-separated, a semicolon sets the point apart from the block, and
+    each column splits into point and superscript."""
     s = placement(resolvable_design(codeword_matrix(build_spc(3, GF3))), 3)
     assert (s.num_points, s.z) == (27, 3)
     plan = generate_delivery(s, recovery_set_graph(s.n, 3))
     assert [render_equation(s, plan.equations[i]) for i in (100, 215)] == [
-        "W^1_{d18,19,20,21,22,23,24,25,26,4} ⊕ W^1_{d3,4,5,12,13,14,21,22,23,18}"
-        " ⊕ W^0_{d2,4,6,10,12,17,18,23,25,21}",
-        "W^2_{d6,7,8,15,16,17,24,25,26,23} ⊕ W^2_{d2,5,8,11,14,17,20,23,26,25}"
-        " ⊕ W^2_{d2,4,6,10,12,17,18,23,25,26}",
+        "W^1_{d18,19,20,21,22,23,24,25,26;4} ⊕ W^1_{d3,4,5,12,13,14,21,22,23;18}"
+        " ⊕ W^0_{d2,4,6,10,12,17,18,23,25;21}",
+        "W^2_{d6,7,8,15,16,17,24,25,26;23} ⊕ W^2_{d2,5,8,11,14,17,20,23,26;25}"
+        " ⊕ W^2_{d2,4,6,10,12,17,18,23,25;26}",
     ]
     eqs = [e for e in plan.equations
            if e.recovery_set == 2 and any(u == 0 for u, _ in e.terms)]
     assert [render_equation(s, e) for e in eqs[:3]] == [
-        "W^2_{d0,1,2,3,4,5,6,7,8,15} ⊕ W^1_{d0,3,6,9,12,15,18,21,24,5}"
-        " ⊕ W^1_{d0,5,7,11,13,15,19,21,26,3}",
-        "W^2_{d0,1,2,3,4,5,6,7,8,21} ⊕ W^1_{d0,3,6,9,12,15,18,21,24,7}"
-        " ⊕ W^1_{d0,5,7,11,13,15,19,21,26,6}",
-        "W^2_{d0,1,2,3,4,5,6,7,8,9} ⊕ W^1_{d0,3,6,9,12,15,18,21,24,1}"
-        " ⊕ W^1_{d1,3,8,9,14,16,20,22,24,0}",
+        "W^2_{d0,1,2,3,4,5,6,7,8;15} ⊕ W^1_{d0,3,6,9,12,15,18,21,24;5}"
+        " ⊕ W^1_{d0,5,7,11,13,15,19,21,26;3}",
+        "W^2_{d0,1,2,3,4,5,6,7,8;21} ⊕ W^1_{d0,3,6,9,12,15,18,21,24;7}"
+        " ⊕ W^1_{d0,5,7,11,13,15,19,21,26;6}",
+        "W^2_{d0,1,2,3,4,5,6,7,8;9} ⊕ W^1_{d0,3,6,9,12,15,18,21,24;1}"
+        " ⊕ W^1_{d1,3,8,9,14,16,20,22,24;0}",
     ]
 
 
@@ -507,31 +514,48 @@ def test_scheme_from_plan_keeps_plan_order_and_placement_caches():
     s, plan = example_plan()
     ms = scheme_from_plan(s, plan)
     assert (ms.num_users, ms.f_s, ms.delta) == (12, 27, 72)
-    assert ms.caches == tuple(s.cache_cols(u) for u in range(12))
+    assert cached(ms) == tuple(s.cache_cols(u) for u in range(12))
     assert ms.equations == tuple(eq.terms for eq in plan.equations)
     # the plan's term tuples are shared, not rebuilt
     assert all(terms is eq.terms
                for terms, eq in zip(ms.equations, plan.equations))
 
 
+@pytest.mark.parametrize("name", sorted(PLANNED))
+def test_matrix_masks_reproduce_the_placement(name):
+    """A user lacks exactly the base matrix columns it appears in, so the
+    base matrix's column masks are the placement's miss masks; the
+    transposed scheme's mask of column j is base equation j's users."""
+    s, plan = planned(name)
+    m = equation_subfile_matrix(s, plan)
+    assert scheme_from_eq_subfile(m).miss == scheme_from_plan(s, plan).miss
+    ms = scheme_from_eq_subfile(m.transpose())
+    assert len(ms.miss) == ms.f_s == plan.delta
+    assert ms.miss == tuple(sum(1 << user for user, _ in eq.terms)
+                            for eq in plan.equations)
+
+
 @pytest.mark.parametrize("user, col", [(0, -1), (0, 2), (2, 0)])
 def test_matrix_scheme_refuses_terms_out_of_range(user, col):
-    caches = (frozenset({1}), frozenset({0}))
+    miss = (0b01, 0b10)  # user 0 lacks column 0, user 1 column 1
     equations = (((0, 0), (1, 1)), ((1, 0), (user, col)))
     with pytest.raises(ShapeMismatch, match=(
             f"^equation 1 has user {user} at column {col}, outside 2 users "
             "and 2 columns$")):
-        MatrixScheme(2, 2, caches, equations)
+        MatrixScheme(2, 2, miss, equations)
 
 
 def test_matrix_scheme_refuses_caches_out_of_range():
-    for caches in ((frozenset({1}), frozenset({-1})),
-                   (frozenset({1}), frozenset({0, 2}))):
+    """A negative mask, or one with a bit at or above num_users, names a
+    user outside the scheme; so does a mask count other than f_s."""
+    for miss in ((0b01, -1), (0b01, 0b100), (0b01, 0b111)):
         with pytest.raises(ShapeMismatch,
-                           match="^cache of user 1 holds a column outside 0..1$"):
-            MatrixScheme(2, 2, caches, (((0, 0), (1, 1)),))
-    with pytest.raises(ShapeMismatch, match="^1 caches for 2 users$"):
-        MatrixScheme(2, 2, (frozenset(),), (((0, 0), (1, 1)),))
+                           match="^mask of column 1 names a user outside 0..1$"):
+            MatrixScheme(2, 2, miss, (((0, 0), (1, 1)),))
+    for miss in ((0b01,), (0b01, 0b10, 0b11)):
+        with pytest.raises(ShapeMismatch,
+                           match=f"^{len(miss)} masks for 2 columns$"):
+            MatrixScheme(2, 2, miss, (((0, 0), (1, 1)),))
 
 
 def test_simulate_rejects_nonpositive_subfile_bytes():
@@ -572,7 +596,7 @@ def reference_simulate(ms, demands, num_files, subfile_bytes, seed):
     against the cache and XOR-ed out of the payload.  Returns the users'
     (user, demanded, recovered, complete, exact) rows, or the DecodeFailure
     message."""
-    caches, f_s, sub = ms.caches, ms.f_s, subfile_bytes
+    caches, f_s, sub = cached(ms), ms.f_s, subfile_bytes
     stream = byte_stream(seed, num_files * f_s * sub)
 
     def chunk(file_idx, col):
@@ -617,13 +641,12 @@ def simulated(ms, demands, num_files, subfile_bytes, seed):
                  for o in report.users)
 
 
-def edited(ms, index, terms=None, caches=None):
-    """ms with equation `index` replaced by `terms` and/or new caches."""
+def edited(ms, index, terms=None, miss=None):
+    """ms with equation `index` replaced by `terms` and/or new miss masks."""
     equations = list(ms.equations)
     if terms is not None:
         equations[index] = tuple(terms)
-    return MatrixScheme(ms.num_users, ms.f_s, caches or ms.caches,
-                        tuple(equations))
+    return MatrixScheme(ms.num_users, ms.f_s, miss or ms.miss, tuple(equations))
 
 
 def assert_same_failure(ms, message):
@@ -639,7 +662,7 @@ def assert_same_failure(ms, message):
 def test_decode_failure_in_a_late_equation_names_the_reference_pair():
     ms = scheme_from_plan(*example_plan())
     (u0, c0), (u1, _), (u2, c2) = ms.equations[-1]
-    x = min(set(range(27)) - ms.caches[u0] - {c0})
+    x = min(set(range(27)) - cached(ms)[u0] - {c0})
     assert_same_failure(edited(ms, -1, [(u0, c0), (u1, x), (u2, c2)]),
                         f"user {u0} cannot cancel column {x}")
 
@@ -649,7 +672,8 @@ def test_decode_failure_with_a_user_repeated_in_one_equation():
     not cache that column, is the one named."""
     ms = scheme_from_plan(*example_plan())
     (u0, c0), _, (u2, c2) = ms.equations[40]
-    x = min(set(range(27)) - ms.caches[u0] - ms.caches[u2])
+    caches = cached(ms)
+    x = min(set(range(27)) - caches[u0] - caches[u2])
     assert_same_failure(edited(ms, 40, [(u0, c0), (u0, x), (u2, c2)]),
                         f"user {u2} cannot cancel column {x}")
 
@@ -657,10 +681,10 @@ def test_decode_failure_with_a_user_repeated_in_one_equation():
 def test_decode_failure_with_a_column_missing_from_two_caches():
     ms = scheme_from_plan(*example_plan())
     (u0, c0), (u1, c1), (u2, c2) = ms.equations[17]
-    caches = list(ms.caches)
-    caches[u0] = caches[u0] - {c2}
-    caches[u1] = caches[u1] - {c2}
-    broken = edited(ms, 17, caches=tuple(caches))
+    miss = list(ms.miss)
+    miss[c2] |= 1 << u0 | 1 << u1  # c2 leaves the caches of u0 and u1
+    broken = edited(ms, 17, miss=tuple(miss))
+    caches = cached(broken)
     first = next((user, col) for terms in ms.equations
                  for user, _ in terms for other, col in terms
                  if other != user and col not in caches[user])
@@ -675,7 +699,7 @@ def test_repeated_users_and_twice_served_subfiles_keep_reference_reports():
     ms = scheme_from_plan(s, plan)
     (u0, c0), (u1, c1), (u2, c2) = ms.equations[5]
     repeated = edited(ms, 5, [(u0, c0), (u0, c1), (u2, c2)])
-    twice = MatrixScheme(12, 27, ms.caches, ms.equations + ms.equations[:3])
+    twice = MatrixScheme(12, 27, ms.miss, ms.equations + ms.equations[:3])
     for scheme in (repeated, twice):
         for demands, files, sub, seed in ((list(range(12)), 12, 8, 1),
                                           ([u % 3 for u in range(12)], 3, 5, 4)):
@@ -711,7 +735,7 @@ def test_simulate_matches_reference_on_random_edits():
                 equations.append(equations[i])
             else:
                 del equations[i]
-            variant = MatrixScheme(k, ms.f_s, ms.caches,
+            variant = MatrixScheme(k, ms.f_s, ms.miss,
                                    tuple(map(tuple, equations)))
             files = rng.randrange(1, 5)
             demands = [rng.randrange(files) for _ in range(k)]
@@ -738,9 +762,10 @@ def test_simulate_matches_reference_past_64_users(transposed):
     terms = list(ms.equations[7])
     (u0, c0), (u1, c1) = terms[:2]
     others = [user for user, _ in terms[1:]]
-    lacking = sorted(set(range(ms.f_s)) - ms.caches[u1] - {c1})
-    cached = [c for c in sorted(set(range(ms.f_s)) - ms.caches[u0])
-              if all(c in ms.caches[user] for user in others)]
+    caches = cached(ms)
+    lacking = sorted(set(range(ms.f_s)) - caches[u1] - {c1})
+    shared = [c for c in sorted(set(range(ms.f_s)) - caches[u0])
+              if all(c in caches[user] for user in others)]
     demands = [u % 5 for u in range(81)]
 
     def outcome(variant):
@@ -752,7 +777,7 @@ def test_simulate_matches_reference_past_64_users(transposed):
     swapped = [(u1, c0), (u0, c1)] + terms[2:]
     for broken in (swapped, terms + [(u0, lacking[-1])]):
         assert "cannot cancel column" in outcome(edited(ms, 7, broken))
-    rows = outcome(edited(ms, 7, terms + [(u0, cached[-1])]))
+    rows = outcome(edited(ms, 7, terms + [(u0, shared[-1])]))
     assert not rows[u0][4] and all(row[3] for row in rows)
 
 
@@ -964,7 +989,8 @@ def test_scheme_from_displayed_4x6_matrix():
     assert all(ms.cache_fraction(u) == Fraction(1, 2) for u in range(4))
     # users caching each subfile form exactly the six 2-subsets, i.e. the
     # pair-design structure of the 6-user scheme transposed
-    col_sets = sorted(tuple(u + 1 for u in range(4) if j in ms.caches[u])
+    caches = cached(ms)
+    col_sets = sorted(tuple(u + 1 for u in range(4) if j in caches[u])
                       for j in range(6))
     assert col_sets == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
     sim = simulate(ms, [0, 1, 2, 3], num_files=4, subfile_bytes=8, seed=11)
