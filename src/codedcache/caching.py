@@ -277,7 +277,8 @@ _LCG_MASK = (1 << 64) - 1
 # Largest payload stream, in bytes, that simulate generates.
 PAYLOAD_CAP = 1 << 26
 
-# Words per block of the payload generator; even, since lanes pair off.
+# Words per block of the payload generator, every block (the first one too)
+# one big-integer step per lane parity; even, since lanes pair off.
 _LANES = 256
 
 # Chunk bytes that simulate decodes in one batch.
@@ -287,40 +288,50 @@ _BATCH_BYTES = 1 << 16
 def byte_stream(seed: int, count: int) -> bytes:
     """Deterministic test payload: a 64-bit linear congruential generator
     (state <- state * 6364136223846793005 + 1442695040888963407 mod 2^64)
-    emitting 8 little-endian bytes per step."""
+    emitting 8 little-endian bytes per step, made _LANES words at a time."""
     return bytes(_stream_slice(seed, 0, count))
 
 
 def _stream_slice(seed: int, start: int, count: int) -> bytearray:
     """byte_stream(seed, start + count)[start:], generating only the words
-    that hold those bytes.  The state jumps to the first of them in O(log
-    start) steps.  After _LANES words made one at a time, each next block of
-    _LANES words is the previous block advanced _LANES steps at once, lane
-    by lane: the even and the odd lanes sit in 128-bit slots of two big
-    integers (a 64-bit product fits a slot), and the odd ones shifted onto
-    the upper halves give the block's words in order."""
+    that hold those bytes; empty for count <= 0.  The state s jumps to the
+    first of them in O(log start) steps.  A block of _LANES words sits in the
+    128-bit slots of two big integers, even and odd lanes (a 64-bit product
+    fits a slot): lane i of the first block is A_i*s + C_i, the step taken i
+    times, and each next block advances every lane _LANES steps.  The odd
+    lanes shifted onto the upper halves give the block's words in order."""
+    if count <= 0:
+        return bytearray()
     first, skip = divmod(start, 8)
-    words = -(-(skip + count) // 8)
     mult, inc = _lcg_power(first)
     state = (seed * mult + inc) & _LCG_MASK
-    head = []
-    for _ in range(min(words, _LANES)):
-        state = (state * _LCG_MULT + _LCG_INC) & _LCG_MASK
-        head.append(state)
-    out = bytearray(b"".join(w.to_bytes(8, "little") for w in head))
-    if words > _LANES:
-        slots = sum(1 << (128 * i) for i in range(_LANES // 2))
-        mult, inc = _lcg_power(_LANES)
-        mask, inc = _LCG_MASK * slots, inc * slots
-        even, odd = (sum(w << (128 * i) for i, w in enumerate(head[lane::2]))
-                     for lane in (0, 1))
-        for _ in range(-(-(words - _LANES) // _LANES)):
-            even = ((even * mult & mask) + inc) & mask
-            odd = ((odd * mult & mask) + inc) & mask
-            out += (even | odd << 64).to_bytes(8 * _LANES, "little")
+    heads, mask, mult, inc = _lane_constants()
+    even, odd = (((state * a & mask) + c) & mask for a, c in heads)
+    out = bytearray((even | odd << 64).to_bytes(8 * _LANES, "little"))
+    for _ in range((skip + count - 1) // (8 * _LANES)):
+        even = ((even * mult & mask) + inc) & mask
+        odd = ((odd * mult & mask) + inc) & mask
+        out += (even | odd << 64).to_bytes(8 * _LANES, "little")
     del out[:skip]
     del out[count:]
     return out
+
+
+@functools.cache
+def _lane_constants() -> tuple:
+    """(A, C) of the even and of the odd lanes, slot j packing the step taken
+    2j+1 and 2j+2 times; the slot mask; the _LANES-step a and packed c."""
+    a, c, steps = 1, 0, []
+    for _ in range(_LANES):
+        a, c = a * _LCG_MULT & _LCG_MASK, (c * _LCG_MULT + _LCG_INC) & _LCG_MASK
+        steps.append((a, c))
+
+    def pack(words) -> int:
+        return int.from_bytes(b"".join(w.to_bytes(16, "little") for w in words),
+                              "little")
+
+    heads = tuple(tuple(map(pack, zip(*steps[lane::2]))) for lane in (0, 1))
+    return heads, pack([_LCG_MASK] * (_LANES // 2)), a, pack([c] * (_LANES // 2))
 
 
 def _lcg_power(steps: int) -> tuple[int, int]:
@@ -663,13 +674,17 @@ def scheme_from_eq_subfile(m: EqSubfileMatrix) -> MatrixScheme:
 
 def scheme_from_plan(scheme: CachingScheme, plan: DeliveryPlan) -> MatrixScheme:
     """The placed scheme in simulation form: miss masks with each user's bit
-    cleared at its cache_cols, and the plan's term tuples in plan order.
-    Nothing is sorted or checked beyond the range check, so a plan that a
-    user cannot decode fails in simulate with DecodeFailure."""
-    miss = [(1 << scheme.num_users) - 1] * scheme.f_s
+    cleared at the points of its block, each point's mask repeated for its z
+    columns (the cache_cols placement), and the plan's term tuples in plan
+    order.  Nothing is sorted or checked beyond the range check, so a plan
+    that a user cannot decode fails in simulate with DecodeFailure."""
+    point_miss = [(1 << scheme.num_users) - 1] * scheme.num_points
     for u in range(scheme.num_users):
-        for c in scheme.cache_cols(u):
-            miss[c] ^= 1 << u
+        for t in scheme.user_block(u):
+            point_miss[t] ^= 1 << u
+    miss = [0] * scheme.f_s
+    for s in range(scheme.z):
+        miss[s::scheme.z] = point_miss
     return MatrixScheme(scheme.num_users, scheme.f_s, tuple(miss),
                         tuple(eq.terms for eq in plan.equations))
 

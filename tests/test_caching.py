@@ -430,16 +430,41 @@ def test_incomplete_demands_rejected():
 # ---------------------------------------------------------------------------
 
 
-def test_byte_stream_matches_reference_lcg():
+def reference_stream(seed, start, count):
+    """Bytes start..start+count of the generator run one word at a time."""
     mult, inc, mask = 6364136223846793005, 1442695040888963407, (1 << 64) - 1
-    for seed in (0, 1, 42):
-        state = seed
-        want = bytearray()
-        for _ in range(3):
-            state = (state * mult + inc) & mask
-            want += state.to_bytes(8, "little")
-        assert byte_stream(seed, 24) == bytes(want)
-        assert byte_stream(seed, 5) == bytes(want[:5])
+    state = seed
+    want = bytearray()
+    for _ in range(-(-(start + count) // 8)):
+        state = (state * mult + inc) & mask
+        want += state.to_bytes(8, "little")
+    return bytes(want[start:start + count])
+
+
+def test_byte_stream_matches_reference_lcg():
+    """The stream and its slices equal the generator run word by word:
+    counts on both sides of a word and of a 2048-byte lane block, starts off
+    a word boundary, a start past 2^20 words, and a seed past 2^64."""
+    counts = (0, 1, 5, 7, 8, 9, 24, 2047, 2048, 2049, 4097)
+    far = 8 * 2 ** 20 + 5
+    for seed in (0, 1, 7, 42, 2 ** 64 + 3):
+        want = reference_stream(seed, 0, 2048 + 4097)
+        for count in counts:
+            assert byte_stream(seed, count) == want[:count], (seed, count)
+            for start in (3, 8, 13, 2045, 2048):
+                got = caching._stream_slice(seed, start, count)
+                assert got == want[start:start + count], (seed, start, count)
+        want = reference_stream(seed, far, 4097)
+        for count in counts:
+            got = caching._stream_slice(seed, far, count)
+            assert got == want[:count], (seed, count)
+
+
+def test_byte_stream_of_no_bytes_is_empty():
+    for seed in (0, 7):
+        for count in (0, -1, -8, -4097):
+            assert byte_stream(seed, count) == b""
+        assert caching._stream_slice(seed, 13, 0) == b""
 
 
 def test_byte_stream_deterministic_and_seed_sensitive():

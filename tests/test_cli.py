@@ -230,6 +230,21 @@ def test_simulate_demand_forms(tmp_path):
     assert json.loads(out)["demands"] == list(range(12))
 
 
+def test_uniform_random_demands_follow_the_reference_lcg():
+    """User u demands word u of the generator seeded seed + 1, modulo the
+    file count, so 300 users read 2,400 bytes, past one 2,048-byte lane
+    block of the stream."""
+    mult, inc, mask = 6364136223846793005, 1442695040888963407, (1 << 64) - 1
+    for num_users in (1, 20, 300):
+        for seed in (0, 7):
+            state, want = seed + 1, []
+            for _ in range(num_users):
+                state = (state * mult + inc) & mask
+                want.append(state % 27)
+            got = cli._parse_demands("uniform-random", num_users, 27, seed)
+            assert got == want, (num_users, seed)
+
+
 def test_simulate_short_demand_list_is_domain_error(tmp_path):
     scheme = tmp_path / "ex3.json"
     write_ex3(scheme)
