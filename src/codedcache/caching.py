@@ -513,6 +513,14 @@ def _check_terms(num_users: int, cols: int, equations) -> None:
                     f"{num_users} users and {cols} columns")
 
 
+def _trusted(cls, *values):
+    """A frozen cls built from fields that are already range-checked,
+    without running its __post_init__ check again."""
+    obj = object.__new__(cls)
+    vars(obj).update(zip(cls.__dataclass_fields__, values))
+    return obj
+
+
 @dataclass(frozen=True)
 class EqSubfileMatrix:
     """Delta x F_s equation-subfile matrix stored by its nonzeros.
@@ -534,13 +542,14 @@ class EqSubfileMatrix:
         return len(self.row_terms)
 
     def transpose(self) -> "EqSubfileMatrix":
-        """Swap indices: (user, j) in row i becomes (user, i) in row j."""
+        """Swap indices: (user, j) in row i becomes (user, i) in row j.  The
+        checked terms only trade places, so they are not checked again."""
         flipped: list[list[tuple[int, int]]] = [[] for _ in range(self.cols)]
         for i, row in enumerate(self.row_terms):
             for user, j in row:
                 flipped[j].append((user, i))
-        return EqSubfileMatrix(self.num_users, self.rows,
-                               tuple(map(tuple, flipped)))
+        return _trusted(EqSubfileMatrix, self.num_users, self.rows,
+                        tuple(map(tuple, flipped)))
 
 
 def equation_subfile_matrix(scheme: CachingScheme,
@@ -661,7 +670,8 @@ class MatrixScheme:
 
 def scheme_from_eq_subfile(m: EqSubfileMatrix) -> MatrixScheme:
     """Read a scheme off a valid matrix; its rows become the equations as
-    they stand."""
+    they stand.  Its terms, checked when it was built, and the masks ORed
+    from them are not checked again."""
     report = verify_lemma4(m)
     if not report.ok:
         raise Lemma4Violated("; ".join(report.violations[:3]))
@@ -669,7 +679,7 @@ def scheme_from_eq_subfile(m: EqSubfileMatrix) -> MatrixScheme:
     for row in m.row_terms:
         for user, j in row:
             miss[j] |= 1 << user
-    return MatrixScheme(m.num_users, m.cols, tuple(miss), m.row_terms)
+    return _trusted(MatrixScheme, m.num_users, m.cols, tuple(miss), m.row_terms)
 
 
 def scheme_from_plan(scheme: CachingScheme, plan: DeliveryPlan) -> MatrixScheme:

@@ -9,12 +9,15 @@ Exit codes: 0 success or property satisfied, 1 domain error (including a
 scheme too large to simulate), 2 usage error, 3 verification or simulation
 failure.  With --json, errors are emitted as a
 machine-readable object on stdout.  All commands are deterministic given
-their flags and seed.
+their flags and seed.  The argparse tree is built on the first call of
+main and reused by every later call in the process; help and usage text
+still read COLUMNS when they print.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -390,7 +393,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The tree, built once: parsing leaves it unchanged, so main reuses it."""
     parser = argparse.ArgumentParser(
         prog="codedcache",
         description="Construct, certify, and simulate low-subpacketization "

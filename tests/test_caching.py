@@ -932,14 +932,20 @@ def test_lemma4_flags_each_condition():
     assert not rep.ok
 
 
-def test_lemma4_matches_dense_reference_on_random_matrices():
+def random_matrices():
+    """3000 seeded small dense matrices of random fill, each with its
+    sparse form: (entries, matrix)."""
     rng = random.Random(20170601)
     for _ in range(3000):
         rows, cols, users = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 4)
         fill = rng.random()
         entries = tuple(tuple(rng.randint(1, users) if rng.random() < fill else 0
                               for _ in range(cols)) for _ in range(rows))
-        m = sparse(users, entries)
+        yield entries, sparse(users, entries)
+
+
+def test_lemma4_matches_dense_reference_on_random_matrices():
+    for entries, m in random_matrices():
         assert dense(m) == entries
         assert m.transpose().transpose() == m
         assert dense(m.transpose()) == tuple(zip(*entries))
@@ -988,6 +994,35 @@ def test_lemma4_mask_verdict_matches_reference_on_edited_plans(name):
             # "user v appears twice ...", "row i repeats ...", "user v at ..."
             kinds.update(v.split()[2] for v in rep.violations)
     assert kinds == {"appears", "repeats", "at"}
+
+
+def compare_with_checked(m):
+    """transpose() and scheme_from_eq_subfile skip the range check; what
+    they return equals the same fields built through the check.  True when
+    m's transpose passes Lemma 4, so that its scheme was compared too."""
+    mt = m.transpose()
+    assert mt == EqSubfileMatrix(m.num_users, m.rows, mt.row_terms)
+    if not verify_lemma4(mt).ok:
+        return False
+    masks = [0] * mt.cols
+    for row in mt.row_terms:
+        for user, j in row:
+            masks[j] |= 1 << user
+    assert scheme_from_eq_subfile(mt) == MatrixScheme(
+        mt.num_users, mt.cols, tuple(masks), mt.row_terms)
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(PLANNED))
+def test_unchecked_results_equal_checked_ones_on_plans(name):
+    m = equation_subfile_matrix(*planned(name))
+    assert compare_with_checked(m) and compare_with_checked(m.transpose())
+
+
+def test_unchecked_results_equal_checked_ones_on_random_matrices():
+    schemes = sum(compare_with_checked(mat)
+                  for _, m in random_matrices() for mat in (m, m.transpose()))
+    assert schemes > 1000  # enough pass Lemma 4 to compare schemes too
 
 
 def test_lemma4_transpose_symmetry():

@@ -595,6 +595,25 @@ def test_no_subcommand_prints_help():
     assert "usage" in err.lower()
 
 
+def test_shared_parser_leaks_nothing_between_calls(tmp_path, monkeypatch):
+    """main reuses one parser per process.  Calls that could leave state in
+    it (an append action, usage errors, --json, help at two widths) print
+    exactly what the same argv prints in a fresh process."""
+    assert cli._build_parser() is cli._build_parser()
+    crt = ["construct", "crt", "--n", "4",
+           "--component", "2:1,1", "--component", "3:1,1"]
+    usage = ["construct", "spc", "--q", "3"]
+    domain = ["construct", "mds", "--n", "5", "--k", "2", "--q", "3"]
+    steps = [("80", argv) for argv in (crt, crt, usage, usage,
+                                       ["--json"] + domain, domain)]
+    steps += [(columns, argv) for columns in ("60", "120")
+              for argv in (["--help"], ["simulate", "--help"])]
+    for columns, argv in steps:
+        monkeypatch.setenv("COLUMNS", columns)
+        child = run_child(argv, tmp_path)
+        assert run(argv) == (child.returncode, child.stdout, child.stderr), argv
+
+
 # ---------------------------------------------------------------------------
 # crt round trip
 # ---------------------------------------------------------------------------
