@@ -25,9 +25,11 @@ bitmask of the users that lack it, and the equations' terms.
 scheme_from_plan builds it from the placement and shares the plan's term
 tuples; scheme_from_eq_subfile reads it off an equation-subfile matrix.
 EqSubfileMatrix and MatrixScheme check once, at construction, that every
-user and column is in range.  simulate applies one demand vector to a
-MatrixScheme, however it was built, and generates the payload of the
-demanded files only.
+user and column is in range; a MatrixScheme then certifies its delivery,
+once for every demand vector, and Lemma 4 is that certificate on the scheme
+read off a matrix.  simulate applies one demand
+vector to a MatrixScheme, however it was built, and generates the payload
+of the demanded files only.
 
 Equations, users and subfiles are ordered deterministically throughout:
 recovery sets ascending, block tuples in lexicographic order, ranks ascending.
@@ -38,9 +40,9 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .codes import CrtCodewordSource, ccp_windows, least_z
 from .design import ResolvableDesign, Source
@@ -389,17 +391,14 @@ def simulate(ms: MatrixScheme, demands: Sequence[int], num_files: int,
     Equations of one length are decoded in batches, position by position,
     with each position's chunks side by side in one integer.
 
-    Decodability is proved by the cache-membership test against ms.miss: a
-    user that meets a column outside its cache raises DecodeFailure.  Once
-    that test passes, XOR-ing the other users' source chunks back out of the
-    payload always returns the user's own chunk, so `exact` only confirms
-    the XOR algebra against the source stream; it is not an independent
-    decoder.  The test is one mask test per term: is its user the only one
-    of the equation's distinct users that lacks its column?  If not, the
-    equations are decoded again term by term, in order, skipping a user's
-    own terms, and the first column a user cannot cancel is named.  A user
-    is `complete` iff its bit agrees in every column's served and miss mask."""
-    miss, f_s, num_users = ms.miss, ms.f_s, ms.num_users
+    What each user recovers, and whether it decodes, was decided when ms was
+    built (ms.delivery).  DecodeFailure names the first column, in equation,
+    user and term order, that a user cannot cancel, before any payload is
+    generated.  Otherwise XOR-ing the other users' chunks out of the payload
+    returns each user's own chunk (or, for a user repeated in an equation,
+    its terms XOR-ed together), so `exact` only confirms the XOR algebra
+    against the source stream; it is not an independent decoder."""
+    f_s, num_users, delivery = ms.f_s, ms.num_users, ms.delivery
     if len(demands) != num_users:
         raise IncompleteDemands(f"need {num_users} demands, got {len(demands)}")
     for u, dv in enumerate(demands):
@@ -412,26 +411,17 @@ def simulate(ms: MatrixScheme, demands: Sequence[int], num_files: int,
     size = num_files * f_s * subfile_bytes
     if size > PAYLOAD_CAP:
         raise TooLarge(f"{size} payload bytes exceed the payload cap {PAYLOAD_CAP}")
+    if not delivery.clean:
+        failed = next(((user, col) for terms in ms.equations for user, _ in terms
+                       for other, col in terms
+                       if other != user and ms.miss[col] >> user & 1), None)
+        if failed:
+            raise DecodeFailure("user {} cannot cancel column {}".format(*failed))
     sub = subfile_bytes
     span = f_s * sub
     files = {f: _stream_slice(seed, f * span, span) for f in sorted(set(demands))}
     wanted = [files[f] for f in demands]
-
-    served = [0] * f_s  # served[c]: the users that recover column c
-    recovered = [0] * num_users
-    decodable = True
-    for terms in ms.equations:
-        user_mask = 0
-        for user, col in terms:
-            bit = 1 << user
-            if not served[col] & bit:
-                served[col] |= bit
-                recovered[user] += 1
-            user_mask |= bit
-        # a mask holds fewer bits than its terms iff it repeats a user
-        decodable = decodable and user_mask.bit_count() == len(terms) and all(
-            miss[col] & user_mask == 1 << user for user, col in terms)
-    if decodable:
+    if delivery.clean:
         exact = [True] * num_users
         for width, group in itertools.groupby(ms.equations, len):
             group = list(group)
@@ -439,10 +429,10 @@ def simulate(ms: MatrixScheme, demands: Sequence[int], num_files: int,
             for start in range(0, len(group), step):
                 _decode_batch(group[start:start + step], wanted, sub, exact)
     else:
-        exact = _decode_term_by_term(ms.equations, miss, wanted, sub)
-    wrong = functools.reduce(operator.or_, map(operator.xor, served, miss), 0)
-    outcomes = tuple(UserOutcome(u, demands[u], recovered[u], not wrong >> u & 1,
-                                 exact[u]) for u in range(num_users))
+        exact = _decode_term_by_term(ms.equations, wanted, sub)
+    outcomes = tuple(UserOutcome(u, demands[u], delivery.recovered[u],
+                                 not delivery.incomplete >> u & 1, exact[u])
+                     for u in range(num_users))
     return SimulationReport(num_users, num_files, sub, f_s, ms.delta, ms.rate,
                             ms.delta * sub, seed, outcomes)
 
@@ -472,10 +462,10 @@ def _decode_batch(batch: list, wanted: list, sub: int, exact: list[bool]) -> Non
         before ^= chunk
 
 
-def _decode_term_by_term(equations, miss, wanted: list, sub: int) -> list[bool]:
+def _decode_term_by_term(equations, wanted: list, sub: int) -> list[bool]:
     """Decode equation by equation, user by user, cancelling every term of
-    another user in term order; the first column a user does not cache
-    raises DecodeFailure.  Returns whether each user's values all matched."""
+    another user; a user repeated in an equation is left with its own terms
+    XOR-ed together.  Returns whether each user's values all matched."""
     exact = [True] * len(wanted)
     for terms in equations:
         chunks = [int.from_bytes(wanted[user][col * sub:col * sub + sub], "little")
@@ -485,13 +475,9 @@ def _decode_term_by_term(equations, miss, wanted: list, sub: int) -> list[bool]:
             payload ^= c
         for (user, _), own in zip(terms, chunks):
             value = payload
-            for (other, other_col), c in zip(terms, chunks):
-                if other == user:
-                    continue
-                if miss[other_col] >> user & 1:
-                    raise DecodeFailure(
-                        f"user {user} cannot cancel column {other_col}")
-                value ^= c
+            for (other, _), c in zip(terms, chunks):
+                if other != user:
+                    value ^= c
             if value != own:
                 exact[user] = False
     return exact
@@ -511,14 +497,6 @@ def _check_terms(num_users: int, cols: int, equations) -> None:
                 raise ShapeMismatch(
                     f"equation {i} has user {user} at column {col}, outside "
                     f"{num_users} users and {cols} columns")
-
-
-def _trusted(cls, *values):
-    """A frozen cls built from fields that are already range-checked,
-    without running its __post_init__ check again."""
-    obj = object.__new__(cls)
-    vars(obj).update(zip(cls.__dataclass_fields__, values))
-    return obj
 
 
 @dataclass(frozen=True)
@@ -542,14 +520,12 @@ class EqSubfileMatrix:
         return len(self.row_terms)
 
     def transpose(self) -> "EqSubfileMatrix":
-        """Swap indices: (user, j) in row i becomes (user, i) in row j.  The
-        checked terms only trade places, so they are not checked again."""
+        """Swap indices: (user, j) in row i becomes (user, i) in row j."""
         flipped: list[list[tuple[int, int]]] = [[] for _ in range(self.cols)]
         for i, row in enumerate(self.row_terms):
             for user, j in row:
                 flipped[j].append((user, i))
-        return _trusted(EqSubfileMatrix, self.num_users, self.rows,
-                        tuple(map(tuple, flipped)))
+        return EqSubfileMatrix(self.num_users, self.rows, tuple(map(tuple, flipped)))
 
 
 def equation_subfile_matrix(scheme: CachingScheme,
@@ -576,30 +552,14 @@ class Lemma4Report:
 def verify_lemma4(m: EqSubfileMatrix) -> Lemma4Report:
     """The three validity conditions: no repeated user within a column,
     none within a row, and any two occurrences of one user sit on a zero
-    'rectangle' (the swapped positions are empty).
-
-    The verdict is one mask test per nonzero: with no user repeated in a
-    column or a row, the matrix is corner-free iff each nonzero's user is
-    the only one its column and its row share.  Only when that test fails
-    are the violations enumerated: a user v at (i, j) and any other nonzero
-    (i, j2) of row i break the rectangle with every occurrence of v in
-    column j2 outside row i.  They are listed in the order a row-major scan
-    of the dense matrix would find them."""
-    col_mask = [0] * m.cols
-    row_masks = []
-    for row in m.row_terms:
-        row_mask = 0
-        for user, j in row:
-            col_mask[j] |= 1 << user
-            row_mask |= 1 << user
-        row_masks.append(row_mask)
-    # a mask holds fewer bits than its nonzeros iff it repeats a user
-    nonzeros = sum(map(len, m.row_terms))
-    if (sum(map(int.bit_count, col_mask)) == nonzeros
-            and sum(map(int.bit_count, row_masks)) == nonzeros
-            and all(col_mask[j] & row_mask == 1 << user
-                    for row, row_mask in zip(m.row_terms, row_masks)
-                    for user, j in row)):
+    'rectangle' (the swapped positions are empty).  They hold iff the scheme
+    read off m certifies its delivery: a user twice in a column is served
+    that column twice, and a broken rectangle is a column that a user meets
+    in its row but lacks.  Only when they fail are the violations listed: a
+    user v at (i, j) and any other nonzero (i, j2) of row i break the
+    rectangle with every occurrence of v in column j2 outside row i, in the
+    order a row-major scan of the dense matrix would find them."""
+    if _read_off(m).delivery.ok:
         return Lemma4Report(True, ())
     where: dict[tuple[int, int], list[int]] = {}  # (user, column) -> rows
     first: dict[int, int] = {}  # user -> rank of its first occurrence
@@ -625,7 +585,19 @@ def verify_lemma4(m: EqSubfileMatrix) -> Lemma4Report:
                         corners.add((first[user], user, a, b))
     violations += [f"user {user + 1} at ({i1},{j1}) and ({i2},{j2}) lacks zero corners"
                    for _, user, (i1, j1), (i2, j2) in sorted(corners)]
-    return Lemma4Report(not violations, tuple(violations))
+    return Lemma4Report(False, tuple(violations))
+
+
+class Delivery(NamedTuple):
+    """What a scheme's equations deliver, whatever the demands."""
+    recovered: tuple[int, ...]  # per user, the distinct columns it is served
+    incomplete: int  # bit u: user u is not served exactly the columns it lacks
+    once: bool  # no user is served a column twice
+    clean: bool  # every user of an equation cancels its other terms
+
+    @property
+    def ok(self) -> bool:  # the placement delivery array conditions
+        return self.once and self.clean and not self.incomplete
 
 
 @dataclass(frozen=True)
@@ -634,15 +606,18 @@ class MatrixScheme:
     0..f_s-1, bit u of miss[c] is set iff user u lacks column c, and each
     equation is a tuple of (user, column) terms.  Built from a placement and
     its delivery plan, sharing the plan's term tuples (scheme_from_plan), or
-    read off an equation-subfile matrix, where user t lacks column j iff t
-    appears in it and each row is one equation (scheme_from_eq_subfile).
-    One mask per column, and every user and column in range, are checked at
-    construction (ShapeMismatch)."""
+    read off an equation-subfile matrix (scheme_from_eq_subfile).  One mask
+    per column, and every user and column in range, are checked at
+    construction (ShapeMismatch); then one pass over the terms decides what
+    the delivery does for any demands (`delivery`, outside ==, hash and
+    repr).  An equation is clean when it repeats no user and each term's
+    user is the only one of its users that lacks the term's column."""
 
     num_users: int
     f_s: int
     miss: tuple[int, ...]
     equations: tuple[tuple[tuple[int, int], ...], ...]
+    delivery: Delivery = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.miss) != self.f_s:
@@ -654,6 +629,24 @@ class MatrixScheme:
             raise ShapeMismatch(f"mask of column {c} names a user outside "
                                 f"0..{self.num_users - 1}")
         _check_terms(self.num_users, self.f_s, self.equations)
+        miss, clean = self.miss, True
+        served = [0] * self.f_s  # served[c]: the users that recover column c
+        recovered = [0] * self.num_users
+        for terms in self.equations:
+            user_mask = 0
+            for user, col in terms:
+                bit = 1 << user
+                if not served[col] & bit:
+                    served[col] |= bit
+                    recovered[user] += 1
+                user_mask |= bit
+            # a mask holds fewer bits than its terms iff it repeats a user
+            clean = clean and user_mask.bit_count() == len(terms) and all(
+                miss[col] & user_mask == 1 << user for user, col in terms)
+        incomplete = functools.reduce(operator.or_, map(operator.xor, served, miss), 0)
+        once = sum(recovered) == sum(map(len, self.equations))
+        object.__setattr__(self, "delivery",
+                           Delivery(tuple(recovered), incomplete, once, clean))
 
     @property
     def delta(self) -> int:
@@ -668,25 +661,30 @@ class MatrixScheme:
         return Fraction(self.f_s - lacking, self.f_s)
 
 
-def scheme_from_eq_subfile(m: EqSubfileMatrix) -> MatrixScheme:
-    """Read a scheme off a valid matrix; its rows become the equations as
-    they stand.  Its terms, checked when it was built, and the masks ORed
-    from them are not checked again."""
-    report = verify_lemma4(m)
-    if not report.ok:
-        raise Lemma4Violated("; ".join(report.violations[:3]))
-    miss = [0] * m.cols  # a user lacks exactly the columns it appears in
+def _read_off(m: EqSubfileMatrix) -> MatrixScheme:
+    """The scheme m defines: user t lacks column j iff t appears in it, and
+    each row is one equation as it stands."""
+    miss = [0] * m.cols
     for row in m.row_terms:
         for user, j in row:
             miss[j] |= 1 << user
-    return _trusted(MatrixScheme, m.num_users, m.cols, tuple(miss), m.row_terms)
+    return MatrixScheme(m.num_users, m.cols, tuple(miss), m.row_terms)
+
+
+def scheme_from_eq_subfile(m: EqSubfileMatrix) -> MatrixScheme:
+    """The scheme read off a matrix that meets Lemma 4; any other matrix is
+    refused with Lemma4Violated, naming its first three violations."""
+    ms = _read_off(m)
+    if not ms.delivery.ok:
+        raise Lemma4Violated("; ".join(verify_lemma4(m).violations[:3]))
+    return ms
 
 
 def scheme_from_plan(scheme: CachingScheme, plan: DeliveryPlan) -> MatrixScheme:
     """The placed scheme in simulation form: miss masks with each user's bit
     cleared at the points of its block, each point's mask repeated for its z
     columns (the cache_cols placement), and the plan's term tuples in plan
-    order.  Nothing is sorted or checked beyond the range check, so a plan
+    order.  Nothing is sorted or refused beyond the range check, so a plan
     that a user cannot decode fails in simulate with DecodeFailure."""
     point_miss = [(1 << scheme.num_users) - 1] * scheme.num_points
     for u in range(scheme.num_users):

@@ -20,9 +20,11 @@ this module.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -35,73 +37,38 @@ from .errors import (
 
 _MAX_ORDER = 1024
 
-# Lexicographically smallest monic irreducible polynomial of degree m over
-# GF(p), constant term first, for every prime power p^m <= 1024 with m >= 2.
-# Regenerable by brute force: a degree-m candidate is irreducible iff no monic
-# polynomial of degree 1..m//2 divides it.
-_IRREDUCIBLE: dict[tuple[int, int], tuple[int, ...]] = {
-    (2, 2): (1, 1, 1),
-    (2, 3): (1, 0, 1, 1),
-    (2, 4): (1, 0, 0, 1, 1),
-    (2, 5): (1, 0, 0, 1, 0, 1),
-    (2, 6): (1, 0, 0, 0, 0, 1, 1),
-    (2, 7): (1, 0, 0, 0, 0, 0, 1, 1),
-    (2, 8): (1, 0, 0, 0, 1, 1, 0, 1, 1),
-    (2, 9): (1, 0, 0, 0, 0, 0, 0, 0, 1, 1),
-    (2, 10): (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
-    (3, 2): (1, 0, 1),
-    (3, 3): (1, 0, 2, 1),
-    (3, 4): (1, 0, 1, 1, 1),
-    (3, 5): (1, 0, 0, 0, 2, 1),
-    (3, 6): (1, 0, 0, 0, 1, 1, 1),
-    (5, 2): (1, 1, 1),
-    (5, 3): (1, 0, 1, 1),
-    (5, 4): (1, 0, 1, 1, 1),
-    (7, 2): (1, 0, 1),
-    (7, 3): (1, 0, 1, 1),
-    (11, 2): (1, 0, 1),
-    (13, 2): (1, 3, 1),
-    (17, 2): (1, 1, 1),
-    (19, 2): (1, 0, 1),
-    (23, 2): (1, 0, 1),
-    (29, 2): (1, 1, 1),
-    (31, 2): (1, 0, 1),
-}
-
 
 def _prime_power(q: int) -> Optional[tuple[int, int]]:
     """Return (p, m) with q == p**m and p prime, or None."""
-    if q < 2:
-        return None
-    p = None
-    for cand in range(2, q + 1):
-        if cand * cand > q:
-            break
-        if q % cand == 0:
-            p = cand
-            break
+    p = next(_prime_factors(q), None)
     if p is None:
-        return (q, 1)
-    m = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
+        return None
+    m = 1
+    while p ** m < q:
         m += 1
-    return (p, m) if rest == 1 else None
+    return (p, m) if p ** m == q else None
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
+def _prime_factors(n: int) -> Iterator[int]:
+    """The distinct prime factors of n in ascending order, each found by
+    trial division only when it is asked for."""
     d = 2
     while d * d <= n:
         if n % d == 0:
-            out.append(d)
+            yield d
             while n % d == 0:
                 n //= d
         d += 1
     if n > 1:
-        out.append(n)
-    return out
+        yield n
+
+
+@functools.cache
+def _default_modulus(p: int, m: int) -> tuple[int, ...]:
+    """The lexicographically smallest monic irreducible polynomial of degree
+    m over GF(p), constant term first; every degree has one."""
+    return next(low + (1,) for low in itertools.product(range(p), repeat=m)
+                if _poly_irreducible(low + (1,), p))
 
 
 class ScalarDomain:
@@ -169,7 +136,7 @@ class ScalarDomain:
                 raise DomainError("prime fields take no modulus polynomial")
             return ScalarDomain("field", q, p, 1, None)
         if modulus is None:
-            mod = _IRREDUCIBLE[(p, m)]
+            mod = _default_modulus(p, m)
         else:
             mod = tuple(int(c) % p for c in modulus)
             if len(mod) != m + 1:
@@ -214,7 +181,7 @@ class ScalarDomain:
     def _build_tables(self) -> None:
         q, p = self.q, self.p
         gen = None
-        factors = _prime_factors(q - 1)
+        factors = list(_prime_factors(q - 1))
         for cand in range(1, q):
             if all(self._pow_raw(cand, (q - 1) // r) != 1 for r in factors):
                 gen = cand
@@ -369,8 +336,6 @@ def _pack(coeffs: Iterable[int], p: int) -> int:
 
 def _poly_irreducible(coeffs: Sequence[int], p: int) -> bool:
     """Exhaustive divisor check: no monic factor of degree 1..deg//2."""
-    import itertools
-
     deg = len(coeffs) - 1
     for d in range(1, deg // 2 + 1):
         for tail in itertools.product(range(p), repeat=d):

@@ -310,11 +310,13 @@ def test_criterion_7_property_suite():
             flipped = code_point_metrics(n, q, alpha, scheme.num_points,
                                          transposed=True)
             ms = scheme_from_eq_subfile(transposed)
+            assert ms.delivery.ok
             assert (ms.f_s, ms.rate) == (flipped["F_s"], flipped["R"])
             assert all(ms.cache_fraction(u) == flipped["M_over_N"]
                        for u in range(ms.num_users))
 
             base_ms = scheme_from_plan(scheme, plan)
+            assert base_ms.delivery.ok
             for num_files, demands in demand_vectors(scheme.num_users):
                 report = simulate(base_ms, demands, num_files, 1, 11)
                 assert report.all_ok

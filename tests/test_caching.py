@@ -43,6 +43,7 @@ from codedcache.errors import (
     InvalidAlpha,
     Lemma4Violated,
     ShapeMismatch,
+    TooLarge,
 )
 from codedcache.gf import Matrix, ScalarDomain
 
@@ -736,6 +737,88 @@ def test_repeated_users_and_twice_served_subfiles_keep_reference_reports():
                for row in reference_simulate(twice, list(range(12)), 12, 8, 1))
 
 
+def test_delivery_certifies_base_and_transposed_schemes():
+    """Each user is served every column it lacks, once, and cancels every
+    other term of its equations."""
+    s, plan = example_plan()
+    for ms in (scheme_from_plan(s, plan),
+               scheme_from_eq_subfile(equation_subfile_matrix(s, plan).transpose())):
+        d = ms.delivery
+        assert d.ok and (d.once, d.clean, d.incomplete) == (True, True, 0)
+        assert d.recovered == tuple(sum(mask >> u & 1 for mask in ms.miss)
+                                    for u in range(ms.num_users))
+
+
+def test_delivery_certifies_spc9_gf3_at_alpha_10():
+    s = placement(resolvable_design(codeword_matrix(build_spc(9, GF3))), 10)
+    plan = generate_delivery(s, recovery_set_graph(s.n, 10))
+    assert plan.delta == 39366
+    assert scheme_from_plan(s, plan).delivery.ok
+    transposed = equation_subfile_matrix(s, plan).transpose()
+    assert scheme_from_eq_subfile(transposed).delivery.ok
+
+
+def test_delivery_flags_a_column_served_twice():
+    """Serving a user a column twice breaks `once` alone; the report still
+    calls every user complete and exact."""
+    ms = scheme_from_plan(*example_plan())
+    twice = MatrixScheme(12, 27, ms.miss, ms.equations + ms.equations[:1])
+    d = twice.delivery
+    assert (d.once, d.clean, d.incomplete, d.ok) == (False, True, 0, False)
+    assert d.recovered == ms.delivery.recovered
+    report = simulate(twice, list(range(12)), num_files=12, subfile_bytes=8, seed=1)
+    assert all(u.complete and u.exact for u in report.users)
+
+
+def test_delivery_flags_a_user_repeated_in_an_equation():
+    ms = scheme_from_plan(*example_plan())
+    (u0, c0), (_, c1), (u2, c2) = ms.equations[5]
+    d = edited(ms, 5, [(u0, c0), (u0, c1), (u2, c2)]).delivery
+    assert not d.clean and not d.ok
+
+
+def test_delivery_flags_a_column_another_member_lacks():
+    ms = scheme_from_plan(*example_plan())
+    (u0, c0), (u1, _), (u2, c2) = ms.equations[-1]
+    x = min(set(range(27)) - cached(ms)[u0] - {c0})
+    broken = edited(ms, -1, [(u0, c0), (u1, x), (u2, c2)])
+    assert not broken.delivery.clean and not broken.delivery.ok
+    assert_same_failure(broken, f"user {u0} cannot cancel column {x}")
+
+
+def test_delivery_flags_a_lacking_column_never_served():
+    """Dropping an equation leaves each of its users one column short."""
+    ms = scheme_from_plan(*example_plan())
+    dropped = MatrixScheme(12, 27, ms.miss, ms.equations[1:]).delivery
+    users = [user for user, _ in ms.equations[0]]
+    assert dropped.incomplete == sum(1 << user for user in users)
+    assert dropped.once and dropped.clean and not dropped.ok
+    assert [ms.delivery.recovered[u] - dropped.recovered[u]
+            for u in range(12)] == [int(u in users) for u in range(12)]
+
+
+def test_undecodable_scheme_fails_before_any_payload(monkeypatch):
+    """Bad demands, subfile size and payload size are still refused first;
+    DecodeFailure comes before any file is generated."""
+    ms = scheme_from_plan(*example_plan())
+    (u0, c0), (u1, _), (u2, c2) = ms.equations[-1]
+    x = min(set(range(27)) - cached(ms)[u0] - {c0})
+    broken = edited(ms, -1, [(u0, c0), (u1, x), (u2, c2)])
+    calls = []
+    monkeypatch.setattr(caching, "_stream_slice", lambda *args: calls.append(args))
+    with pytest.raises(IncompleteDemands, match="^need 12 demands, got 11$"):
+        simulate(broken, [0] * 11, num_files=1)
+    with pytest.raises(IncompleteDemands, match="^demands exceed file count 1$"):
+        simulate(broken, [1] * 12, num_files=1)
+    with pytest.raises(ShapeMismatch, match="^subfile_bytes must be >= 1, got 0$"):
+        simulate(broken, [0] * 12, num_files=1, subfile_bytes=0)
+    with pytest.raises(TooLarge):
+        simulate(broken, [0] * 12, num_files=12, subfile_bytes=caching.PAYLOAD_CAP)
+    with pytest.raises(DecodeFailure, match=f"^user {u0} cannot cancel column {x}$"):
+        simulate(broken, list(range(12)), num_files=12)
+    assert calls == []
+
+
 def test_simulate_matches_reference_on_random_edits():
     """Random edits of base and transposed schemes: reports and failure
     messages equal the reference's."""
@@ -932,6 +1015,15 @@ def test_lemma4_flags_each_condition():
     assert not rep.ok
 
 
+def test_lemma4_refuses_two_users_in_one_cell():
+    """No dense matrix holds two users in one cell, so no violation can name
+    it, but neither user cancels the other's term."""
+    m = EqSubfileMatrix(2, 1, (((0, 0), (1, 0)),))
+    assert verify_lemma4(m) == caching.Lemma4Report(False, ())
+    with pytest.raises(Lemma4Violated):
+        scheme_from_eq_subfile(m)
+
+
 def random_matrices():
     """3000 seeded small dense matrices of random fill, each with its
     sparse form: (entries, matrix)."""
@@ -997,9 +1089,9 @@ def test_lemma4_mask_verdict_matches_reference_on_edited_plans(name):
 
 
 def compare_with_checked(m):
-    """transpose() and scheme_from_eq_subfile skip the range check; what
-    they return equals the same fields built through the check.  True when
-    m's transpose passes Lemma 4, so that its scheme was compared too."""
+    """What transpose() and scheme_from_eq_subfile return equals the same
+    fields built by hand through the checked constructors.  True when m's
+    transpose passes Lemma 4, so that its scheme was compared too."""
     mt = m.transpose()
     assert mt == EqSubfileMatrix(m.num_users, m.rows, mt.row_terms)
     if not verify_lemma4(mt).ok:

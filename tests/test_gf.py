@@ -12,7 +12,8 @@ from codedcache.errors import (
     RingNotSupported,
 )
 from codedcache.gf import (
-    _IRREDUCIBLE,
+    _MAX_ORDER,
+    _prime_power,
     Matrix,
     ScalarDomain,
     mat_det_is_unit,
@@ -26,6 +27,44 @@ PRIME_POWERS_LE_64 = [
     2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27,
     29, 31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64,
 ]
+
+# The default modulus of every extension field, as once tabulated: the
+# lexicographically smallest monic irreducible polynomial of degree m over
+# GF(p), constant term first.
+PINNED_MODULI = {
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 0, 1, 1),
+    (2, 4): (1, 0, 0, 1, 1),
+    (2, 5): (1, 0, 0, 1, 0, 1),
+    (2, 6): (1, 0, 0, 0, 0, 1, 1),
+    (2, 7): (1, 0, 0, 0, 0, 0, 1, 1),
+    (2, 8): (1, 0, 0, 0, 1, 1, 0, 1, 1),
+    (2, 9): (1, 0, 0, 0, 0, 0, 0, 0, 1, 1),
+    (2, 10): (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 0, 2, 1),
+    (3, 4): (1, 0, 1, 1, 1),
+    (3, 5): (1, 0, 0, 0, 2, 1),
+    (3, 6): (1, 0, 0, 0, 1, 1, 1),
+    (5, 2): (1, 1, 1),
+    (5, 3): (1, 0, 1, 1),
+    (5, 4): (1, 0, 1, 1, 1),
+    (7, 2): (1, 0, 1),
+    (7, 3): (1, 0, 1, 1),
+    (11, 2): (1, 0, 1),
+    (13, 2): (1, 3, 1),
+    (17, 2): (1, 1, 1),
+    (19, 2): (1, 0, 1),
+    (23, 2): (1, 0, 1),
+    (29, 2): (1, 1, 1),
+    (31, 2): (1, 0, 1),
+}
+
+
+def extension_fields():
+    """(p, m) of every supported field order p^m with m >= 2, in order."""
+    return sorted(pm for pm in map(_prime_power, range(2, _MAX_ORDER + 1))
+                  if pm and pm[1] > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +86,19 @@ def test_order_bounds():
         ScalarDomain.ring(1)
     with pytest.raises(DomainError):
         ScalarDomain.field(2048)
+
+
+def test_prime_power_matches_a_table_of_prime_powers():
+    primes = [p for p in range(2, 2100) if all(p % d for d in range(2, p))]
+    powers = {p ** m: (p, m) for p in primes for m in range(1, 12) if p ** m < 2100}
+    for q in range(-2, 2100):
+        assert _prime_power(q) == powers.get(q), q
+
+
+def test_default_moduli_match_the_pinned_table():
+    assert extension_fields() == sorted(PINNED_MODULI)
+    for (p, m), modulus in PINNED_MODULI.items():
+        assert ScalarDomain.field(p ** m).modulus == modulus
 
 
 def test_natural_domain_picks_field_for_prime_powers():
@@ -200,7 +252,7 @@ def assert_matches_reference(dom, pairs):
 
 
 def test_extension_add_sub_neg_match_reference_on_all_pairs_up_to_64():
-    for (p, m) in sorted(_IRREDUCIBLE):
+    for (p, m) in extension_fields():
         q = p ** m
         if q <= 64:
             dom = ScalarDomain.field(q)
@@ -209,7 +261,7 @@ def test_extension_add_sub_neg_match_reference_on_all_pairs_up_to_64():
 
 def test_extension_add_sub_neg_match_reference_on_random_pairs_above_64():
     rng = random.Random(20261017)
-    for (p, m) in sorted(_IRREDUCIBLE):
+    for (p, m) in extension_fields():
         q = p ** m
         if q > 64:
             dom = ScalarDomain.field(q)

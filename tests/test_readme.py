@@ -54,3 +54,31 @@ def test_readme_search_example_prints_its_table(tmp_path, monkeypatch):
     for want in expected:
         if want.strip() != "...":
             assert any(line == want for line in lines), want
+
+
+def sh_blocks(heading):
+    """The ```sh blocks under a README `### heading`, before the next one."""
+    section = README.read_text(encoding="utf-8").split(f"\n### {heading}\n", 1)[1]
+    section = section.split("\n### ", 1)[0]
+    return re.findall(r"```sh\n(.*?)```", section, re.DOTALL)
+
+
+def test_readme_simulate_examples_exit_0(tmp_path, monkeypatch):
+    """Every `codedcache simulate` line of the README runs on the scheme
+    files that the README's own `construct` lines write."""
+    from codedcache import cli
+
+    simulate = [line.split() for block in sh_blocks("simulate")
+                for line in block.splitlines()
+                if line.startswith("codedcache simulate")]
+    files = {argv[2] for argv in simulate}
+    assert files == {"c84.json", "c95.json"}
+    construct = [line.split() for block in sh_blocks("construct")
+                 for line in block.splitlines()
+                 if line.startswith("codedcache construct")
+                 and line.split()[-1] in files]
+    assert len(construct) == len(files)
+    monkeypatch.chdir(tmp_path)
+    for argv in construct + simulate:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv[1:]) == 0, " ".join(argv)
