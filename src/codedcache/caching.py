@@ -16,20 +16,18 @@ delivery regimes: when alpha = k+1 the buckets are single points and tuples
 with a common point contribute nothing; when alpha <= k each tuple serves
 several subfiles per user, paired off rank by rank in ascending point order.
 
-Delivery does not depend on the demands: the design and the recovery sets fix
-every equation, and a demand vector only decides which file fills each term
-W^s_{d_B,t}.  generate_delivery builds the equations once per (scheme, alpha).
-Every equation term, in a plan, a matrix row or a MatrixScheme, is a (user,
-column) pair.  A MatrixScheme holds what simulation needs: per column, a
-bitmask of the users that lack it, and the equations' terms.
-scheme_from_plan builds it from the placement and shares the plan's term
-tuples; scheme_from_eq_subfile reads it off an equation-subfile matrix.
-EqSubfileMatrix and MatrixScheme check once, at construction, that every
-user and column is in range; a MatrixScheme then certifies its delivery,
-once for every demand vector, and Lemma 4 is that certificate on the scheme
-read off a matrix.  simulate applies one demand
-vector to a MatrixScheme, however it was built, and generates the payload
-of the demanded files only.
+Delivery does not depend on the demands: generate_delivery builds the
+equations once per (scheme, alpha), and a demand vector only decides which
+file fills each term W^s_{d_B,t}.  Every term is a (user, column) pair.  A
+plan, an equation-subfile matrix and a MatrixScheme (per column, a bitmask
+of the users that lack it) hold their terms in a TermStore of flat arrays,
+with no Python object per term; term tuples (plan.equations, m.row_terms,
+ms.equations) are views built on demand, and each constructor also packs
+them.  scheme_from_plan shares the plan's store; scheme_from_eq_subfile
+reads a scheme off a matrix.  A MatrixScheme certifies its delivery once,
+at construction, for every demand vector; Lemma 4 is that certificate on the
+scheme read off a matrix.  simulate applies one demand vector to a
+MatrixScheme and generates the payload of the demanded files only.
 
 Equations, users and subfiles are ordered deterministically throughout:
 recovery sets ascending, block tuples in lexicographic order, ranks ascending.
@@ -37,12 +35,14 @@ recovery sets ascending, block tuples in lexicographic order, ranks ascending.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import operator
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .codes import CrtCodewordSource, ccp_windows, least_z
 from .design import ResolvableDesign, Source
@@ -170,12 +170,74 @@ class Equation:
 
 
 @dataclass(frozen=True)
+class TermStore:
+    """Equation terms without a Python object per term: equation i is
+    (users[t], cols[t]) for t in starts[i]:starts[i+1].  `tuples` builds
+    each equation's (user, column) tuples on first use and keeps them."""
+
+    users: array  # array("I"), as are cols and starts
+    cols: array
+    starts: array  # one entry more than there are equations
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    @functools.cached_property
+    def tuples(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        pairs = list(zip(self.users, self.cols))
+        return tuple(tuple(pairs[a:b]) for a, b in zip(self.starts, self.starts[1:]))
+
+
+def _pack(rows) -> TermStore:
+    rows = tuple(rows)
+    terms = list(itertools.chain.from_iterable(rows))
+    return TermStore(_array([user for user, _ in terms]), _array([col for _, col in terms]),
+                     array("I", itertools.accumulate(map(len, rows), initial=0)))
+
+
+def _array(values: list) -> array:
+    try:
+        return array("I", values)
+    except OverflowError:
+        raise ShapeMismatch("a user, column or recovery set is outside "
+                            "0..2^32-1") from None
+
+
+def _widths(starts: array) -> Iterator[int]:
+    return map(operator.sub, starts[1:], starts)
+
+
+def _runs(starts: array) -> Iterator[tuple[int, int, int]]:
+    """(width, first term, end) of each run of equations of one width > 0."""
+    end = 0
+    for width, run in itertools.groupby(_widths(starts)):
+        t, end = end, end + width * len(list(run))
+        if width:
+            yield width, t, end
+
+
+@dataclass(frozen=True)
 class DeliveryPlan:
-    equations: tuple[Equation, ...]
+    """The equations in plan order: their terms in a TermStore, and sets,
+    an array("I") of each equation's recovery set.  DeliveryPlan(equations)
+    packs Equation objects; `equations` builds them back on demand."""
+
+    store: TermStore
+    sets: Optional[array] = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.store, TermStore):
+            equations = tuple(self.store)
+            object.__setattr__(self, "store", _pack(eq.terms for eq in equations))
+            object.__setattr__(self, "sets", _array([eq.recovery_set for eq in equations]))
+
+    @property
+    def equations(self) -> tuple[Equation, ...]:
+        return tuple(map(Equation, self.sets, self.store.tuples))
 
     @property
     def delta(self) -> int:
-        return len(self.equations)
+        return len(self.store)
 
 
 def expected_delta(scheme: CachingScheme) -> int:
@@ -197,7 +259,8 @@ def generate_delivery(scheme: CachingScheme,
     L, in ascending order, paired rank by rank across participants.  Only
     design.classes is read, so generator, ring and residue sources take one
     path, and each tuple costs one bucket per participant: the work grows
-    with the equation terms, not with the number of points.
+    with the equation terms, not with the number of points.  Each tuple
+    appends its terms to the plan's TermStore in one step.
     """
     if (graph.n, graph.alpha) != (scheme.n, scheme.alpha):
         raise ShapeMismatch("graph does not match scheme parameters")
@@ -210,7 +273,7 @@ def generate_delivery(scheme: CachingScheme,
             for p in block:
                 row[p] = l
         labels.append(row)
-    equations: list[Equation] = []
+    users_out, cols_out, sets = array("I"), array("I"), array("I")
     for a, classes in enumerate(graph.sets):
         m = len(classes)
         supers = tuple(graph.labels[(i, a)] for i in classes)
@@ -249,9 +312,12 @@ def generate_delivery(scheme: CachingScheme,
                           for cols in served]
             if not uniform and len(set(map(len, served))) != 1:
                 raise DecodeFailure("unequal served-point counts within a tuple")
-            for cols in zip(*served):
-                equations.append(Equation(a, tuple(zip(users, cols))))
-    return DeliveryPlan(tuple(equations))
+            # rank r of every participant's columns makes one equation
+            users_out.extend(users * len(served[0]))
+            cols_out.extend(itertools.chain.from_iterable(zip(*served)))
+        sets.extend(itertools.repeat(a, len(users_out) // scheme.alpha - len(sets)))
+    starts = array("I", range(0, len(users_out) + 1, scheme.alpha))
+    return DeliveryPlan(TermStore(users_out, cols_out, starts), sets)
 
 
 def render_equation(scheme: CachingScheme, eq: Equation) -> str:
@@ -378,26 +444,18 @@ class SimulationReport:
 
 def simulate(ms: MatrixScheme, demands: Sequence[int], num_files: int,
              subfile_bytes: int = 16, seed: int = 0) -> SimulationReport:
-    """Run the broadcast for one demand vector byte-exactly and check every
-    user decodes every missing subfile of its demanded file: the payload of
-    each equation is the XOR of the demanded subfiles of its terms.  This is
-    the one place that validates a demand vector and the subfile size, and
-    it refuses a payload stream over PAYLOAD_CAP bytes with TooLarge.
-
-    File f is bytes f*F_s*subfile_bytes onwards of byte_stream(seed, ...);
-    only the demanded files are generated.  Each term's chunk is read once,
-    and every user gets the payload XOR-ed with the other terms' chunks
-    through prefix and suffix XORs, so the XOR work is linear in the terms.
-    Equations of one length are decoded in batches, position by position,
-    with each position's chunks side by side in one integer.
-
-    What each user recovers, and whether it decodes, was decided when ms was
-    built (ms.delivery).  DecodeFailure names the first column, in equation,
-    user and term order, that a user cannot cancel, before any payload is
-    generated.  Otherwise XOR-ing the other users' chunks out of the payload
-    returns each user's own chunk (or, for a user repeated in an equation,
-    its terms XOR-ed together), so `exact` only confirms the XOR algebra
-    against the source stream; it is not an independent decoder."""
+    """Run the broadcast for one demand vector byte-exactly: each equation's
+    payload is the XOR of the demanded subfiles of its terms.  This is the
+    one place that validates a demand vector and the subfile size, and it
+    refuses a payload stream over PAYLOAD_CAP bytes with TooLarge.  File f
+    is bytes f*F_s*subfile_bytes onwards of byte_stream(seed, ...); only the
+    demanded files are generated.  What each user recovers was decided when
+    ms was built (ms.delivery).  Before any payload, DecodeFailure names the
+    first column, in equation, user and term order, that a user cannot
+    cancel, or else the first equation that repeats a user and the first
+    such user.  Each user then gets its own chunk back by XOR-ing the other
+    users' chunks out of the payload, so `exact` only confirms the XOR
+    algebra against the source stream; it is not an independent decoder."""
     f_s, num_users, delivery = ms.f_s, ms.num_users, ms.delivery
     if len(demands) != num_users:
         raise IncompleteDemands(f"need {num_users} demands, got {len(demands)}")
@@ -417,19 +475,23 @@ def simulate(ms: MatrixScheme, demands: Sequence[int], num_files: int,
                        if other != user and ms.miss[col] >> user & 1), None)
         if failed:
             raise DecodeFailure("user {} cannot cancel column {}".format(*failed))
+        users = (list(map(operator.itemgetter(0), terms)) for terms in ms.equations)
+        failed = next(((i, user) for i, row in enumerate(users) for user in row
+                       if row.count(user) > 1), None)
+        if failed:
+            raise DecodeFailure("equation {} repeats user {}".format(*failed))
     sub = subfile_bytes
     span = f_s * sub
     files = {f: _stream_slice(seed, f * span, span) for f in sorted(set(demands))}
     wanted = [files[f] for f in demands]
-    if delivery.clean:
-        exact = [True] * num_users
-        for width, group in itertools.groupby(ms.equations, len):
-            group = list(group)
-            step = max(1, _BATCH_BYTES // (sub * max(width, 1)))
-            for start in range(0, len(group), step):
-                _decode_batch(group[start:start + step], wanted, sub, exact)
-    else:
-        exact = _decode_term_by_term(ms.equations, wanted, sub)
+    places = [slice(col * sub, col * sub + sub) for col in range(f_s)]
+    exact = [True] * num_users
+    for width, t, end in _runs(ms.store.starts):
+        step = width * max(1, _BATCH_BYTES // (sub * width))
+        for start in range(t, end, step):
+            _decode_batch(ms.store.users[start:min(start + step, end)],
+                          ms.store.cols[start:min(start + step, end)], width,
+                          wanted, places, sub, exact)
     outcomes = tuple(UserOutcome(u, demands[u], delivery.recovered[u],
                                  not delivery.incomplete >> u & 1, exact[u])
                      for u in range(num_users))
@@ -437,50 +499,26 @@ def simulate(ms: MatrixScheme, demands: Sequence[int], num_files: int,
                             ms.delta * sub, seed, outcomes)
 
 
-def _decode_batch(batch: list, wanted: list, sub: int, exact: list[bool]) -> None:
-    """Decode equations of one length whose users are distinct.  The chunks
-    at term position j of every equation form one integer, sub bytes per
-    equation, so one XOR of such integers serves the whole batch: the user at
-    position j gets the payload XOR-ed with the prefix XOR of positions
-    before j and the suffix XOR of positions after it."""
-    columns = list(zip(*batch))
-    chunks = [int.from_bytes(b"".join([wanted[user][col * sub:col * sub + sub]
-                                       for user, col in column]), "little")
-              for column in columns]
-    after = chunks + [0]
-    for j in range(len(chunks) - 1, -1, -1):
-        after[j] ^= after[j + 1]
-    payload, before = after[0], 0
-    for column, chunk, rest in zip(columns, chunks, after[1:]):
+def _decode_batch(users: array, cols: array, width: int, wanted: list,
+                  places: list, sub: int, exact: list[bool]) -> None:
+    """Decode a batch of equations of `width` distinct users each: the user
+    at position j gets the payload XOR-ed with the prefix XOR of positions
+    before j and the suffix XOR of positions after it.  wanted[u] is user
+    u's demanded file and places[c] column c's slice of a file."""
+    chunks = [int.from_bytes(b"".join(map(
+        operator.getitem, map(wanted.__getitem__, users[j::width]),
+        map(places.__getitem__, cols[j::width]))), "little")
+        for j in range(width)]
+    after = list(itertools.accumulate(reversed(chunks), operator.xor))[::-1] + [0]
+    payload, before, size = after[0], 0, len(users) // width * sub
+    for j, (chunk, rest) in enumerate(zip(chunks, after[1:])):
         value = payload ^ before ^ rest
         if value != chunk:
-            got = value.to_bytes(len(column) * sub, "little")
-            want = chunk.to_bytes(len(column) * sub, "little")
-            for e, (user, _) in enumerate(column):
+            got, want = value.to_bytes(size, "little"), chunk.to_bytes(size, "little")
+            for e, user in enumerate(users[j::width]):
                 if got[e * sub:e * sub + sub] != want[e * sub:e * sub + sub]:
                     exact[user] = False
         before ^= chunk
-
-
-def _decode_term_by_term(equations, wanted: list, sub: int) -> list[bool]:
-    """Decode equation by equation, user by user, cancelling every term of
-    another user; a user repeated in an equation is left with its own terms
-    XOR-ed together.  Returns whether each user's values all matched."""
-    exact = [True] * len(wanted)
-    for terms in equations:
-        chunks = [int.from_bytes(wanted[user][col * sub:col * sub + sub], "little")
-                  for user, col in terms]
-        payload = 0
-        for c in chunks:
-            payload ^= c
-        for (user, _), own in zip(terms, chunks):
-            value = payload
-            for (other, _), c in zip(terms, chunks):
-                if other != user:
-                    value ^= c
-            if value != own:
-                exact[user] = False
-    return exact
 
 
 # ---------------------------------------------------------------------------
@@ -488,59 +526,84 @@ def _decode_term_by_term(equations, wanted: list, sub: int) -> list[bool]:
 # ---------------------------------------------------------------------------
 
 
-def _check_terms(num_users: int, cols: int, equations) -> None:
-    """Refuse a term whose user is outside 0..num_users-1 or whose column is
-    outside 0..cols-1, naming the first equation that holds one."""
-    for i, terms in enumerate(equations):
-        for user, col in terms:
+def _checked(num_users: int, cols: int, terms) -> TermStore:
+    """terms, a store or term tuples, as a store with every user in
+    0..num_users-1 and column in 0..cols-1, or ShapeMismatch naming the
+    first equation that holds a term out of range."""
+    if isinstance(terms, TermStore):
+        if not terms.users or (max(terms.users) < num_users
+                               and max(terms.cols) < cols):
+            return terms
+        terms = terms.tuples  # a term is out of range: the loop raises
+    for i, row in enumerate(terms):
+        for user, col in row:
             if not (0 <= user < num_users and 0 <= col < cols):
                 raise ShapeMismatch(
                     f"equation {i} has user {user} at column {col}, outside "
                     f"{num_users} users and {cols} columns")
+    return _pack(terms)
 
 
 @dataclass(frozen=True)
 class EqSubfileMatrix:
     """Delta x F_s equation-subfile matrix stored by its nonzeros.
 
-    row_terms[i] lists the (user, column) terms of equation i, 0-based and in
-    ascending column order; every other cell is empty.  In the paper's
-    notation entry (i, j) is the 1-based user index user + 1, or 0.  A user
-    or column out of range raises ShapeMismatch at construction."""
+    Row i holds the (user, column) terms of equation i of the store, 0-based
+    and in ascending column order; every other cell is empty.  In the
+    paper's notation entry (i, j) is the 1-based user index user + 1, or 0.
+    EqSubfileMatrix(num_users, cols, row_terms) also takes the rows as term
+    tuples and packs them once; `row_terms` builds them back on demand.  A
+    user or column out of range raises ShapeMismatch at construction."""
 
     num_users: int
     cols: int
-    row_terms: tuple[tuple[tuple[int, int], ...], ...]
+    store: TermStore
 
     def __post_init__(self) -> None:
-        _check_terms(self.num_users, self.cols, self.row_terms)
+        object.__setattr__(self, "store",
+                           _checked(self.num_users, self.cols, self.store))
+
+    @property
+    def row_terms(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return self.store.tuples
 
     @property
     def rows(self) -> int:
-        return len(self.row_terms)
+        return len(self.store)
 
     def transpose(self) -> "EqSubfileMatrix":
-        """Swap indices: (user, j) in row i becomes (user, i) in row j."""
-        flipped: list[list[tuple[int, int]]] = [[] for _ in range(self.cols)]
-        for i, row in enumerate(self.row_terms):
-            for user, j in row:
-                flipped[j].append((user, i))
-        return EqSubfileMatrix(self.num_users, self.rows, tuple(map(tuple, flipped)))
+        """Swap indices: (user, j) in row i becomes (user, i) in row j, by a
+        counting sort of the terms on their column that keeps row order."""
+        users = [array("I") for _ in range(self.cols)]
+        rows = [array("I") for _ in range(self.cols)]
+        row_of = itertools.chain.from_iterable(map(
+            itertools.repeat, itertools.count(), _widths(self.store.starts)))
+        for user, i, j in zip(self.store.users, row_of, self.store.cols):
+            users[j].append(user)
+            rows[j].append(i)
+        return EqSubfileMatrix(self.num_users, self.rows, TermStore(
+            array("I", b"".join(map(array.tobytes, users))),
+            array("I", b"".join(map(array.tobytes, rows))),
+            array("I", itertools.accumulate(map(len, users), initial=0))))
 
 
 def equation_subfile_matrix(scheme: CachingScheme,
                             plan: DeliveryPlan) -> EqSubfileMatrix:
     """One row per equation of the plan, its terms sorted by column."""
-    by_col = operator.itemgetter(1)
-    rows = []
-    for eq in plan.equations:
-        row = tuple(sorted(eq.terms, key=by_col))
-        for (_, col), (_, nxt) in zip(row, row[1:]):
-            if col == nxt:
+    store, users, cols = plan.store, array("I"), array("I")
+    rows = map(sorted, map(itertools.islice, itertools.repeat(
+        zip(store.cols, store.users)), _widths(store.starts)))
+    firsts = set(store.starts)  # a column may repeat across two rows
+    while ranked := list(itertools.chain.from_iterable(itertools.islice(rows, 4096))):
+        chunk = [col for col, _ in ranked]
+        for t in itertools.compress(itertools.count(1), map(operator.eq, chunk, chunk[1:])):
+            if len(cols) + t not in firsts:
                 raise Lemma4Violated(
-                    f"two users recover subfile column {col} in one equation")
-        rows.append(row)
-    return EqSubfileMatrix(scheme.num_users, scheme.f_s, tuple(rows))
+                    f"two users recover subfile column {chunk[t]} in one equation")
+        cols.fromlist(chunk)
+        users.fromlist([user for _, user in ranked])
+    return EqSubfileMatrix(scheme.num_users, scheme.f_s,
+                           TermStore(users, cols, store.starts))
 
 
 @dataclass(frozen=True)
@@ -603,20 +666,18 @@ class Delivery(NamedTuple):
 @dataclass(frozen=True)
 class MatrixScheme:
     """A caching scheme as simulate reads it: subfiles are the columns
-    0..f_s-1, bit u of miss[c] is set iff user u lacks column c, and each
-    equation is a tuple of (user, column) terms.  Built from a placement and
-    its delivery plan, sharing the plan's term tuples (scheme_from_plan), or
-    read off an equation-subfile matrix (scheme_from_eq_subfile).  One mask
-    per column, and every user and column in range, are checked at
-    construction (ShapeMismatch); then one pass over the terms decides what
-    the delivery does for any demands (`delivery`, outside ==, hash and
-    repr).  An equation is clean when it repeats no user and each term's
-    user is the only one of its users that lacks the term's column."""
+    0..f_s-1, bit u of miss[c] is set iff user u lacks column c, and the
+    equations' terms are a TermStore: the plan's (scheme_from_plan) or a
+    matrix's (scheme_from_eq_subfile).  MatrixScheme(num_users, f_s, miss,
+    equations) also packs term tuples once; `equations` builds them back.
+    One mask per column, and every user and column in range, are checked at
+    construction (ShapeMismatch); then the terms are certified once for any
+    demands (`delivery`, outside ==, hash and repr)."""
 
     num_users: int
     f_s: int
     miss: tuple[int, ...]
-    equations: tuple[tuple[tuple[int, int], ...], ...]
+    store: TermStore
     delivery: Delivery = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -628,29 +689,26 @@ class MatrixScheme:
                      if not 0 <= mask < everyone)
             raise ShapeMismatch(f"mask of column {c} names a user outside "
                                 f"0..{self.num_users - 1}")
-        _check_terms(self.num_users, self.f_s, self.equations)
-        miss, clean = self.miss, True
+        store = _checked(self.num_users, self.f_s, self.store)
+        users, cols = store.users, store.cols
         served = [0] * self.f_s  # served[c]: the users that recover column c
-        recovered = [0] * self.num_users
-        for terms in self.equations:
-            user_mask = 0
-            for user, col in terms:
-                bit = 1 << user
-                if not served[col] & bit:
-                    served[col] |= bit
-                    recovered[user] += 1
-                user_mask |= bit
-            # a mask holds fewer bits than its terms iff it repeats a user
-            clean = clean and user_mask.bit_count() == len(terms) and all(
-                miss[col] & user_mask == 1 << user for user, col in terms)
-        incomplete = functools.reduce(operator.or_, map(operator.xor, served, miss), 0)
-        once = sum(recovered) == sum(map(len, self.equations))
-        object.__setattr__(self, "delivery",
-                           Delivery(tuple(recovered), incomplete, once, clean))
+        for user, col in zip(users, cols):
+            served[col] |= 1 << user
+        once = sum(map(int.bit_count, served)) == len(users)
+        recovered = collections.Counter(users if once else (u for u, _ in set(zip(users, cols))))
+        object.__setattr__(self, "store", store)
+        object.__setattr__(self, "delivery", Delivery(
+            tuple(map(recovered.__getitem__, range(self.num_users))),
+            functools.reduce(operator.or_, map(operator.xor, served, self.miss), 0),
+            once, _clean(self.num_users, self.miss, store)))
+
+    @property
+    def equations(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return self.store.tuples
 
     @property
     def delta(self) -> int:
-        return len(self.equations)
+        return len(self.store)
 
     @property
     def rate(self) -> Fraction:
@@ -661,14 +719,32 @@ class MatrixScheme:
         return Fraction(self.f_s - lacking, self.f_s)
 
 
+def _clean(num_users: int, miss: Sequence[int], store: TermStore) -> bool:
+    """Whether no equation repeats a user and each term's user is the only
+    one of its equation's users that lacks the term's column.  Equations of
+    one width are tested together, each in a slot of whole bytes for
+    num_users bits: term position j's user bits make one integer, as do its
+    columns' miss masks, and the positions' OR holds each equation's users."""
+    size = (num_users + 7) // 8
+    bits = [(1 << u).to_bytes(size, "little") for u in range(num_users)]
+    lack = [mask.to_bytes(size, "little") for mask in miss]
+    for width, t, end in _runs(store.starts):
+        users, lacks = ([int.from_bytes(b"".join(map(table.__getitem__, values[j:end:width])), "little")
+                         for j in range(t, t + width)]
+                        for table, values in ((bits, store.users), (lack, store.cols)))
+        masks = functools.reduce(operator.or_, users)
+        if masks.bit_count() != end - t or [mask & masks for mask in lacks] != users:
+            return False  # fewer users than terms: an equation repeats one
+    return True
+
+
 def _read_off(m: EqSubfileMatrix) -> MatrixScheme:
     """The scheme m defines: user t lacks column j iff t appears in it, and
     each row is one equation as it stands."""
     miss = [0] * m.cols
-    for row in m.row_terms:
-        for user, j in row:
-            miss[j] |= 1 << user
-    return MatrixScheme(m.num_users, m.cols, tuple(miss), m.row_terms)
+    for user, j in zip(m.store.users, m.store.cols):
+        miss[j] |= 1 << user
+    return MatrixScheme(m.num_users, m.cols, tuple(miss), m.store)
 
 
 def scheme_from_eq_subfile(m: EqSubfileMatrix) -> MatrixScheme:
@@ -683,7 +759,7 @@ def scheme_from_eq_subfile(m: EqSubfileMatrix) -> MatrixScheme:
 def scheme_from_plan(scheme: CachingScheme, plan: DeliveryPlan) -> MatrixScheme:
     """The placed scheme in simulation form: miss masks with each user's bit
     cleared at the points of its block, each point's mask repeated for its z
-    columns (the cache_cols placement), and the plan's term tuples in plan
+    columns (the cache_cols placement), and the plan's store, terms in plan
     order.  Nothing is sorted or refused beyond the range check, so a plan
     that a user cannot decode fails in simulate with DecodeFailure."""
     point_miss = [(1 << scheme.num_users) - 1] * scheme.num_points
@@ -693,8 +769,7 @@ def scheme_from_plan(scheme: CachingScheme, plan: DeliveryPlan) -> MatrixScheme:
     miss = [0] * scheme.f_s
     for s in range(scheme.z):
         miss[s::scheme.z] = point_miss
-    return MatrixScheme(scheme.num_users, scheme.f_s, tuple(miss),
-                        tuple(eq.terms for eq in plan.equations))
+    return MatrixScheme(scheme.num_users, scheme.f_s, tuple(miss), plan.store)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import random
 import signal
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -619,9 +621,11 @@ def test_simulate_crt_source_end_to_end():
 def reference_simulate(ms, demands, num_files, subfile_bytes, seed):
     """The term-by-term simulation over the whole payload stream, kept as the
     reference: per equation and user, every term of another user is checked
-    against the cache and XOR-ed out of the payload.  Returns the users'
-    (user, demanded, recovered, complete, exact) rows, or the DecodeFailure
-    message."""
+    against the cache and XOR-ed out of the payload.  A scheme whose users
+    all cancel, but which repeats a user in an equation, is refused after
+    that scan, naming the first such equation and the first of its users
+    that appears twice.  Returns the users' (user, demanded, recovered,
+    complete, exact) rows, or the DecodeFailure message."""
     caches, f_s, sub = cached(ms), ms.f_s, subfile_bytes
     stream = byte_stream(seed, num_files * f_s * sub)
 
@@ -651,6 +655,11 @@ def reference_simulate(ms, demands, num_files, subfile_bytes, seed):
                 recovered[user].add(col)
     except DecodeFailure as exc:
         return str(exc)
+    for i, terms in enumerate(ms.equations):
+        users = [user for user, _ in terms]
+        repeated = [user for user in users if users.count(user) > 1]
+        if repeated:
+            return f"equation {i} repeats user {repeated[0]}"
     every = frozenset(range(f_s))
     return tuple((u, demands[u], len(recovered[u]),
                   recovered[u] == every - caches[u], exact[u])
@@ -719,8 +728,9 @@ def test_decode_failure_with_a_column_missing_from_two_caches():
 
 def test_repeated_users_and_twice_served_subfiles_keep_reference_reports():
     """A user repeated in an equation whose columns every other user caches
-    decodes, but recovers its terms XOR-ed together (exact False); a subfile
-    served twice leaves complete and exact as they were."""
+    is refused before any payload: it could only recover its terms XOR-ed
+    together.  A subfile served twice leaves complete and exact as they
+    were."""
     s, plan = example_plan()
     ms = scheme_from_plan(s, plan)
     (u0, c0), (u1, c1), (u2, c2) = ms.equations[5]
@@ -731,8 +741,7 @@ def test_repeated_users_and_twice_served_subfiles_keep_reference_reports():
                                           ([u % 3 for u in range(12)], 3, 5, 4)):
             want = reference_simulate(scheme, demands, files, sub, seed)
             assert simulated(scheme, demands, files, sub, seed) == want
-    rows = reference_simulate(repeated, list(range(12)), 12, 8, 1)
-    assert not rows[u0][4] and not rows[u0][3] and not rows[u1][3]
+    assert_same_failure(repeated, f"equation 5 repeats user {u0}")
     assert all(row[3] and row[4]
                for row in reference_simulate(twice, list(range(12)), 12, 8, 1))
 
@@ -852,8 +861,10 @@ def test_simulate_matches_reference_on_random_edits():
             assert simulated(variant, demands, files, sub, seed) == want
             outcomes.add(want if isinstance(want, str) else
                          (all(r[3] for r in want), all(r[4] for r in want)))
-    assert {(True, True), (False, True), (False, False)} <= outcomes
-    assert any(isinstance(o, str) for o in outcomes)
+    # every report is exact: a variant that repeats a user is refused
+    assert {(True, True), (False, True)} <= outcomes
+    texts = [o.split()[2] for o in outcomes if isinstance(o, str)]
+    assert {"cannot", "repeats"} <= set(texts)
 
 
 @pytest.mark.parametrize("transposed", [False, True])
@@ -862,7 +873,8 @@ def test_simulate_matches_reference_past_64_users(transposed):
     scheme and three edits of one equation get the reference's report or
     DecodeFailure text: two users swapped, a user repeated with a column
     another user lacks, and a user repeated with a column every other user
-    caches, which decodes but not exactly."""
+    caches, which is refused because it would decode only to its terms
+    XOR-ed together."""
     s, plan = planned("mds(9,2)/GF(9)")
     ms = (scheme_from_eq_subfile(equation_subfile_matrix(s, plan).transpose())
           if transposed else scheme_from_plan(s, plan))
@@ -885,8 +897,8 @@ def test_simulate_matches_reference_past_64_users(transposed):
     swapped = [(u1, c0), (u0, c1)] + terms[2:]
     for broken in (swapped, terms + [(u0, lacking[-1])]):
         assert "cannot cancel column" in outcome(edited(ms, 7, broken))
-    rows = outcome(edited(ms, 7, terms + [(u0, shared[-1])]))
-    assert not rows[u0][4] and all(row[3] for row in rows)
+    assert (outcome(edited(ms, 7, terms + [(u0, shared[-1])]))
+            == f"equation 7 repeats user {u0}")
 
 
 @pytest.mark.parametrize("sub", [1, 3, 8, 16, 17])
@@ -1206,6 +1218,150 @@ def test_transpose_involution_metrics():
     twice = scheme_from_eq_subfile(m.transpose().transpose())
     once = scheme_from_eq_subfile(m)
     assert scheme_metrics(twice) == scheme_metrics(once)
+
+
+# ---------------------------------------------------------------------------
+# the term store and the delivery certificate
+# ---------------------------------------------------------------------------
+
+
+def reference_certificate(ms):
+    """The certificate as one pass over the term tuples, kept as the
+    reference: per-column served masks, the distinct columns each user
+    recovers, and per equation its user mask and the cancel test."""
+    served, recovered, clean = [0] * ms.f_s, [0] * ms.num_users, True
+    for terms in ms.equations:
+        user_mask = 0
+        for user, col in terms:
+            bit = 1 << user
+            if not served[col] & bit:
+                served[col] |= bit
+                recovered[user] += 1
+            user_mask |= bit
+        clean = clean and user_mask.bit_count() == len(terms) and all(
+            ms.miss[col] & user_mask == 1 << user for user, col in terms)
+    incomplete = 0
+    for mask, lacking in zip(served, ms.miss):
+        incomplete |= mask ^ lacking
+    once = sum(recovered) == sum(map(len, ms.equations))
+    return caching.Delivery(tuple(recovered), incomplete, once, clean)
+
+
+@pytest.mark.parametrize("name", sorted(PLANNED))
+def test_certificate_matches_reference_on_plans_and_edits(name):
+    """Base and transposed schemes of real plans, and the schemes read off
+    60 seeded single edits of either matrix.  A scheme read off a matrix
+    serves each user exactly the columns it lacks; the edits break `once`
+    and `clean`."""
+    s, plan = planned(name)
+    m = equation_subfile_matrix(s, plan)
+    rng = random.Random(20170601)
+    verdicts = set()
+    for ms in (scheme_from_plan(s, plan), scheme_from_eq_subfile(m.transpose())):
+        assert ms.delivery == reference_certificate(ms) and ms.delivery.ok
+    for mat in (m, m.transpose()):
+        for _ in range(60):
+            ms = caching._read_off(single_edit(mat, rng))
+            assert ms.delivery == reference_certificate(ms)
+            verdicts.add((ms.delivery.once, ms.delivery.clean))
+    assert {(False, False), (True, False)} <= verdicts
+
+
+def test_certificate_matches_reference_on_random_matrices():
+    """Each matrix and its transpose read off, and again with one user's
+    bit of one column's miss mask flipped, so that some user is served a
+    column it caches or lacks a column it is never served."""
+    rng = random.Random(20170601)
+    verdicts = set()
+    for _, m in random_matrices():
+        for mat in (m, m.transpose()):
+            ms = caching._read_off(mat)
+            miss = list(ms.miss)
+            miss[rng.randrange(ms.f_s)] ^= 1 << rng.randrange(ms.num_users)
+            for scheme in (ms, MatrixScheme(ms.num_users, ms.f_s, tuple(miss), ms.store)):
+                assert scheme.delivery == reference_certificate(scheme)
+                d = scheme.delivery
+                verdicts.add((d.once, d.clean, not d.incomplete))
+    assert len(verdicts) == 8  # every combination of the three conditions
+
+
+def test_certificate_matches_reference_on_hand_built_schemes():
+    """The twice-served, repeated-user and two-caches schemes, a dropped
+    equation, a user served a column it caches, and no equations."""
+    ms = scheme_from_plan(*example_plan())
+    (u0, c0), (u1, c1), (u2, c2) = ms.equations[5]
+    miss = list(ms.miss)
+    miss[c2] |= 1 << u0 | 1 << u1
+    cached_col = min(cached(ms)[u0])
+    schemes = [MatrixScheme(12, 27, ms.miss, ms.equations + ms.equations[:3]),
+               edited(ms, 5, [(u0, c0), (u0, c1), (u2, c2)]),
+               edited(ms, 5, miss=tuple(miss)),
+               MatrixScheme(12, 27, ms.miss, ms.equations[1:]),
+               edited(ms, 5, [(u0, cached_col), (u1, c1), (u2, c2)]),
+               MatrixScheme(12, 27, ms.miss, ())]
+    for scheme in schemes:
+        assert scheme.delivery == reference_certificate(scheme)
+    assert [scheme.delivery.ok for scheme in schemes] == [False] * 6
+
+
+@pytest.mark.parametrize("name", sorted(PLANNED))
+def test_store_round_trips_through_term_tuples(name):
+    """Packing the tuple views again gives an equal object, and each view
+    is built from the one store that the plan and its scheme share."""
+    s, plan = planned(name)
+    assert DeliveryPlan(plan.equations) == plan
+    assert DeliveryPlan(plan.equations[::-1]).equations == plan.equations[::-1]
+    m = equation_subfile_matrix(s, plan)
+    for mat in (m, m.transpose()):
+        assert EqSubfileMatrix(mat.num_users, mat.cols, mat.row_terms) == mat
+    for ms in (scheme_from_plan(s, plan), scheme_from_eq_subfile(m.transpose())):
+        again = MatrixScheme(ms.num_users, ms.f_s, ms.miss, ms.equations)
+        assert again == ms and again.delivery == ms.delivery
+    assert scheme_from_plan(s, plan).store is plan.store
+
+
+def test_store_refuses_terms_out_of_range_with_the_tuple_text():
+    """Out-of-range terms, in tuples or in a plan's store, name the first
+    equation that holds one; a plan with a term or recovery set that no
+    array("I") can hold is refused with ShapeMismatch, never OverflowError."""
+    s, plan = example_plan()
+    text = "^equation 3 has user {} at column {}, outside 12 users and 27 columns$"
+    for user, col in ((12, 0), (0, 27), (-1, 0), (0, -1), (2 ** 40, 0)):
+        equations = list(plan.equations)
+        equations[3] = Equation(0, equations[3].terms[:2] + ((user, col),))
+        terms = [eq.terms for eq in equations]
+        with pytest.raises(ShapeMismatch, match=text.format(user, col)):
+            MatrixScheme(12, 27, scheme_from_plan(s, plan).miss, terms)
+        with pytest.raises(ShapeMismatch, match=text.format(user, col)):
+            EqSubfileMatrix(12, 27, terms)
+        if max(user, col) < 2 ** 32 and min(user, col) >= 0:
+            with pytest.raises(ShapeMismatch, match=text.format(user, col)):
+                scheme_from_plan(s, DeliveryPlan(equations))
+        else:
+            with pytest.raises(ShapeMismatch, match=r"^a user, column or recovery "
+                               r"set is outside 0\.\.2\^32-1$"):
+                DeliveryPlan(equations)
+    with pytest.raises(ShapeMismatch, match="^a user, column or recovery set"):
+        DeliveryPlan((Equation(-1, ((0, 0),)),))
+
+
+def test_delivery_retains_a_few_bytes_per_term():
+    """spc(7)/GF(3) at alpha 8 has 34,992 terms.  Flat arrays keep about 9
+    bytes per term; one (user, column) tuple alone would take 56."""
+    s = placement(resolvable_design(codeword_matrix(build_spc(7, GF3))), 8)
+    graph = recovery_set_graph(s.n, 8)
+    generate_delivery(s, graph)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        plan = generate_delivery(s, graph)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert plan.delta * 8 == 34992
+    assert retained < 16 * 34992, retained / 34992
 
 
 # ---------------------------------------------------------------------------
