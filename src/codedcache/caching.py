@@ -169,15 +169,22 @@ class Equation:
     terms: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
 class TermStore:
     """Equation terms without a Python object per term: equation i is
-    (users[t], cols[t]) for t in starts[i]:starts[i+1].  `tuples` builds
-    each equation's (user, column) tuples on first use and keeps them."""
+    (users[t], cols[t]) for t in starts[i]:starts[i+1], each an array("I"),
+    starts one entry longer than there are equations.  `tuples` builds each
+    equation's (user, column) tuples on first use and keeps them.  A plain
+    class: a dataclass would cost every import about 1 ms."""
 
-    users: array  # array("I"), as are cols and starts
-    cols: array
-    starts: array  # one entry more than there are equations
+    def __init__(self, users: array, cols: array, starts: array) -> None:
+        self.users, self.cols, self.starts = users, cols, starts
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, TermStore) and (self.users, self.cols, self.starts) == (
+            other.users, other.cols, other.starts)
+
+    def __repr__(self) -> str:
+        return f"TermStore({self.users!r}, {self.cols!r}, {self.starts!r})"
 
     def __len__(self) -> int:
         return len(self.starts) - 1
