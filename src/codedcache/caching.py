@@ -736,13 +736,21 @@ def _clean(num_users: int, miss: Sequence[int], store: TermStore) -> bool:
     bits = [(1 << u).to_bytes(size, "little") for u in range(num_users)]
     lack = [mask.to_bytes(size, "little") for mask in miss]
     for width, t, end in _runs(store.starts):
-        users, lacks = ([int.from_bytes(b"".join(map(table.__getitem__, values[j:end:width])), "little")
-                         for j in range(t, t + width)]
-                        for table, values in ((bits, store.users), (lack, store.cols)))
+        users = _slotted(bits, store.users, width, t, end)
         masks = functools.reduce(operator.or_, users)
-        if masks.bit_count() != end - t or [mask & masks for mask in lacks] != users:
+        if masks.bit_count() != end - t:
             return False  # fewer users than terms: an equation repeats one
+        lacks = _slotted(lack, store.cols, width, t, end)
+        if [mask & masks for mask in lacks] != users:
+            return False
     return True
+
+
+def _slotted(table: list, values: array, width: int, t: int, end: int) -> list[int]:
+    """For each term position j of the equations of one width at t:end, the
+    table entries of their values at j side by side in one integer."""
+    return [int.from_bytes(b"".join(map(table.__getitem__, values[j:end:width])),
+                           "little") for j in range(t, t + width)]
 
 
 def _read_off(m: EqSubfileMatrix) -> MatrixScheme:
