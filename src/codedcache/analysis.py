@@ -25,6 +25,7 @@ from typing import Optional, Sequence, Union
 from .caching import CachingScheme, code_point_metrics
 from .codes import (
     GeneratorMatrix,
+    _cyclic_shortcut_oks,
     build_claim5,
     build_claim6,
     build_claim9,
@@ -125,9 +126,11 @@ def _candidate_for_k(n: int, q: int, k: int, limit: int) -> CandidateEntry:
                 notes.append(f"cyclic length {n2} skipped: "
                              f"{space} candidates exceed limit {limit}")
             else:
+                # only the first candidate that certifies is built
                 for gen in search_cyclic_generators(n2, k, dom, limit):
-                    cand = build_cyclic(n2, gen, dom)
-                    if check_ccp_cyclic_shortcut(cand).satisfied:
+                    if (all(_cyclic_shortcut_oks(gen, n2, k, dom))
+                            and check_ccp_cyclic_shortcut(
+                                build_cyclic(n2, gen, dom)).satisfied):
                         route = _with_extension(
                             {"op": "cyclic", "n": n2, "gen_poly": list(gen)},
                             n2, n, a)

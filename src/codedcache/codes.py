@@ -14,6 +14,7 @@ Everything here is exact integer arithmetic on top of the gf module.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -213,6 +214,39 @@ def check_ccp(g: GeneratorMatrix, alpha: int) -> CcpCertificate:
     return CcpCertificate(alpha, z, all(w.ok for w in results), "exhaustive", results)
 
 
+def _unit_leading_minors(rows: list[list[int]], dom: ScalarDomain) -> Iterator[bool]:
+    """Whether each leading principal minor of a square matrix is a unit,
+    smallest first, by one elimination without row swaps: while pivots
+    0 .. i-1 are units, minor i is a unit iff pivot i is.  From the first
+    non-unit pivot on, each minor takes its own determinant."""
+    work = [list(r) for r in rows]
+    for i, top in enumerate(work):
+        if not dom.is_unit(top[i]):
+            yield False
+            for d in range(i + 2, len(rows) + 1):
+                yield mat_det_is_unit(Matrix.from_rows(dom, [r[:d] for r in rows[:d]]))[1]
+            return
+        yield True
+        inv = dom.inv(top[i])
+        for row in work[i + 1:]:
+            f = dom.mul(row[i], inv)
+            if f:
+                row[i + 1:] = [dom.sub(x, dom.mul(f, y))
+                               for x, y in zip(row[i + 1:], top[i + 1:])]
+
+
+def _cyclic_shortcut_oks(gen: Sequence[int], n: int, k: int,
+                         dom: ScalarDomain) -> Iterator[bool]:
+    """Whether the condition matrix C_j is invertible, for j = 1 .. k-1."""
+    def toeplitz(size: int, shift: int) -> list[list[int]]:
+        return [[gen[shift - r + c] if 0 <= shift - r + c < len(gen) else 0
+                 for c in range(size)] for r in range(size)]
+
+    half = k // 2
+    yield from _unit_leading_minors(toeplitz(half, n - k - 1), dom)
+    yield from reversed(list(_unit_leading_minors(toeplitz(k - half - 1, 1), dom)))
+
+
 def check_ccp_cyclic_shortcut(g: GeneratorMatrix) -> CcpCertificate:
     """(k, k+1)-CCP verdict for a cyclic code from one window's condition
     matrices built out of the generator polynomial coefficients.
@@ -223,29 +257,21 @@ def check_ccp_cyclic_shortcut(g: GeneratorMatrix) -> CcpCertificate:
     and j = k are always invertible.  Because cyclic shifts map codewords to
     codewords, this single window decides every window, so the verdict equals
     the exhaustive check.
+
+    The C_j are leading principal blocks of two Toeplitz matrices, each
+    eliminated once: C_j for j <= floor(k/2) is the j x j block of
+    T_a[r][c] = g[n-k-1-r+c], and C_j for larger j the (k-j) x (k-j) block
+    of T_b[r][c] = g[1-r+c], of size k - floor(k/2) - 1, read in reverse.
     """
     if g.provenance.kind != "cyclic":
         raise NotCyclic("shortcut applies to cyclic-code generator matrices only")
-    gen: Sequence[int] = g.provenance.params["gen_poly"]
     n, k = g.n, g.k
-    dom = g.domain
-
-    def coeff(i: int) -> int:
-        return gen[i] if 0 <= i < len(gen) else 0
-
     start = n - k // 2 - 1
     cols = tuple((start + j) % n for j in range(k + 1))
     checks: list[tuple[str, bool]] = [("boundary j=0 (triangular unit block)", True)]
-    half = k // 2
-    for j in range(1, k):
-        if j <= half:
-            dim = j
-            rows = [[coeff(n - k - 1 - r + c) for c in range(dim)] for r in range(dim)]
-        else:
-            dim = k - j
-            rows = [[coeff(1 - r + c) for c in range(dim)] for r in range(dim)]
-        cj = Matrix.from_rows(dom, rows)
-        _, ok = mat_det_is_unit(cj)
+    oks = _cyclic_shortcut_oks(g.provenance.params["gen_poly"], n, k, g.domain)
+    for j, ok in enumerate(oks, 1):
+        dim = j if j <= k // 2 else k - j
         checks.append((f"condition matrix for j={j} ({dim}x{dim})", ok))
     checks.append(("boundary j=k (triangular unit block)", True))
     satisfied = all(ok for _, ok in checks)
@@ -347,6 +373,13 @@ def _berlekamp(f: list[int], dom: ScalarDomain) -> list[list[int]]:
     return factors
 
 
+@functools.cache
+def _xn_minus_1_factors(n: int, dom: ScalarDomain) -> tuple[tuple[int, ...], ...]:
+    """Monic irreducible factors of a squarefree X^n - 1 over a field,
+    factored once per (n, field)."""
+    return tuple(map(tuple, _berlekamp([dom.neg(1)] + [0] * (n - 1) + [1], dom)))
+
+
 def _xn_minus_1_divisors(n: int, deg: int, dom: ScalarDomain) -> Iterator[list[int]]:
     """Monic degree-deg divisors of X^n - 1 over a field, in no set order.
 
@@ -358,7 +391,7 @@ def _xn_minus_1_divisors(n: int, deg: int, dom: ScalarDomain) -> Iterator[list[i
     while n_prime % dom.p == 0:
         n_prime //= dom.p
         mult *= dom.p
-    factors = _berlekamp([dom.neg(1)] + [0] * (n_prime - 1) + [1], dom)
+    factors = _xn_minus_1_factors(n_prime, dom)
     reach = [0] * (len(factors) + 1)  # the most degree factors j.. can add
     for j in range(len(factors) - 1, -1, -1):
         reach[j] = reach[j + 1] + mult * (len(factors[j]) - 1)

@@ -4,7 +4,10 @@ import random
 
 import pytest
 
+from codedcache import codes as codes_module
+from codedcache.analysis import construct_candidate_set
 from codedcache.codes import (
+    CcpCertificate,
     CrtCodewordSource,
     GeneratorMatrix,
     Provenance,
@@ -23,6 +26,7 @@ from codedcache.codes import (
     kron_identity,
     least_z,
     search_cyclic_generators,
+    WindowCheck,
 )
 from codedcache.design import codeword_matrix
 from codedcache.errors import (
@@ -41,7 +45,7 @@ from codedcache.errors import (
     ZeroColumn,
     ZeroConstantTerm,
 )
-from codedcache.gf import Matrix, ScalarDomain, mat_det_is_unit, mat_rank
+from codedcache.gf import Matrix, ScalarDomain, mat_det_is_unit, mat_rank, natural_domain
 
 GF2 = ScalarDomain.field(2)
 GF3 = ScalarDomain.field(3)
@@ -248,6 +252,103 @@ def test_shortcut_agrees_with_full_check_everywhere():
     assert agreements >= 50
 
 
+def reference_shortcut(g):
+    """The shortcut certificate with every condition matrix C_j built and
+    reduced on its own, kept apart from the two Toeplitz eliminations."""
+    gen, n, k, dom = g.provenance.params["gen_poly"], g.n, g.k, g.domain
+
+    def coeff(i):
+        return gen[i] if 0 <= i < len(gen) else 0
+
+    start = n - k // 2 - 1
+    cols = tuple((start + j) % n for j in range(k + 1))
+    checks = [("boundary j=0 (triangular unit block)", True)]
+    for j in range(1, k):
+        if j <= k // 2:
+            dim = j
+            rows = [[coeff(n - k - 1 - r + c) for c in range(dim)] for r in range(dim)]
+        else:
+            dim = k - j
+            rows = [[coeff(1 - r + c) for c in range(dim)] for r in range(dim)]
+        ok = mat_det_is_unit(Matrix.from_rows(dom, rows))[1]
+        checks.append((f"condition matrix for j={j} ({dim}x{dim})", ok))
+    checks.append(("boundary j=k (triangular unit block)", True))
+    satisfied = all(ok for _, ok in checks)
+    window = WindowCheck(0, cols, tuple(checks), satisfied)
+    return CcpCertificate(k + 1, least_z(n, k + 1), satisfied, "cyclic-shortcut", (window,))
+
+
+def test_shortcut_certificate_equals_per_minor_reference():
+    """Every divisor-derived cyclic code over seven fields, n <= 15: the first
+    30 generators of each (n, k) give the reference's certificate exactly."""
+    checked = failed = 0
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        dom = ScalarDomain.field(q)
+        for n in range(2, 16):
+            for k in range(1, n):
+                space = cyclic_search_space(n, k, dom)
+                for gen in search_cyclic_generators(n, k, dom, space)[:30]:
+                    g = build_cyclic(n, gen, dom)
+                    cert = check_ccp_cyclic_shortcut(g)
+                    assert cert == reference_shortcut(g), (q, n, gen)
+                    checked += 1
+                    failed += not cert.satisfied
+    assert checked >= 3000
+    assert 0 < failed < checked
+
+
+def ring_cyclic_codes(q, max_n, max_space=3000):
+    """Every cyclic code over Z mod q with 3 <= n <= max_n, from trying each
+    monic candidate with a nonzero constant term; degrees whose candidate
+    count exceeds max_space are skipped."""
+    dom = ScalarDomain.ring(q)
+    for n in range(3, max_n + 1):
+        for deg in range(1, n):
+            if (q - 1) * q ** (deg - 1) > max_space:
+                continue
+            for low in itertools.product(range(1, q), *[range(q)] * (deg - 1)):
+                if reference_divides_xn_minus_1(list(low) + [1], n, dom):
+                    yield build_cyclic(n, list(low) + [1], dom)
+
+
+def test_shortcut_certificate_equals_reference_over_rings():
+    checked = failed = 0
+    for q in (4, 6, 8, 10):
+        for g in ring_cyclic_codes(q, 8):
+            cert = check_ccp_cyclic_shortcut(g)
+            assert cert == reference_shortcut(g), (q, g.n, g.provenance.params)
+            checked += 1
+            failed += not cert.satisfied
+    assert checked >= 250
+    assert 0 < failed < checked
+
+
+@pytest.mark.parametrize("q, n, gen, oks", [
+    # Z mod 6: X - 1 and X + 1 pass; X^2 + X + 1 has a zero 2x2 minor
+    (6, 6, [5, 1], [True] * 4),
+    (6, 6, [1, 1], [True] * 4),
+    (6, 6, [1, 1, 1], [True, False, True]),
+    # rings: T_a = [[0, 1], [-1, 0]] breaks down at once, yet its 2x2 minor
+    # is a unit; T_b = [[3, 1], [1, 3]] has the non-unit pivot 3 and det 2
+    (6, 6, [5, 0, 1], [False, True, False]),
+    (4, 6, [3, 0, 1], [False, True, False]),
+    (6, 8, [1, 3, 1, 1], [True, False, False, False]),
+    # fields: T_a (j = 1 .. k/2) breaks down at its first pivot, in the
+    # middle and at its last pivot; T_b (j = k-1 down to k/2 + 1) at its
+    # first pivot, in the middle and at its last pivot
+    (2, 8, [1, 0, 1], [False, True, False, True, False]),
+    (2, 9, [1, 1, 1], [True, False, True, True, False, True]),
+    (3, 8, [2, 1, 1], [True, True, False, True, True]),
+    (2, 10, [1, 0, 1], [False, True, False, True, False, True, False]),
+    (3, 12, [1, 2, 2, 1], [True, True, True, False, False, True, True, True]),
+])
+def test_shortcut_breakdowns_decide_later_minors(q, n, gen, oks):
+    g = build_cyclic(n, gen, natural_domain(q))
+    cert = check_ccp_cyclic_shortcut(g)
+    assert cert == reference_shortcut(g)
+    assert [ok for _, ok in cert.windows[0].checks[1:-1]] == oks
+
+
 # ---------------------------------------------------------------------------
 # construction: MDS
 # ---------------------------------------------------------------------------
@@ -395,6 +496,33 @@ def test_search_finds_all_256_divisors_of_x12_minus_1_over_gf5():
                    for g in gens)
         total += len(set(map(tuple, gens)))
     assert total == 256 - 2
+
+
+def test_each_length_is_factored_once(monkeypatch):
+    """The search at n = 12 over GF(5) tries 11 (length, k) pairs on six
+    distinct lengths; X^n - 1 is factored once per length."""
+    lengths = []
+    berlekamp = codes_module._berlekamp
+
+    def counting(f, dom):
+        lengths.append(len(f) - 1)
+        return berlekamp(f, dom)
+
+    monkeypatch.setattr(codes_module, "_berlekamp", counting)
+    codes_module._xn_minus_1_factors.cache_clear()
+    construct_candidate_set(12, 5, 100000)
+    assert sorted(lengths) == [2, 3, 4, 6, 7, 12]
+    codes_module._xn_minus_1_factors.cache_clear()
+
+
+def test_search_results_do_not_share_the_cached_factors():
+    first = search_cyclic_generators(12, 6, GF5)
+    expect = [list(gen) for gen in first]
+    for gen in first:
+        gen[0] = 0
+        gen.append(4)
+    first.clear()
+    assert search_cyclic_generators(12, 6, GF5) == expect
 
 
 def test_search_refuses_negative_limit_and_rings():

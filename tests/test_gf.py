@@ -196,6 +196,22 @@ def test_validate_rejects_out_of_range():
         gf5.validate(-1)
 
 
+def test_from_rows_reports_the_first_bad_entry_in_row_order():
+    gf5 = ScalarDomain.field(5)
+    assert Matrix.from_rows(gf5, [[4, 0], [True, 2.7]]).entries == (4, 0, 1, 2)
+    assert Matrix.from_rows(gf5, []).entries == ()
+    with pytest.raises(DomainError, match=r"^7 is not a canonical element of GF\(5\)$"):
+        Matrix.from_rows(gf5, [[1, 7], [-1, 0]])
+    with pytest.raises(DomainError, match=r"^-1 is not a canonical element of GF\(5\)$"):
+        Matrix.from_rows(gf5, [[1, -1], [9, 0]])
+    with pytest.raises(DimensionMismatch, match=r"^ragged rows$"):
+        Matrix.from_rows(gf5, [[1, 2], [3], [9, 9]])
+    with pytest.raises(DimensionMismatch, match=r"^ragged rows$"):
+        Matrix.from_rows(gf5, [[1, 2], [3], ["x", 0]])
+    with pytest.raises(ValueError):
+        Matrix.from_rows(gf5, [[1, 2], ["x", 9]])
+
+
 def test_custom_modulus_must_be_irreducible():
     # x^2 + 1 factors over GF(3) as it has no root... it does: 0^2+1=1, 1^2+1=2,
     # 2^2+1=2, so x^2+1 is irreducible over GF(3) and accepted.
