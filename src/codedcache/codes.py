@@ -237,14 +237,16 @@ def _unit_leading_minors(rows: list[list[int]], dom: ScalarDomain) -> Iterator[b
 
 def _cyclic_shortcut_oks(gen: Sequence[int], n: int, k: int,
                          dom: ScalarDomain) -> Iterator[bool]:
-    """Whether the condition matrix C_j is invertible, for j = 1 .. k-1."""
+    """Whether the condition matrix C_j is invertible, for j = 1 .. floor(k/2)
+    and then for j = k-1 down to floor(k/2)+1, so that all() stops at the
+    first non-unit pivot of either elimination."""
     def toeplitz(size: int, shift: int) -> list[list[int]]:
         return [[gen[shift - r + c] if 0 <= shift - r + c < len(gen) else 0
                  for c in range(size)] for r in range(size)]
 
     half = k // 2
     yield from _unit_leading_minors(toeplitz(half, n - k - 1), dom)
-    yield from reversed(list(_unit_leading_minors(toeplitz(k - half - 1, 1), dom)))
+    yield from _unit_leading_minors(toeplitz(k - half - 1, 1), dom)
 
 
 def check_ccp_cyclic_shortcut(g: GeneratorMatrix) -> CcpCertificate:
@@ -269,7 +271,8 @@ def check_ccp_cyclic_shortcut(g: GeneratorMatrix) -> CcpCertificate:
     start = n - k // 2 - 1
     cols = tuple((start + j) % n for j in range(k + 1))
     checks: list[tuple[str, bool]] = [("boundary j=0 (triangular unit block)", True)]
-    oks = _cyclic_shortcut_oks(g.provenance.params["gen_poly"], n, k, g.domain)
+    oks = list(_cyclic_shortcut_oks(g.provenance.params["gen_poly"], n, k, g.domain))
+    oks[k // 2:] = reversed(oks[k // 2:])
     for j, ok in enumerate(oks, 1):
         dim = j if j <= k // 2 else k - j
         checks.append((f"condition matrix for j={j} ({dim}x{dim})", ok))

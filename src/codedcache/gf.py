@@ -376,19 +376,12 @@ class Matrix:
     def from_rows(domain: ScalarDomain, rows: Sequence[Sequence[int]]) -> "Matrix":
         r = len(rows)
         c = len(rows[0]) if r else 0
-        try:  # one pass; when it finds a fault, the loop below names the first
-            flat = [int(x) for row in rows for x in row]
-            fast = (all(len(row) == c for row in rows)
-                    and 0 <= min(flat, default=0) and max(flat, default=0) < domain.q)
-        except Exception:
-            fast = False
-        if not fast:
-            flat = []
-            for row in rows:
-                if len(row) != c:
-                    raise DimensionMismatch("ragged rows")
-                for x in row:
-                    flat.append(domain.validate(int(x)))
+        flat = []
+        for row in rows:
+            if len(row) != c:
+                raise DimensionMismatch("ragged rows")
+            for x in row:
+                flat.append(domain.validate(int(x)))
         return Matrix(domain, r, c, tuple(flat))
 
     @staticmethod
