@@ -14,6 +14,7 @@ form a resolvable design over the point set X = {0, ..., numCodewords - 1}.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -60,15 +61,14 @@ def codeword_matrix(source: Source) -> CodewordMatrix:
 def _generator_rows(source: GeneratorMatrix) -> tuple[tuple[int, ...], ...]:
     """Rows of the codeword matrix of a generator matrix, message order."""
     dom: ScalarDomain = source.domain
-    add, mul, q = dom.add, dom.mul, dom.q
+    elements = dom.elements()
     rows = []
     # coordinate j of every codeword, one message symbol at a time, most
     # significant first: each entry v splits into v + u*G[a][j], u = 0..q-1
     for j in range(source.n):
         row = [0]
         for g in source.mat.column(j):
-            multiples = [mul(u, g) for u in range(q)]
-            row = [add(v, m) for v in row for m in multiples]
+            row = dom.add_outer(row, dom.add_scaled(itertools.repeat(0), g, elements))
         rows.append(tuple(row))
     return tuple(rows)
 

@@ -13,6 +13,8 @@ the identity.  Every extension field multiplies and inverts through log/exp
 tables of a primitive element g, and for odd p it adds through a Zech table
 zech[i] = log(1 + g^i), so a + b = g^(log a + zech[log b - log a]).  The
 tables hold O(q) entries and are built once, when the domain is constructed.
+Two row kernels, ``add_scaled`` and ``add_outer``, run a whole row through
+the same tables in one call; row reduction and codeword enumeration use them.
 
 All operations are exact integer computations; no floats appear anywhere in
 this module.
@@ -188,24 +190,30 @@ class ScalarDomain:
                 break
         if gen is None:  # pragma: no cover - impossible for a true field
             raise DomainError(f"no primitive element found for GF({q})")
-        exp = [1] * (q - 1)
+        n = q - 1
+        exp = [1] * n
         log = [0] * q
         acc = 1
-        for i in range(1, q - 1):
+        for i in range(1, n):
             acc = self._mul_raw(acc, gen)
             exp[i] = acc
             log[acc] = i
         log[1] = 0
-        self._exp, self._log = exp, log
+        # exp is doubled, so a sum of two logs needs no reduction, and ends
+        # in a third of zeros; log[0] = 2n points into that third, so a log
+        # sum with one zero operand reads 0.
+        log[0] = 2 * n
         if p != 2:
             # zech[i] = log(1 + g^i); adding 1 only changes the constant digit.
-            # At i = (q-1)/2, g^i = -1 and the sum is 0: sentinel -1.
-            zech = [-1] * (q - 1)
+            # At i = n/2, g^i = -1 and the sum is 0: sentinel 2n, which sends
+            # log a + zech into the zero third.
+            zech = [2 * n] * n
             for i, e in enumerate(exp):
                 one_plus = e - e % p + (e + 1) % p
                 if one_plus:
                     zech[i] = log[one_plus]
             self._zech = zech
+        self._exp, self._log = exp + exp + [0] * n, log
 
     def _mul_raw(self, a: int, b: int) -> int:
         """Polynomial product mod (modulus, p) on packed ints; no tables."""
@@ -249,10 +257,9 @@ class ScalarDomain:
         if b == 0:
             return a
         # g^la + g^lb = g^(la + zech[lb - la])
-        n, log = self.q - 1, self._log
+        log = self._log
         la = log[a]
-        z = self._zech[(log[b] - la) % n]
-        return 0 if z < 0 else self._exp[(la + z) % n]
+        return self._exp[la + self._zech[(log[b] - la) % (self.q - 1)]]
 
     def sub(self, a: int, b: int) -> int:
         if self.m == 1:
@@ -275,6 +282,50 @@ class ScalarDomain:
         if a == 0 or b == 0:
             return 0
         return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+
+    # ----------------------------------------------------------- row kernels
+
+    def add_scaled(self, xs: Iterable[int], c: int, ys: Iterable[int]) -> list[int]:
+        """``[add(x, mul(c, y)) for x, y in zip(xs, ys)]`` in one call."""
+        if self.m == 1:
+            q = self.q
+            return [(x + c * y) % q for x, y in zip(xs, ys)]
+        if c == 0:
+            return [x for x, _ in zip(xs, ys)]
+        exp, log = self._exp, self._log
+        lc = log[c]
+        if self.p == 2:
+            # lc + log[0] lands in exp's zero third
+            return [x ^ exp[lc + log[y]] for x, y in zip(xs, ys)]
+        n, zech = self.q - 1, self._zech
+        out = []
+        for x, y in zip(xs, ys):
+            if y:
+                lt = lc + log[y]
+                if x:
+                    lx = log[x]
+                    x = exp[lx + zech[(lt - lx) % n]]
+                else:
+                    x = exp[lt]
+            out.append(x)
+        return out
+
+    def add_outer(self, vs: Iterable[int], ms: Sequence[int]) -> list[int]:
+        """``[add(v, m) for v in vs for m in ms]`` in one call."""
+        if self.m == 1:
+            q = self.q
+            return [(v + m) % q for v in vs for m in ms]
+        if self.p == 2:
+            return [v ^ m for v in vs for m in ms]
+        n, exp, log, zech = self.q - 1, self._exp, self._log, self._zech
+        out: list[int] = []
+        for v in vs:
+            if v:
+                lv = log[v]
+                out += [exp[lv + zech[(log[m] - lv) % n]] if m else v for m in ms]
+            else:
+                out += ms
+        return out
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises NotAUnit when none exists."""
@@ -406,9 +457,10 @@ class Matrix:
                       tuple(x for j in range(self.cols) for x in self.column(j)))
 
     def take_cols(self, idx: Sequence[int]) -> "Matrix":
-        rows = [self.row(i) for i in range(self.rows)]
+        entries, cols = self.entries, self.cols
         return Matrix(self.domain, self.rows, len(idx),
-                      tuple(row[j] for row in rows for j in idx))
+                      tuple(itertools.chain.from_iterable(
+                          zip(*[entries[j::cols] for j in idx]))))
 
     def take_rows(self, idx: Sequence[int]) -> "Matrix":
         return Matrix(self.domain, len(idx), self.cols,
@@ -449,7 +501,7 @@ def row_reduce(m: Matrix) -> tuple[list[list[int]], list[int], int]:
     if not m.domain.is_field:
         raise RingNotSupported("row reduction is defined here over fields only")
     dom = m.domain
-    sub, mul = dom.sub, dom.mul
+    add_scaled = dom.add_scaled
     work = m.to_rows()
     nrows = m.rows
     pivots: list[int] = []
@@ -467,16 +519,17 @@ def row_reduce(m: Matrix) -> tuple[list[list[int]], list[int], int]:
             work[r], work[pivot] = work[pivot], work[r]
             scale = dom.neg(scale)
         p = work[r][col]
-        scale = mul(scale, p)
-        inv = dom.inv(p)
-        # left of col the pivot row is zero, so only its tail takes part
-        tail = [mul(inv, x) for x in work[r][col:]]
+        scale = dom.mul(scale, p)
+        # left of col the pivot row is zero, so only its tail takes part;
+        # row i becomes row i + f * (-tail)
+        tail = add_scaled(itertools.repeat(0), dom.inv(p), work[r][col:])
         work[r][col:] = tail
+        neg_tail = add_scaled(itertools.repeat(0), dom.neg(1), tail)
         for i in range(nrows):
             f = work[i][col]
             if f and i != r:
                 row = work[i]
-                row[col:] = [sub(x, mul(f, y)) for x, y in zip(row[col:], tail)]
+                row[col:] = add_scaled(row[col:], f, neg_tail)
         pivots.append(col)
     return work, pivots, scale
 

@@ -154,6 +154,6 @@ def codeword_digest(source: SchemeSource, max_codewords: int = SIZE_CAP) -> str:
     digits = [str(v) for v in range(cm.q)]
     h = hashlib.sha256()
     for row in cm.rows:
-        h.update(",".join([digits[x] for x in row]).encode())
+        h.update(",".join(map(digits.__getitem__, row)).encode())
         h.update(b"\n")
     return "sha256:" + h.hexdigest()

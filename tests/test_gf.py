@@ -1,8 +1,11 @@
 import itertools
+import math
 import random
 
 import pytest
 
+from codedcache.codes import GeneratorMatrix
+from codedcache.design import _generator_rows
 from codedcache.errors import (
     DimensionMismatch,
     DomainError,
@@ -566,3 +569,142 @@ def test_take_cols_and_rows():
     assert m.take_cols([2, 0]).to_rows() == [[1, 1], [1, 0]]
     assert m.take_rows([1]).to_rows() == [[0, 1, 1]]
     assert m.transpose().to_rows() == [[1, 0], [0, 1], [1, 1]]
+
+
+# ---------------------------------------------------------------------------
+# row kernels
+# ---------------------------------------------------------------------------
+
+# Every kernel branch: prime fields, GF(2^m) and odd-p extension fields up to
+# 64 and past 128, and residue rings with and without zero divisors.
+KERNEL_DOMAINS = ([ScalarDomain.field(q) for q in PRIME_POWERS_LE_64 + [243, 256, 729, 1024]]
+                  + [ScalarDomain.ring(q) for q in (4, 6, 9)])
+
+
+def _sparse_row(rng, q, length):
+    """A row in which about a third of the entries are 0."""
+    return [rng.randrange(q) if rng.random() < 0.65 else 0 for _ in range(length)]
+
+
+def test_row_kernels_match_the_scalar_ops():
+    rng = random.Random(18)
+    for dom in KERNEL_DOMAINS:
+        q = dom.q
+        add, mul = dom.add, dom.mul
+        for _ in range(12):
+            length = rng.randrange(0, 14)
+            xs, ys = _sparse_row(rng, q, length), _sparse_row(rng, q, length)
+            for c in (0, 1, q - 1, rng.randrange(q)):
+                want = [add(x, mul(c, y)) for x, y in zip(xs, ys)]
+                assert dom.add_scaled(xs, c, ys) == want, (dom, xs, c, ys)
+                assert dom.add_scaled(itertools.repeat(0), c, ys) == [mul(c, y) for y in ys]
+            ms = _sparse_row(rng, q, rng.randrange(0, 6))
+            assert dom.add_outer(xs, ms) == [add(v, m) for v in xs for m in ms], (dom, xs, ms)
+        # every element against a zero, a one and a random partner
+        els = list(dom.elements())
+        for c in (0, 1, rng.randrange(1, q)):
+            for other in (0, 1, rng.randrange(q)):
+                assert dom.add_scaled(els, c, [other] * q) == [add(x, mul(c, other)) for x in els]
+                assert dom.add_scaled([other] * q, c, els) == [add(other, mul(c, y)) for y in els]
+        assert dom.add_outer(els, [0, 1]) == [add(v, m) for v in els for m in (0, 1)]
+        # the tables stay O(q): doubled exp plus a zero third, log, zech
+        tables = (dom._exp, dom._log, dom._zech)
+        assert sum(len(t) for t in tables if t is not None) <= 5 * q
+
+
+# The matrix code as it stood on the scalar ops, kept as references.
+
+
+def _reference_row_reduce(m):
+    dom = m.domain
+    sub, mul = dom.sub, dom.mul
+    work = m.to_rows()
+    nrows = m.rows
+    pivots = []
+    scale = 1
+    for col in range(m.cols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        for pivot in range(r, nrows):
+            if work[pivot][col]:
+                break
+        else:
+            continue
+        if pivot != r:
+            work[r], work[pivot] = work[pivot], work[r]
+            scale = dom.neg(scale)
+        p = work[r][col]
+        scale = mul(scale, p)
+        inv = dom.inv(p)
+        tail = [mul(inv, x) for x in work[r][col:]]
+        work[r][col:] = tail
+        for i in range(nrows):
+            f = work[i][col]
+            if f and i != r:
+                row = work[i]
+                row[col:] = [sub(x, mul(f, y)) for x, y in zip(row[col:], tail)]
+        pivots.append(col)
+    return work, pivots, scale
+
+
+def _reference_generator_rows(source):
+    dom = source.domain
+    add, mul, q = dom.add, dom.mul, dom.q
+    rows = []
+    for j in range(source.n):
+        row = [0]
+        for g in source.mat.column(j):
+            multiples = [mul(u, g) for u in range(q)]
+            row = [add(v, m) for v in row for m in multiples]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _reference_take_cols(m, idx):
+    rows = [m.row(i) for i in range(m.rows)]
+    return tuple(row[j] for row in rows for j in idx)
+
+
+def test_row_reduce_matches_the_scalar_reference():
+    rng = random.Random(1818)
+    for dom in KERNEL_DOMAINS:
+        if not dom.is_field:
+            continue
+        for _ in range(6):
+            nrows, cols = rng.randrange(1, 7), rng.randrange(1, 9)
+            rows = [_sparse_row(rng, dom.q, cols) for _ in range(nrows)]
+            if nrows > 1 and rng.random() < 0.3:
+                # a repeated multiple drops the rank
+                rows[-1] = [dom.mul(rng.randrange(dom.q), x) for x in rows[0]]
+            m = Matrix.from_rows(dom, rows)
+            assert row_reduce(m) == _reference_row_reduce(m), (dom, rows)
+
+
+def test_generator_rows_match_the_scalar_reference():
+    rng = random.Random(181818)
+    for dom in KERNEL_DOMAINS:
+        q = dom.q
+        k = max(1, int(math.log(4096, q)))
+        for _ in range(2):
+            n = k + rng.randrange(1, 3)
+            rows = [_sparse_row(rng, q, n) for _ in range(k)]
+            for b in range(n):
+                # a unit in every column: no zero column, unit content
+                rows[rng.randrange(k)][b] = rng.choice([u for u in range(1, q) if dom.is_unit(u)])
+            g = GeneratorMatrix(Matrix.from_rows(dom, rows))
+            assert _generator_rows(g) == _reference_generator_rows(g), (dom, rows)
+
+
+def test_take_cols_matches_the_row_by_row_reference():
+    rng = random.Random(18181818)
+    gf7 = ScalarDomain.field(7)
+    for nrows, cols in ((0, 3), (1, 1), (3, 5), (6, 4)):
+        m = Matrix.from_rows(gf7, [_sparse_row(rng, 7, cols) for _ in range(nrows)])
+        if not nrows:
+            m = Matrix(gf7, 0, cols, ())
+        for idx in ([], [0], list(range(cols)), [cols - 1, 0, cols - 1],
+                    rng.sample(range(cols), cols)):
+            got = m.take_cols(idx)
+            assert (got.rows, got.cols) == (nrows, len(idx))
+            assert got.entries == _reference_take_cols(m, idx), (m, idx)
