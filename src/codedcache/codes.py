@@ -36,7 +36,7 @@ from .errors import (
     ZeroColumn,
     ZeroConstantTerm,
 )
-from .gf import Matrix, ScalarDomain, mat_det_is_unit, mat_rank, row_reduce
+from .gf import Matrix, ScalarDomain, mat_det_is_unit, mat_rank, reduce_rows, row_reduce
 
 # ---------------------------------------------------------------------------
 # provenance
@@ -159,32 +159,81 @@ def ccp_windows(n: int, alpha: int) -> list[tuple[int, ...]]:
             for a in range(z * n // alpha)]
 
 
-def _check_window_full(g: GeneratorMatrix, alpha: int,
-                       cols: tuple[int, ...]) -> tuple[tuple[tuple[str, bool], ...], bool]:
+_Form = tuple[list[list[int]], dict[int, int]]
+
+
+def _reduced_forms(g: GeneratorMatrix) -> tuple[_Form, _Form]:
+    """The RREF of a field matrix g, reduced in column order and in reversed
+    column order, each as (rows, pivot column -> row) in g's column order.
+    Row operations keep every window's rank and kernel, and the two forms
+    put the pivot columns at the front and at the back of g."""
+    n = g.n
+    rows, pivots, _ = row_reduce(g.mat)
+    back, back_pivots, _ = row_reduce(g.mat.take_cols(range(n - 1, -1, -1)))
+    return ((rows, {c: i for i, c in enumerate(pivots)}),
+            ([r[::-1] for r in back], {n - 1 - c: i for i, c in enumerate(back_pivots)}))
+
+
+def _drop_keeps(dom: ScalarDomain, forms: tuple[_Form, _Form],
+                cols: tuple[int, ...]) -> list[bool]:
+    """Whether dropping each column of a k+1 column field window leaves rank k.
+
+    That holds iff the window has rank k and its kernel vector x has x_d != 0.
+    In the form with more pivot columns in the window, its t pivot columns
+    are unit vectors, so the window has rank k iff the block B of its other
+    columns on the k - t rows not pivoted in the window has rank k - t.  The
+    RREF of B gives x on the other columns (1 at B's free column, -B[i][free]
+    at the pivot column of row i) and x at a pivot column of row r is minus
+    the dot product of row r with them.
+    """
+    rows, where = max(forms, key=lambda form: sum(c in form[1] for c in cols))
+    other = [j for j, c in enumerate(cols) if c not in where]
+    used = {where[c] for c in cols if c in where}
+    ocols = [cols[j] for j in other]
+    block, pivots, _ = reduce_rows(
+        dom, [[row[c] for c in ocols] for i, row in enumerate(rows) if i not in used],
+        len(ocols))
+    keeps = [False] * len(cols)
+    if len(pivots) < len(block):
+        return keeps
+    (free,) = set(range(len(ocols))).difference(pivots)
+    x = [0] * len(ocols)
+    x[free] = 1
+    for i, p in enumerate(pivots):
+        x[p] = dom.neg(block[i][free])
+    for j, v in zip(other, x):
+        keeps[j] = v != 0
+    add, mul = dom.add, dom.mul
+    for j, c in enumerate(cols):
+        if c in where:
+            row, acc = rows[where[c]], 0
+            for oc, v in zip(ocols, x):
+                if v:
+                    acc = add(acc, mul(row[oc], v))
+            keeps[j] = acc != 0
+    return keeps
+
+
+def _check_window_full(g: GeneratorMatrix, alpha: int, cols: tuple[int, ...],
+                       forms: Optional[tuple[_Form, _Form]]
+                       ) -> tuple[tuple[tuple[str, bool], ...], bool]:
     """Verdicts for one window: per dropped column at alpha = k+1, else one.
 
-    A field window at alpha = k+1 is reduced once.  Dropping column d leaves
-    rank k iff the window has rank k and its kernel vector v has v_d != 0;
-    in the RREF, v is 1 at the free column and -rows[i][free] at the pivot
-    column of row i.  Ring windows take one determinant per dropped column.
+    A field window at alpha = k+1 is decided from the reduced forms of g;
+    ring windows take one determinant per dropped column.
     """
     dom = g.domain
-    win = g.mat.take_cols(cols)
     checks: list[tuple[str, bool]] = []
     if alpha == g.k + 1:
-        if dom.is_field:
-            rows, pivots, _ = row_reduce(win)
-            keeps = [False] * alpha
-            if len(pivots) == g.k:
-                (free,) = set(range(alpha)).difference(pivots)
-                keeps[free] = True
-                for i, c in enumerate(pivots):
-                    keeps[c] = rows[i][free] != 0
+        if forms is not None:
+            keeps = _drop_keeps(dom, forms, cols)
         else:
+            win = g.mat.take_cols(cols)
             keeps = [mat_det_is_unit(win.take_cols([c for c in range(alpha) if c != d]))[1]
                      for d in range(alpha)]
         checks = [(f"drop column {cols[d]}", ok) for d, ok in enumerate(keeps)]
         return tuple(checks), all(keeps)
+    win = g.mat.take_cols(cols)
     if dom.is_field:
         ok = mat_rank(win) == alpha
         checks.append((f"column rank == {alpha}", ok))
@@ -201,15 +250,21 @@ def _check_window_full(g: GeneratorMatrix, alpha: int,
 def check_ccp(g: GeneratorMatrix, alpha: int) -> CcpCertificate:
     """Certify the (k, alpha)-CCP of g by checking every column window.
 
-    alpha = k+1 tests all k x k submatrices of each window: over a field by
-    one kernel vector per window, over a ring by one determinant per dropped
-    column.  alpha <= k tests for alpha independent columns (fields: rank;
-    rings: exhaustive search for a unit alpha x alpha row minor).
+    alpha = k+1 tests all k x k submatrices of each window.  Over a field, g
+    is row-reduced twice, in column order and in reversed column order, and
+    each window takes the form with more of its pivot columns inside it (ties
+    to the first): those columns are unit vectors, so only the block of the
+    window's other columns on the rows not pivoted there is eliminated, and
+    the window's kernel vector decides every dropped column.  Over a ring
+    each dropped column takes one determinant.  alpha <= k tests for alpha
+    independent columns (fields: rank; rings: exhaustive search for a unit
+    alpha x alpha row minor).
     """
     if not 1 <= alpha <= g.k + 1:
         raise InvalidAlpha(f"alpha must be in 1..{g.k + 1}, got {alpha}")
     z = least_z(g.n, alpha)
-    results = tuple(WindowCheck(a, cols, *_check_window_full(g, alpha, cols))
+    forms = _reduced_forms(g) if alpha == g.k + 1 and g.domain.is_field else None
+    results = tuple(WindowCheck(a, cols, *_check_window_full(g, alpha, cols, forms))
                     for a, cols in enumerate(ccp_windows(g.n, alpha)))
     return CcpCertificate(alpha, z, all(w.ok for w in results), "exhaustive", results)
 

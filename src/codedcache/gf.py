@@ -498,15 +498,21 @@ def row_reduce(m: Matrix) -> tuple[list[list[int]], list[int], int]:
     is square and of full rank ``scale`` is its determinant.  Pivoting takes
     the first nonzero entry at or below the current row.
     """
-    if not m.domain.is_field:
+    return reduce_rows(m.domain, m.to_rows(), m.cols)
+
+
+def reduce_rows(dom: ScalarDomain, work: list[list[int]],
+                ncols: int) -> tuple[list[list[int]], list[int], int]:
+    """``row_reduce`` on rows of ``ncols`` canonical entries, reduced in
+    place: the rows are taken as they are, with no Matrix and no check of
+    their entries."""
+    if not dom.is_field:
         raise RingNotSupported("row reduction is defined here over fields only")
-    dom = m.domain
     add_scaled = dom.add_scaled
-    work = m.to_rows()
-    nrows = m.rows
+    nrows = len(work)
     pivots: list[int] = []
     scale = 1
-    for col in range(m.cols):
+    for col in range(ncols):
         r = len(pivots)
         if r == nrows:
             break

@@ -21,7 +21,7 @@ def run_child(argv, cwd):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "codedcache.cli"]
+    return subprocess.run([sys.executable, "-m", "codedcache"]
                           + [str(a) for a in argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=60)
 
@@ -178,8 +178,9 @@ def test_verify_handwritten_scheme_file(tmp_path):
     assert "satisfied" in out
 
 
-def test_verify_failure_exits_three(tmp_path):
-    # columns 0 and 2 repeat, so a width-3 window cannot stay full rank
+def write_repeated_columns(path):
+    """Scheme file whose columns 0 and 2 repeat, so a width-3 window cannot
+    stay full rank."""
     doc = {
         "format": "codedcache-scheme",
         "version": 1,
@@ -187,12 +188,24 @@ def test_verify_failure_exits_three(tmp_path):
         "source": {"type": "generator", "rows": [[1, 0, 1, 0], [0, 1, 0, 1]]},
         "provenance": {"kind": "user"},
     }
+    path.write_text(json.dumps(doc))
+
+
+def test_verify_failure_exits_three(tmp_path):
     scheme = tmp_path / "rep.json"
-    scheme.write_text(json.dumps(doc))
+    write_repeated_columns(scheme)
     code, out, _ = run(["verify", scheme, "--alpha", 3])
     assert code == 3
     assert "not satisfied" in out
     assert "FAIL" in out
+
+
+def test_python_dash_m_exits_with_the_cli_status(tmp_path):
+    """`python -m codedcache` runs from the source tree alone."""
+    write_ex3(tmp_path / "ex3.json")
+    write_repeated_columns(tmp_path / "rep.json")
+    assert run_child(["verify", "ex3.json"], tmp_path).returncode == 0
+    assert run_child(["verify", "rep.json"], tmp_path).returncode == 3
 
 
 # ---------------------------------------------------------------------------

@@ -152,19 +152,32 @@ def test_alpha_below_k_plus_one_checks_column_independence():
     assert check_ccp(g, 1).satisfied
 
 
-def per_drop_rank_checks(g, cols):
-    """Reference: one rank per k x k submatrix left by dropping a column."""
-    checks = []
-    for d in range(len(cols)):
-        kept = [c for i, c in enumerate(cols) if i != d]
-        checks.append((f"drop column {cols[d]}", mat_rank(g.mat.take_cols(kept)) == g.k))
-    checks = tuple(checks)
-    return checks, all(ok for _, ok in checks)
+def per_drop_certificate(g):
+    """Reference: the alpha = k+1 certificate from one rank per k x k
+    submatrix left by dropping a column of a window."""
+    alpha = g.k + 1
+    windows = []
+    for a, cols in enumerate(ccp_windows(g.n, alpha)):
+        checks = tuple((f"drop column {cols[d]}",
+                        mat_rank(g.mat.take_cols(cols[:d] + cols[d + 1:])) == g.k)
+                       for d in range(alpha))
+        windows.append(WindowCheck(a, cols, checks, all(ok for _, ok in checks)))
+    return CcpCertificate(alpha, least_z(g.n, alpha), all(w.ok for w in windows),
+                          "exhaustive", tuple(windows))
+
+
+def nonzero_columns(rows):
+    """Replace each all-zero column by ones; repeated columns stay repeated."""
+    for b in range(len(rows[0])):
+        if not any(row[b] for row in rows):
+            for row in rows:
+                row[b] = 1
+    return rows
 
 
 def test_ccp_window_checks_match_per_drop_rank():
     rng = random.Random(1234)
-    windows = failing = 0
+    gens = []
     for q in (2, 3, 4, 5, 9, 16):
         dom = ScalarDomain.field(q)
         for _ in range(40):
@@ -177,17 +190,34 @@ def test_ccp_window_checks_match_per_drop_rank():
             elif shape == 2:  # a repeated column
                 for row in rows:
                     row[1] = row[0]
-            for b in range(n):  # no zero columns; repeats stay repeats
-                if not any(row[b] for row in rows):
-                    for row in rows:
-                        row[b] = 1
-            g = gmat(dom, rows)
-            cert = check_ccp(g, k + 1)
-            for w in cert.windows:
-                assert (w.checks, w.ok) == per_drop_rank_checks(g, w.columns)
-                failing += not w.ok
-            windows += len(cert.windows)
-            assert cert.satisfied == all(w.ok for w in cert.windows)
+            gens.append(gmat(dom, nonzero_columns(rows)))
+    # wider: windows wrap with z > 1, pivots away from the front and the back
+    rng = random.Random(4321)
+    for q in (2, 5, 8, 9, 27, 32):
+        dom = ScalarDomain.field(q)
+        for _ in range(25):
+            k = rng.randrange(2, 8)
+            n = rng.randrange(k + 1, 2 * k + 4)
+            rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+            shape = rng.randrange(4)
+            if shape == 1:  # rank k - 1, or k - 2 from k = 4 on
+                rows[-1] = list(rows[0])
+                if k >= 4:
+                    rows[-2] = [dom.add(x, y) for x, y in zip(rows[0], rows[1])]
+            elif shape == 2:  # the first k columns are dependent
+                for row in rows:
+                    row[k - 1] = dom.mul(q - 1, row[0])
+            elif shape == 3:  # the last k columns are dependent
+                for row in rows:
+                    row[n - k] = row[n - 1]
+            gens.append(gmat(dom, nonzero_columns(rows)))
+    windows = failing = 0
+    for g in gens:
+        cert = check_ccp(g, g.k + 1)
+        assert cert == per_drop_certificate(g)
+        failing += sum(not w.ok for w in cert.windows)
+        windows += len(cert.windows)
+    assert any(least_z(g.n, g.k + 1) > 1 and g.k == 7 for g in gens)
     assert 50 <= failing <= windows - 50
 
 

@@ -82,3 +82,19 @@ def test_readme_simulate_examples_exit_0(tmp_path, monkeypatch):
     for argv in construct + simulate:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv[1:]) == 0, " ".join(argv)
+
+
+def test_readme_construct_and_verify_examples_exit_0(tmp_path, monkeypatch):
+    """Every `codedcache construct` and `codedcache verify` line of the
+    README exits 0, run in order, so each verify finds its scheme file."""
+    from codedcache import cli
+
+    lines = [line.split("#", 1)[0].split()
+             for heading in ("construct", "verify") for block in sh_blocks(heading)
+             for line in block.splitlines()
+             if line.startswith(("codedcache construct", "codedcache verify"))]
+    assert len(lines) == 9
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv[1:]) == 0, " ".join(argv)
