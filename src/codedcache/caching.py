@@ -26,8 +26,10 @@ ms.equations) are views built on demand, and each constructor also packs
 them.  scheme_from_plan shares the plan's store; scheme_from_eq_subfile
 reads a scheme off a matrix.  A MatrixScheme certifies its delivery once,
 at construction, for every demand vector; Lemma 4 is that certificate on the
-scheme read off a matrix.  simulate applies one demand vector to a
-MatrixScheme and generates the payload of the demanded files only.
+scheme read off a matrix.  simulate checks one demand vector against a
+MatrixScheme and reads each user's outcome off that certificate; it
+generates no file bytes, since a user that caches every other term of its
+equations decodes its own subfile by XOR whatever the files hold.
 
 Equations, users and subfiles are ordered deterministically throughout:
 recovery sets ascending, block tuples in lexicographic order, ranks ascending.
@@ -87,9 +89,6 @@ class CachingScheme:
     def user_block(self, u: int) -> tuple[int, ...]:
         return self.design.classes[u // self.q][u % self.q]
 
-    def user_label(self, u: int) -> tuple[int, int]:
-        return (u // self.q, u % self.q)
-
     def cache_cols(self, u: int) -> frozenset[int]:
         return frozenset(t * self.z + s
                          for t in self.user_block(u) for s in range(self.z))
@@ -133,9 +132,6 @@ class RecoverySetGraph:
     z: int
     sets: tuple[tuple[int, ...], ...]
     labels: dict  # (class, set index) -> superscript
-
-    def sets_of_class(self, i: int) -> list[int]:
-        return [a for a in range(len(self.sets)) if i in self.sets[a]]
 
 
 def recovery_set_graph(n: int, alpha: int) -> RecoverySetGraph:
@@ -227,7 +223,8 @@ def _runs(starts: array) -> Iterator[tuple[int, int, int]]:
 class DeliveryPlan:
     """The equations in plan order: their terms in a TermStore, and sets,
     an array("I") of each equation's recovery set.  DeliveryPlan(equations)
-    packs Equation objects; `equations` builds them back on demand."""
+    packs Equation objects; `equations` builds them back on demand.  A store
+    without one recovery set per equation raises ShapeMismatch."""
 
     store: TermStore
     sets: Optional[array] = None
@@ -237,6 +234,9 @@ class DeliveryPlan:
             equations = tuple(self.store)
             object.__setattr__(self, "store", _pack(eq.terms for eq in equations))
             object.__setattr__(self, "sets", _array([eq.recovery_set for eq in equations]))
+        elif self.sets is None or len(self.sets) != len(self.store):
+            count = "no" if self.sets is None else len(self.sets)
+            raise ShapeMismatch(f"{count} recovery sets for {len(self.store)} equations")
 
     @property
     def equations(self) -> tuple[Equation, ...]:
@@ -342,85 +342,28 @@ def render_equation(scheme: CachingScheme, eq: Equation) -> str:
 
 
 # ---------------------------------------------------------------------------
-# byte-exact simulation
+# simulation
 # ---------------------------------------------------------------------------
 
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
 _LCG_MASK = (1 << 64) - 1
 
-# Largest payload stream, in bytes, that simulate generates.
+# Largest payload stream, in bytes (files x F_s x subfile bytes), that
+# simulate accepts.
 PAYLOAD_CAP = 1 << 26
-
-# Words per block of the payload generator, every block (the first one too)
-# one big-integer step per lane parity; even, since lanes pair off.
-_LANES = 256
-
-# Chunk bytes that simulate decodes in one batch.
-_BATCH_BYTES = 1 << 16
 
 
 def byte_stream(seed: int, count: int) -> bytes:
-    """Deterministic test payload: a 64-bit linear congruential generator
-    (state <- state * 6364136223846793005 + 1442695040888963407 mod 2^64)
-    emitting 8 little-endian bytes per step, made _LANES words at a time."""
-    return bytes(_stream_slice(seed, 0, count))
-
-
-def _stream_slice(seed: int, start: int, count: int) -> bytearray:
-    """byte_stream(seed, start + count)[start:], generating only the words
-    that hold those bytes; empty for count <= 0.  The state s jumps to the
-    first of them in O(log start) steps.  A block of _LANES words sits in the
-    128-bit slots of two big integers, even and odd lanes (a 64-bit product
-    fits a slot): lane i of the first block is A_i*s + C_i, the step taken i
-    times, and each next block advances every lane _LANES steps.  The odd
-    lanes shifted onto the upper halves give the block's words in order."""
-    if count <= 0:
-        return bytearray()
-    first, skip = divmod(start, 8)
-    mult, inc = _lcg_power(first)
-    state = (seed * mult + inc) & _LCG_MASK
-    heads, mask, mult, inc = _lane_constants()
-    even, odd = (((state * a & mask) + c) & mask for a, c in heads)
-    out = bytearray((even | odd << 64).to_bytes(8 * _LANES, "little"))
-    for _ in range((skip + count - 1) // (8 * _LANES)):
-        even = ((even * mult & mask) + inc) & mask
-        odd = ((odd * mult & mask) + inc) & mask
-        out += (even | odd << 64).to_bytes(8 * _LANES, "little")
-    del out[:skip]
-    del out[count:]
-    return out
-
-
-@functools.cache
-def _lane_constants() -> tuple:
-    """(A, C) of the even and of the odd lanes, slot j packing the step taken
-    2j+1 and 2j+2 times; the slot mask; the _LANES-step a and packed c."""
-    a, c, steps = 1, 0, []
-    for _ in range(_LANES):
-        a, c = a * _LCG_MULT & _LCG_MASK, (c * _LCG_MULT + _LCG_INC) & _LCG_MASK
-        steps.append((a, c))
-
-    def pack(words) -> int:
-        return int.from_bytes(b"".join(w.to_bytes(16, "little") for w in words),
-                              "little")
-
-    heads = tuple(tuple(map(pack, zip(*steps[lane::2]))) for lane in (0, 1))
-    return heads, pack([_LCG_MASK] * (_LANES // 2)), a, pack([c] * (_LANES // 2))
-
-
-def _lcg_power(steps: int) -> tuple[int, int]:
-    """(a, c) such that x -> a*x + c mod 2^64 is the generator's step taken
-    `steps` times, by repeated squaring of the step."""
-    a, c = 1, 0
-    mult, inc = _LCG_MULT, _LCG_INC
-    while steps:
-        if steps & 1:
-            a, c = a * mult & _LCG_MASK, (c * mult + inc) & _LCG_MASK
-        # x -> m*(m*x + i) + i = m^2*x + (m + 1)*i
-        mult, inc = mult * mult & _LCG_MASK, (mult + 1) * inc & _LCG_MASK
-        steps >>= 1
-    return a, c
+    """Deterministic pseudo-random bytes: a 64-bit linear congruential
+    generator (state <- state * 6364136223846793005 + 1442695040888963407
+    mod 2^64, starting from seed) emitting 8 little-endian bytes per step;
+    empty for count <= 0."""
+    out, state = bytearray(), seed
+    for _ in range(-(-count // 8)):
+        state = (state * _LCG_MULT + _LCG_INC) & _LCG_MASK
+        out += state.to_bytes(8, "little")
+    return bytes(out[:count])
 
 
 @dataclass(frozen=True)
@@ -429,7 +372,9 @@ class UserOutcome:
     demanded: int
     recovered_count: int
     complete: bool  # recovered exactly the missing subfiles
-    exact: bool     # every recovered byte string matched the source file
+    # every recovered subfile equals the source file's: XOR-ing out terms
+    # the user caches leaves its own, so True in every report
+    exact: bool
 
 
 @dataclass(frozen=True)
@@ -451,18 +396,18 @@ class SimulationReport:
 
 def simulate(ms: MatrixScheme, demands: Sequence[int], num_files: int,
              subfile_bytes: int = 16, seed: int = 0) -> SimulationReport:
-    """Run the broadcast for one demand vector byte-exactly: each equation's
-    payload is the XOR of the demanded subfiles of its terms.  This is the
-    one place that validates a demand vector and the subfile size, and it
-    refuses a payload stream over PAYLOAD_CAP bytes with TooLarge.  File f
-    is bytes f*F_s*subfile_bytes onwards of byte_stream(seed, ...); only the
-    demanded files are generated.  What each user recovers was decided when
-    ms was built (ms.delivery).  Before any payload, DecodeFailure names the
-    first column, in equation, user and term order, that a user cannot
-    cancel, or else the first equation that repeats a user and the first
-    such user.  Each user then gets its own chunk back by XOR-ing the other
-    users' chunks out of the payload, so `exact` only confirms the XOR
-    algebra against the source stream; it is not an independent decoder."""
+    """Report the broadcast for one demand vector: Delta payloads of
+    subfile_bytes each, every one the XOR of the demanded subfiles of its
+    equation's terms.  This is the one place that validates a demand vector
+    and the subfile size, and it refuses a payload stream (files x F_s x
+    subfile_bytes) over PAYLOAD_CAP bytes with TooLarge.  What each user
+    recovers was decided when ms was built (ms.delivery).  DecodeFailure
+    names the first column, in equation, user and term order, that a user
+    cannot cancel, or else the first equation that repeats a user and the
+    first such user.  Past those refusals every user caches the other terms
+    of its equations, so XOR-ing them out of a payload leaves its own
+    subfile whatever the files hold: no file byte is generated, and `exact`
+    is True for every user.  The seed is recorded in the report."""
     f_s, num_users, delivery = ms.f_s, ms.num_users, ms.delivery
     if len(demands) != num_users:
         raise IncompleteDemands(f"need {num_users} demands, got {len(demands)}")
@@ -487,45 +432,11 @@ def simulate(ms: MatrixScheme, demands: Sequence[int], num_files: int,
                        if row.count(user) > 1), None)
         if failed:
             raise DecodeFailure("equation {} repeats user {}".format(*failed))
-    sub = subfile_bytes
-    span = f_s * sub
-    files = {f: _stream_slice(seed, f * span, span) for f in sorted(set(demands))}
-    wanted = [files[f] for f in demands]
-    places = [slice(col * sub, col * sub + sub) for col in range(f_s)]
-    exact = [True] * num_users
-    for width, t, end in _runs(ms.store.starts):
-        step = width * max(1, _BATCH_BYTES // (sub * width))
-        for start in range(t, end, step):
-            _decode_batch(ms.store.users[start:min(start + step, end)],
-                          ms.store.cols[start:min(start + step, end)], width,
-                          wanted, places, sub, exact)
     outcomes = tuple(UserOutcome(u, demands[u], delivery.recovered[u],
-                                 not delivery.incomplete >> u & 1, exact[u])
+                                 not delivery.incomplete >> u & 1, True)
                      for u in range(num_users))
-    return SimulationReport(num_users, num_files, sub, f_s, ms.delta, ms.rate,
-                            ms.delta * sub, seed, outcomes)
-
-
-def _decode_batch(users: array, cols: array, width: int, wanted: list,
-                  places: list, sub: int, exact: list[bool]) -> None:
-    """Decode a batch of equations of `width` distinct users each: the user
-    at position j gets the payload XOR-ed with the prefix XOR of positions
-    before j and the suffix XOR of positions after it.  wanted[u] is user
-    u's demanded file and places[c] column c's slice of a file."""
-    chunks = [int.from_bytes(b"".join(map(
-        operator.getitem, map(wanted.__getitem__, users[j::width]),
-        map(places.__getitem__, cols[j::width]))), "little")
-        for j in range(width)]
-    after = list(itertools.accumulate(reversed(chunks), operator.xor))[::-1] + [0]
-    payload, before, size = after[0], 0, len(users) // width * sub
-    for j, (chunk, rest) in enumerate(zip(chunks, after[1:])):
-        value = payload ^ before ^ rest
-        if value != chunk:
-            got, want = value.to_bytes(size, "little"), chunk.to_bytes(size, "little")
-            for e, user in enumerate(users[j::width]):
-                if got[e * sub:e * sub + sub] != want[e * sub:e * sub + sub]:
-                    exact[user] = False
-        before ^= chunk
+    return SimulationReport(num_users, num_files, subfile_bytes, f_s, ms.delta,
+                            ms.rate, ms.delta * subfile_bytes, seed, outcomes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: construct (build and certify a code, write a scheme file),
-verify (re-check the consecutive column property), simulate (byte-exact
-broadcast run), search (per-k candidate table and budget fit), compare
-(exact rate/subpacketization tables against the single-cache-point scheme).
+verify (re-check the consecutive column property), simulate (per-user
+broadcast report for one demand vector), search (per-k candidate table and
+budget fit), compare (exact rate/subpacketization tables against the
+single-cache-point scheme).
 
 Exit codes: 0 success or property satisfied, 1 domain error (including a
 scheme too large to simulate), 2 usage error, 3 verification or simulation
@@ -482,7 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="exhaustive")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("simulate", help="run the broadcast byte-exactly")
+    p = sub.add_parser("simulate", help="report the broadcast for one demand vector")
     p.add_argument("file", help="scheme file")
     p.add_argument("--files", type=int, required=True, help="library size N")
     p.add_argument("--alpha", type=int, default=None)

@@ -32,9 +32,10 @@ VERSION = 1
 SIZE_CAP = 1 << 20
 
 # Largest equation-term count (Delta * alpha) simulate builds in memory.  A
-# term costs about 165 bytes of peak RSS in the base scheme and 230 in the
-# transposed one at alpha = k+1 (CLI simulate of spc(9) and spc(10)/GF(3),
-# CPython 3.11, 64-bit), so a run at the cap stays under 1 GiB.
+# term costs about 88 bytes of peak RSS, base or transposed, at alpha = k+1:
+# CLI simulate peaks at 54 MiB for spc(9)/GF(3) (393,660 terms) and at
+# 130 MiB for spc(10)/GF(3) (1,299,078 terms) either way (CPython 3.11,
+# 64-bit), so a run at the cap stays near 200 MiB, under 1 GiB.
 TERM_CAP = 1 << 21
 
 SchemeSource = Union[GeneratorMatrix, CrtCodewordSource]

@@ -31,12 +31,15 @@ from codedcache.caching import (
 from codedcache.codes import (
     CrtCodewordSource,
     GeneratorMatrix,
+    build_claim5,
     build_claim6,
     build_claim9,
     build_crt_cyclic,
     build_cyclic,
     build_mds,
     build_spc,
+    extend_ccp,
+    kron_identity,
 )
 from codedcache.design import codeword_matrix, resolvable_design
 from codedcache.errors import (
@@ -52,6 +55,7 @@ from codedcache.gf import Matrix, ScalarDomain
 GF2 = ScalarDomain.field(2)
 GF3 = ScalarDomain.field(3)
 GF4 = ScalarDomain.field(4)
+GF5 = ScalarDomain.field(5)
 GF7 = ScalarDomain.field(7)
 GF9 = ScalarDomain.field(9)
 
@@ -98,8 +102,6 @@ def test_placement_4_2_gf3_alpha3():
     assert s.f_s == 27
     assert s.m_over_n == Fraction(1, 3)
     assert s.user_block(0) == (0, 1, 2)
-    assert s.user_label(0) == (0, 0)
-    assert s.user_label(11) == (3, 2)
     # cache of U_{012}: all superscripts of points 0,1,2
     want = frozenset(t * 3 + sp for t in (0, 1, 2) for sp in range(3))
     assert s.cache_cols(0) == want
@@ -144,7 +146,6 @@ def test_graph_n4_alpha3_figure():
     graph = recovery_set_graph(4, 3)
     assert graph.sets == ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
     # class 1 sits in sets 0, 1, 3 and gets labels 0, 1, 2 in that order
-    assert graph.sets_of_class(1) == [0, 1, 3]
     assert graph.labels[(1, 0)] == 0
     assert graph.labels[(1, 1)] == 1
     assert graph.labels[(1, 3)] == 2
@@ -156,7 +157,7 @@ def test_graph_every_class_degree_z_labels_permutation():
         z = alpha // __import__("math").gcd(n, alpha)
         assert len(graph.sets) == z * n // alpha
         for i in range(n):
-            touched = graph.sets_of_class(i)
+            touched = [a for a, classes in enumerate(graph.sets) if i in classes]
             assert len(touched) == z
             labels = [graph.labels[(i, a)] for a in touched]
             assert sorted(labels) == list(range(z))
@@ -277,7 +278,7 @@ def test_per_user_participation_per_recovery_set():
     graph = recovery_set_graph(4, 3)
     for u in range(12):
         cls = u // 3
-        for a in graph.sets_of_class(cls):
+        for a in [a for a, classes in enumerate(graph.sets) if cls in classes]:
             count = sum(1 for eq in plan.equations
                         if eq.recovery_set == a and any(v == u for v, _ in eq.terms))
             assert count == 9 - 3  # q^k - q^(k-1)
@@ -433,41 +434,31 @@ def test_incomplete_demands_rejected():
 # ---------------------------------------------------------------------------
 
 
-def reference_stream(seed, start, count):
-    """Bytes start..start+count of the generator run one word at a time."""
+def reference_stream(seed, count):
+    """The first count bytes of the generator run one word at a time."""
     mult, inc, mask = 6364136223846793005, 1442695040888963407, (1 << 64) - 1
     state = seed
     want = bytearray()
-    for _ in range(-(-(start + count) // 8)):
+    for _ in range(-(-count // 8)):
         state = (state * mult + inc) & mask
         want += state.to_bytes(8, "little")
-    return bytes(want[start:start + count])
+    return bytes(want[:count])
 
 
 def test_byte_stream_matches_reference_lcg():
-    """The stream and its slices equal the generator run word by word:
-    counts on both sides of a word and of a 2048-byte lane block, starts off
-    a word boundary, a start past 2^20 words, and a seed past 2^64."""
+    """The stream equals the generator run word by word: counts on both
+    sides of a word and of a 2048-byte block, and a seed past 2^64."""
     counts = (0, 1, 5, 7, 8, 9, 24, 2047, 2048, 2049, 4097)
-    far = 8 * 2 ** 20 + 5
     for seed in (0, 1, 7, 42, 2 ** 64 + 3):
-        want = reference_stream(seed, 0, 2048 + 4097)
+        want = reference_stream(seed, 2048 + 4097)
         for count in counts:
             assert byte_stream(seed, count) == want[:count], (seed, count)
-            for start in (3, 8, 13, 2045, 2048):
-                got = caching._stream_slice(seed, start, count)
-                assert got == want[start:start + count], (seed, start, count)
-        want = reference_stream(seed, far, 4097)
-        for count in counts:
-            got = caching._stream_slice(seed, far, count)
-            assert got == want[:count], (seed, count)
 
 
 def test_byte_stream_of_no_bytes_is_empty():
     for seed in (0, 7):
         for count in (0, -1, -8, -4097):
             assert byte_stream(seed, count) == b""
-        assert caching._stream_slice(seed, 13, 0) == b""
 
 
 def test_byte_stream_deterministic_and_seed_sensitive():
@@ -513,12 +504,14 @@ def test_simulate_all_same_demand():
 
 
 def test_simulate_brute_force_all_demand_vectors():
-    """Every demand vector with K=6, N=3 reconstructs bit-exactly."""
+    """Every demand vector with K=6, N=3 reconstructs bit-exactly: the
+    reference decodes each one term by term and agrees with the report."""
     s = placement(spc_design(), 3)
     ms = scheme_from_plan(s, generate_delivery(s, recovery_set_graph(3, 3)))
     for demands in itertools.product(range(3), repeat=6):
         sim = simulate(ms, demands, num_files=3, subfile_bytes=2, seed=5)
         assert sim.all_ok, demands
+        assert simulated(ms, demands, 3, 2, 5) == reference_simulate(ms, demands, 3, 2, 5)
 
 
 def test_simulate_reads_no_design_state(monkeypatch):
@@ -806,15 +799,13 @@ def test_delivery_flags_a_lacking_column_never_served():
             for u in range(12)] == [int(u in users) for u in range(12)]
 
 
-def test_undecodable_scheme_fails_before_any_payload(monkeypatch):
-    """Bad demands, subfile size and payload size are still refused first;
-    DecodeFailure comes before any file is generated."""
+def test_undecodable_scheme_fails_before_any_payload():
+    """Bad demands, subfile size and payload size are still refused first,
+    then DecodeFailure."""
     ms = scheme_from_plan(*example_plan())
     (u0, c0), (u1, _), (u2, c2) = ms.equations[-1]
     x = min(set(range(27)) - cached(ms)[u0] - {c0})
     broken = edited(ms, -1, [(u0, c0), (u1, x), (u2, c2)])
-    calls = []
-    monkeypatch.setattr(caching, "_stream_slice", lambda *args: calls.append(args))
     with pytest.raises(IncompleteDemands, match="^need 12 demands, got 11$"):
         simulate(broken, [0] * 11, num_files=1)
     with pytest.raises(IncompleteDemands, match="^demands exceed file count 1$"):
@@ -825,7 +816,6 @@ def test_undecodable_scheme_fails_before_any_payload(monkeypatch):
         simulate(broken, [0] * 12, num_files=12, subfile_bytes=caching.PAYLOAD_CAP)
     with pytest.raises(DecodeFailure, match=f"^user {u0} cannot cancel column {x}$"):
         simulate(broken, list(range(12)), num_files=12)
-    assert calls == []
 
 
 def test_simulate_matches_reference_on_random_edits():
@@ -901,35 +891,52 @@ def test_simulate_matches_reference_past_64_users(transposed):
             == f"equation 7 repeats user {u0}")
 
 
-@pytest.mark.parametrize("sub", [1, 3, 8, 16, 17])
-def test_file_payload_equals_the_stream_slice(sub):
-    """Each file's bytes, generated from a jump to its first word, equal the
-    file's slice of the whole stream: first and last file, odd F_s, lengths
-    across the generator's lane blocks."""
-    for f_s, num_files in ((27, 5), (81, 3), (405, 2), (2187, 2)):
-        span = f_s * sub
-        for seed in (0, 7, 2 ** 64 + 3):
-            stream = byte_stream(seed, num_files * span)
-            for f in (0, num_files - 1):
-                got = caching._stream_slice(seed, f * span, span)
-                assert got == stream[f * span:(f + 1) * span], (f_s, f, seed)
+# one source per family that no other simulation test covers, at its alpha
+SIMULATED_FAMILIES = {
+    "claim5(2,2,3)/GF(5)": (lambda: build_claim5(2, 2, 3, GF5), 4),
+    "kron(spc(2)/GF(2), 2) at alpha k": (
+        lambda: kron_identity(build_spc(2, GF2), 2), 4),
+    "extend(spc(3)/GF(3), 1)": (lambda: extend_ccp(build_spc(3, GF3), 1), 4),
+    "crt GF(2) x+1, GF(3) x+1, n=4": (lambda: build_crt_cyclic(
+        [([1, 1], GF2), ([1, 1], GF3)], 4), 3),
+}
 
 
-def test_simulate_generates_only_demanded_files(monkeypatch):
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("name", sorted(SIMULATED_FAMILIES))
+def test_simulate_matches_reference_on_every_family(name, transposed):
+    """Base and transposed schemes of the claim5, kron, extend and residue
+    families decode in the reference, term by term against the byte stream,
+    as simulate reports, on distinct and on shared demands."""
+    build, alpha = SIMULATED_FAMILIES[name]
+    s = placement(resolvable_design(codeword_matrix(build())), alpha)
+    plan = generate_delivery(s, recovery_set_graph(s.n, alpha))
+    ms = (scheme_from_eq_subfile(equation_subfile_matrix(s, plan).transpose())
+          if transposed else scheme_from_plan(s, plan))
+    users = ms.num_users
+    for demands, files in ((list(range(users)), users),
+                           ([(users - u) % 3 for u in range(users)], 3)):
+        want = reference_simulate(ms, demands, files, 5, 11)
+        assert simulated(ms, demands, files, 5, 11) == want
+        assert all(row[3] and row[4] for row in want)
+
+
+def test_simulate_at_the_payload_cap_materializes_nothing():
+    """Twelve distinct demands on files of 27 subfiles of 207,126 bytes,
+    64 MiB in all and just under PAYLOAD_CAP, are reported without building
+    any file byte."""
     ms = scheme_from_plan(*example_plan())
-    calls = []
-    real = caching._stream_slice
-
-    def recorded(seed, start, count):
-        calls.append((seed, start, count))
-        return real(seed, start, count)
-
-    monkeypatch.setattr(caching, "_stream_slice", recorded)
-    assert simulate(ms, [0] * 12, num_files=12, subfile_bytes=16, seed=5).all_ok
-    assert calls == [(5, 0, 27 * 16)]
-    calls.clear()
-    assert simulate(ms, [4, 9] * 6, num_files=12, subfile_bytes=3, seed=5).all_ok
-    assert calls == [(5, 4 * 81, 81), (5, 9 * 81, 81)]
+    sub = caching.PAYLOAD_CAP // (12 * 27)
+    assert caching.PAYLOAD_CAP - 12 * 27 < 12 * 27 * sub < caching.PAYLOAD_CAP
+    tracemalloc.start()
+    try:
+        report = simulate(ms, list(range(12)), num_files=12, subfile_bytes=sub,
+                          seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_ok and report.load_bytes == 72 * sub
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -1343,6 +1350,22 @@ def test_store_refuses_terms_out_of_range_with_the_tuple_text():
                 DeliveryPlan(equations)
     with pytest.raises(ShapeMismatch, match="^a user, column or recovery set"):
         DeliveryPlan((Equation(-1, ((0, 0),)),))
+
+
+def test_plan_from_a_store_refuses_missing_recovery_sets():
+    _, plan = example_plan()
+    with pytest.raises(ShapeMismatch, match="^no recovery sets for 72 equations$"):
+        DeliveryPlan(plan.store)
+    assert DeliveryPlan(plan.store, plan.sets) == plan
+
+
+def test_plan_from_a_store_refuses_recovery_sets_of_the_wrong_length():
+    """One set short or one too many is refused, not truncated by zip."""
+    _, plan = example_plan()
+    for sets in (plan.sets[:-1], plan.sets + plan.sets[:1]):
+        with pytest.raises(ShapeMismatch,
+                           match=f"^{len(sets)} recovery sets for 72 equations$"):
+            DeliveryPlan(plan.store, sets)
 
 
 def test_delivery_retains_a_few_bytes_per_term():
