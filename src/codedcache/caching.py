@@ -7,14 +7,17 @@ t*z + s.  User B caches every subfile whose point lies in B, so M/N = 1/q.
 
 Delivery works per recovery set: the cyclically-consecutive groups of alpha
 parallel classes.  Each point gets an integer key from its labels on the
-set's classes and is bucketed by every leave-one-out key (one class's label
-dropped).  For each choice of one block per class in the group, a
-participant is served the points of its leave-one-out bucket outside the
-chosen blocks' common intersection, and the edge labels of the
-recovery-set graph pick the superscript.  One enumeration covers both
-delivery regimes: when alpha = k+1 the buckets are single points and tuples
-with a common point contribute nothing; when alpha <= k each tuple serves
-several subfiles per user, paired off rank by rank in ascending point order.
+set's classes.  For each choice of one block per class in the group (a
+tuple), a participant is served the points whose key differs from the
+tuple's in that participant's digit alone, and the edge labels of the
+recovery-set graph pick the superscript.  Each participant's columns over
+all tuples are built from whole lists, in one of two enumerations that the
+keys select.  When every participant's leave-one-out keys (its digit
+dropped) are distinct, as at alpha = k+1 with the CCP, each tuple serves
+one point per participant, and tuples with a common point contribute
+nothing.  Otherwise, as at alpha <= k, each tuple serves several subfiles
+per user, merged from the points grouped by key and paired off rank by rank
+in ascending point order.
 
 Delivery does not depend on the demands: generate_delivery builds the
 equations once per (scheme, alpha), and a demand vector only decides which
@@ -258,73 +261,121 @@ def generate_delivery(scheme: CachingScheme,
     """Enumerate all equations of the one-shot delivery scheme.
 
     Within a recovery set with classes c_0 < ... < c_{m-1}, each point gets
-    the integer key sum_j label_{c_j}(point) * q^(m-1-j), first class most
-    significant, so key order is the lexicographic order of block tuples.
-    Participant j's columns p*z + s_j (s_j its class's superscript) are
-    bucketed by point p's key with digit j removed.  The tuple with key L
-    serves participant j the columns of its bucket whose point's key is not
-    L, in ascending order, paired rank by rank across participants.  Only
-    design.classes is read, so generator, ring and residue sources take one
-    path, and each tuple costs one bucket per participant: the work grows
-    with the equation terms, not with the number of points.  Each tuple
-    appends its terms to the plan's TermStore in one step.
+    the integer key sum_j label_{c_j}(point) * q^(m-1-j), so key order is
+    the lexicographic order of block tuples.  The tuple with key L serves
+    participant j (superscript s_j) the columns p*z + s_j of the points
+    whose key differs from L in digit j alone, ascending, paired rank by
+    rank across participants.  Only design.classes is read, so every source
+    takes one path.  Past reading each point's labels off it, no Python step
+    runs per point or per tuple: keys and each participant's columns over
+    all tuples are built from whole lists by map, slicing and itertools:
+
+    - if the q^(m-1) leave-one-out keys (digit j dropped) are distinct for
+      every participant (alpha = k+1 with the CCP), each participant's
+      columns are ordered once by that key and repeated run by run in tuple
+      order, and one mask drops the tuples that hold a common point;
+    - otherwise the points are grouped by key, each tuple's counts are
+      checked equal across participants (else DecodeFailure), and its
+      columns are merged from q-1 groups, streamed tuple by tuple.
     """
     if (graph.n, graph.alpha) != (scheme.n, scheme.alpha):
         raise ShapeMismatch("graph does not match scheme parameters")
     d = scheme.design
-    q, z = scheme.q, scheme.z
+    q, z, num_points = scheme.q, scheme.z, d.num_points
     labels = []  # labels[i][point] = l for the block B_{i,l} holding the point
     for cls in d.classes:
-        row = [0] * d.num_points
+        row = [0] * num_points
         for l, block in enumerate(cls):
             for p in block:
                 row[p] = l
         labels.append(row)
+    # columns[s][p] = p*z + s: participants with one superscript share the ints
+    columns = [list(range(s, num_points * z, z)) for s in range(z)]
     users_out, cols_out, sets = array("I"), array("I"), array("I")
     for a, classes in enumerate(graph.sets):
-        m = len(classes)
-        supers = tuple(graph.labels[(i, a)] for i in classes)
-        keys = [0] * d.num_points
+        keys = [0] * num_points
         for i in classes:
-            keys = [key * q + l for key, l in zip(keys, labels[i])]
-        common = [0] * q ** m  # common[L]: points in every block of tuple L
-        for key in keys:
-            common[key] += 1
-        # loo[j] yields the leave-one-out bucket of digit j for keys 0, 1, ...:
-        # with low the place value of digit j, each run of low buckets
-        # repeats q times
-        loo = []
-        sizes = set()
-        for j in range(m):
-            low = q ** (m - 1 - j)
-            buckets = [[] for _ in range(q ** (m - 1))]
-            for c, key in zip(range(supers[j], d.num_points * z, z), keys):
-                buckets[key // (low * q) * low + key % low].append(c)
-            # tuples of ints are smaller than lists and untracked by the gc
-            buckets = list(map(tuple, buckets))
-            sizes.update(map(len, buckets))
-            runs = [buckets[h:h + low] for h in range(0, len(buckets), low)]
-            loo.append(itertools.chain.from_iterable(
-                map(operator.mul, runs, itertools.repeat(q))))
-        # with equal buckets (every window of the code full rank) all
-        # participants of a tuple are served the same number of points
-        uniform = len(sizes) == 1
+            keys = list(map(operator.add, map(operator.mul, keys, itertools.repeat(q)),
+                            labels[i]))
+        places = [q ** j for j in reversed(range(len(classes)))]  # of digit j
+        supers = [graph.labels[(i, a)] for i in classes]
         tuples = itertools.product(*(range(i * q, i * q + q) for i in classes))
-        for key, users, served in zip(itertools.count(), tuples, zip(*loo)):
-            inside = common[key]
-            if uniform and len(served[0]) == inside:
-                continue  # the buckets hold only common points: nothing served
-            if inside:
-                served = [[c for c in cols if keys[c // z] != key]
-                          for cols in served]
-            if not uniform and len(set(map(len, served))) != 1:
-                raise DecodeFailure("unequal served-point counts within a tuple")
-            # rank r of every participant's columns makes one equation
-            users_out.extend(users * len(served[0]))
-            cols_out.extend(itertools.chain.from_iterable(zip(*served)))
+        orders = _single_points(keys, places, [labels[i] for i in classes],
+                                supers, columns)
+        if orders:
+            keep = list(map(operator.not_, map(set(keys).__contains__,
+                                               range(q * num_points))))
+            users = itertools.compress(tuples, keep)
+            terms = itertools.compress(zip(*(
+                itertools.chain.from_iterable(map(operator.mul, _cut(order, low),
+                                                  itertools.repeat(q)))
+                for order, low in zip(orders, places))), keep)
+        else:
+            counts, served = _merged(keys, q, places, supers, columns)
+            users = map(operator.mul, tuples, counts)
+            terms = itertools.chain.from_iterable(map(zip, *served))
+        users_out.extend(itertools.chain.from_iterable(users))
+        cols_out.extend(itertools.chain.from_iterable(terms))
         sets.extend(itertools.repeat(a, len(users_out) // scheme.alpha - len(sets)))
     starts = array("I", range(0, len(users_out) + 1, scheme.alpha))
     return DeliveryPlan(TermStore(users_out, cols_out, starts), sets)
+
+
+def _single_points(keys: list, places: list, digits: list, supers: list,
+                   columns: list) -> Optional[list]:
+    """Per participant j, its columns in the order of their points' keys
+    with digit j (digits[j][p] at place value places[j]) set to 0; None
+    unless, for every participant, the q^(m-1) points give distinct such
+    keys, so each names exactly one point."""
+    if len(keys) != places[0]:  # more points than q^(m-1) keys: two share one
+        return None
+    orders = []
+    for low, digit, s in zip(places, digits, supers):
+        zeroed = map(operator.sub, keys, map(operator.mul, digit, itertools.repeat(low)))
+        where = dict(zip(zeroed, columns[s]))
+        if len(where) != len(keys):
+            return None
+        orders.append(list(map(where.__getitem__, sorted(where))))
+    return orders
+
+
+def _merged(keys: list, q: int, places: list, supers: list,
+            columns: list) -> tuple[list, list]:
+    """The number of columns each tuple serves each participant, in key
+    order, and per participant the lazy sequence of those columns, tuple by
+    tuple.  DecodeFailure if a tuple would serve two participants unequal
+    numbers of columns."""
+    sizes = list(map(collections.Counter(keys).get, range(q * places[0]),
+                     itertools.repeat(0)))
+    counts = [list(map(sum, zip(*_others(sizes, q, low)))) for low in places]
+    if counts.count(counts[0]) != len(counts):
+        raise DecodeFailure("unequal served-point counts within a tuple")
+    by_key = sorted(range(len(keys)), key=keys.__getitem__)  # points ascend per key
+    bounds = list(map(slice, itertools.accumulate(sizes, initial=0),
+                      itertools.accumulate(sizes)))
+    groups = {}  # superscript -> its columns grouped by key
+    for s in set(supers):
+        ranked = list(map(columns[s].__getitem__, by_key))
+        groups[s] = list(map(ranked.__getitem__, bounds))
+    return counts[0], [map(sorted, map(itertools.chain, *_others(groups[s], q, low)))
+                       for s, low in zip(supers, places)]
+
+
+def _others(per_key: list, q: int, low: int) -> list:
+    """For r = 1..q-1, per_key[L'] for each key L in ascending order, where
+    L' is L with its digit of place value low advanced by r modulo q."""
+    runs = _cut(per_key, low)  # run h*q + e: digits above this one h, this digit e
+    return [itertools.chain.from_iterable(itertools.chain.from_iterable(
+        zip(*(runs[(e + r) % q::q] for e in range(q))))) for r in range(1, q)]
+
+
+def _cut(seq: list, low: int) -> list:
+    """seq in consecutive runs of low entries, by the shorter loop: low
+    strided slices zipped, or one slice per run."""
+    if low * low <= len(seq):
+        return list(zip(*(seq[i::low] for i in range(low))))
+    return list(map(seq.__getitem__, map(slice, range(0, len(seq), low),
+                                        range(low, len(seq) + low, low))))
 
 
 def render_equation(scheme: CachingScheme, eq: Equation) -> str:

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import random
 import signal
@@ -38,6 +39,7 @@ from codedcache.codes import (
     build_cyclic,
     build_mds,
     build_spc,
+    check_ccp,
     extend_ccp,
     kron_identity,
 )
@@ -57,6 +59,7 @@ GF3 = ScalarDomain.field(3)
 GF4 = ScalarDomain.field(4)
 GF5 = ScalarDomain.field(5)
 GF7 = ScalarDomain.field(7)
+GF8 = ScalarDomain.field(8)
 GF9 = ScalarDomain.field(9)
 
 
@@ -357,11 +360,15 @@ def every_alpha(source):
     return range(1, top + 1)
 
 
+# extend, claim5 and mds(8,3) repeat windows or have z > 1 at alpha = k+1
 DELIVERY_SOURCES = {
     "spc(3)/GF(3)": lambda: build_spc(3, GF3),
     "spc(4)/GF(3)": lambda: build_spc(4, GF3),
     "spc(3)/GF(4)": lambda: build_spc(3, ScalarDomain.field(4)),
     "mds(6,3)/GF(7)": lambda: build_mds(6, 3, GF7),
+    "mds(8,3)/GF(8)": lambda: build_mds(8, 3, GF8),
+    "extend(spc(2)/GF(3), 2)": lambda: extend_ccp(build_spc(2, GF3), 2),
+    "claim5(1,2,3)/GF(4)": lambda: build_claim5(1, 2, 3, GF4),
     "claim6(3,2)/GF(2)": lambda: build_claim6(3, 2, GF2),
     "claim9(2)/Z6": lambda: build_claim9(2, 6),
     "crt GF(2) x+1, GF(3) x+1, n=4": lambda: build_crt_cyclic(
@@ -385,15 +392,35 @@ def test_delivery_matches_mask_reference_at_every_alpha(name, deadline):
         assert plan.delta == expected_delta(s), (name, alpha)
 
 
+def codes_without_the_ccp():
+    """Three fixed generator matrices, kron(spc(1)/GF(3), 2), and 60 seeded
+    random ones over GF(2) to GF(5) with n <= 6 and at most 256 points (some
+    rank deficient, so q^k points with repeated codewords)."""
+    codes = [GeneratorMatrix(Matrix.from_rows(dom, rows)) for rows, dom in (
+        ([[1, 0, 1], [0, 1, 0]], GF2),
+        ([[1, 0, 1, 1], [0, 1, 0, 0]], GF3),
+        ([[1, 0, 0, 1], [0, 1, 1, 0], [0, 0, 0, 1]], GF2))]
+    codes.append(kron_identity(build_spc(1, GF3), 2))
+    rng = random.Random(20170601)
+    while len(codes) < 64:
+        dom = rng.choice((GF2, GF3, GF4, GF5))
+        n = rng.randint(2, 6)
+        k = rng.randint(1, n - 1)
+        rows = [[rng.randrange(dom.q) for _ in range(n)] for _ in range(k)]
+        if dom.q ** k <= 256 and all(any(col) for col in zip(*rows)):
+            codes.append(GeneratorMatrix(Matrix.from_rows(dom, rows)))
+    return codes
+
+
 def test_delivery_matches_mask_reference_without_the_ccp(deadline):
-    """Codes whose windows are not all full rank: where the served-point
-    counts of a tuple differ, both refuse with the same DecodeFailure."""
-    outcomes = []
-    for rows, dom in (([[1, 0, 1], [0, 1, 0]], GF2),
-                      ([[1, 0, 1, 1], [0, 1, 0, 0]], GF3),
-                      ([[1, 0, 0, 1], [0, 1, 1, 0], [0, 0, 0, 1]], GF2)):
-        g = GeneratorMatrix(Matrix.from_rows(dom, rows))
+    """Codes whose windows are not all full rank: the same plan as the mask
+    algorithm, or, where the served-point counts of a tuple differ, the same
+    DecodeFailure.  Among them are codes with q^(alpha-1) points at
+    alpha = k+1 that lack the CCP, where delivery cannot take single points."""
+    outcomes, declined = [], 0
+    for g in codes_without_the_ccp():
         d = resolvable_design(codeword_matrix(g))
+        declined += not check_ccp(g, g.k + 1).satisfied
         for alpha in every_alpha(g):
             s = placement(d, alpha)
             graph = recovery_set_graph(s.n, alpha)
@@ -406,9 +433,41 @@ def test_delivery_matches_mask_reference_without_the_ccp(deadline):
                 want = reference_delivery(s, graph)
             except DecodeFailure as exc:
                 want = str(exc)
-            assert got == want, (rows, alpha)
+            assert got == want, (g.mat.to_rows(), alpha)
             outcomes.append(isinstance(got, str))
-    assert any(outcomes) and not all(outcomes)
+    assert any(outcomes) and not all(outcomes) and declined > 10
+
+
+# sha256 of the tobytes() of users, cols, starts and sets ("I" arrays, 4-byte
+# little-endian) of the plans that the benchmark's simulate and transpose
+# workloads build, pinned from the bucket-per-point delivery
+BENCHMARK_PLANS = {
+    (7, 3, 8): ("0657a18e3df48181b41a64a54ed8207246f82a58d8a531e1cf771b5a4bc456b2",
+                "9635964b91c3838e73f3cba162dfa934227acc0f4520bc2f5f20ddac58494741",
+                "e41ac21b5076ff82e6a90e5ce7b6a806393db33141e53379a07a9621927662fa",
+                "b7a44326728482682592e9b7c7ce8a929e134b36c5c05501c3521d12c246cc2d"),
+    (7, 3, 4): ("53d664edbf28a1bac1dc00c56d02ef3e73d1da3e64b68b022a0eb082898dfe66",
+                "49456cdbac5d313c29b3af94ce6b31d806f46e82e72f68134cfc4017d64c2002",
+                "b786e55b8167bbeacb0cf41b7bf7ea7d7dc8a95a05f37286e1b4f6635c140823",
+                "39ef879da91bc0b7d8b76587fd6e1788bb760921cea1d9df6b69189bdd05001a"),
+    (4, 4, 5): ("cc8f08d512d2b4dc89c204c5a76a833afc1774034db5a20f7c7e63e6254ce166",
+                "cc71e067675dd21e093f3f93750ef4ab7cb468ae43fff8299cbbb925816bdec2",
+                "3c5b5582b6d40b67616f6dde41decfde0d3ffaf12e2a81c105b382bf79c66bc3",
+                "e80232b4d18d0bb7e794be263ba937626f383f9917d4b8a737ba893a8f752293"),
+}
+
+
+@pytest.mark.parametrize("k, q, alpha", sorted(BENCHMARK_PLANS))
+def test_benchmark_plans_keep_their_bytes(k, q, alpha):
+    """Equation order, term order and recovery sets of spc(7)/GF(3) at
+    alpha 8 and 4 and spc(4)/GF(4) at alpha 5, byte for byte."""
+    source = build_spc(k, ScalarDomain.field(q))
+    s = placement(resolvable_design(codeword_matrix(source)), alpha)
+    plan = generate_delivery(s, recovery_set_graph(s.n, alpha))
+    arrays = (plan.store.users, plan.store.cols, plan.store.starts, plan.sets)
+    assert all(a.itemsize == 4 for a in arrays)
+    assert tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                 for a in arrays) == BENCHMARK_PLANS[k, q, alpha]
 
 
 def test_alpha_1_serves_each_user_its_missing_points_uncoded(deadline):
