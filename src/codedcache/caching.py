@@ -265,10 +265,10 @@ def generate_delivery(scheme: CachingScheme,
     the lexicographic order of block tuples.  The tuple with key L serves
     participant j (superscript s_j) the columns p*z + s_j of the points
     whose key differs from L in digit j alone, ascending, paired rank by
-    rank across participants.  Only design.classes is read, so every source
-    takes one path.  Past reading each point's labels off it, no Python step
-    runs per point or per tuple: keys and each participant's columns over
-    all tuples are built from whole lists by map, slicing and itertools:
+    rank across participants.  Only the design's label rows are read, so
+    every source takes one path, and no Python step runs per point or per
+    tuple: keys and each participant's columns over all tuples are built
+    from whole lists by map, slicing and itertools:
 
     - if the q^(m-1) leave-one-out keys (digit j dropped) are distinct for
       every participant (alpha = k+1 with the CCP), each participant's
@@ -280,15 +280,8 @@ def generate_delivery(scheme: CachingScheme,
     """
     if (graph.n, graph.alpha) != (scheme.n, scheme.alpha):
         raise ShapeMismatch("graph does not match scheme parameters")
-    d = scheme.design
-    q, z, num_points = scheme.q, scheme.z, d.num_points
-    labels = []  # labels[i][point] = l for the block B_{i,l} holding the point
-    for cls in d.classes:
-        row = [0] * num_points
-        for l, block in enumerate(cls):
-            for p in block:
-                row[p] = l
-        labels.append(row)
+    q, z, num_points = scheme.q, scheme.z, scheme.num_points
+    labels = scheme.design.rows  # labels[i][point] = l: the point lies in B_{i,l}
     # columns[s][p] = p*z + s: participants with one superscript share the ints
     columns = [list(range(s, num_points * z, z)) for s in range(z)]
     users_out, cols_out, sets = array("I"), array("I"), array("I")
@@ -734,15 +727,15 @@ def scheme_from_eq_subfile(m: EqSubfileMatrix) -> MatrixScheme:
 
 
 def scheme_from_plan(scheme: CachingScheme, plan: DeliveryPlan) -> MatrixScheme:
-    """The placed scheme in simulation form: miss masks with each user's bit
-    cleared at the points of its block, each point's mask repeated for its z
-    columns (the cache_cols placement), and the plan's store, terms in plan
-    order.  Nothing is sorted or refused beyond the range check, so a plan
-    that a user cannot decode fails in simulate with DecodeFailure."""
+    """The placed scheme in simulation form: miss masks with user i*q + l's
+    bit cleared at the points labelled l in row i, each point's mask repeated
+    for its z columns (the cache_cols placement), and the plan's store, terms
+    in plan order.  Nothing is sorted or refused beyond the range check, so a
+    plan that a user cannot decode fails in simulate with DecodeFailure."""
     point_miss = [(1 << scheme.num_users) - 1] * scheme.num_points
-    for u in range(scheme.num_users):
-        for t in scheme.user_block(u):
-            point_miss[t] ^= 1 << u
+    for i, row in enumerate(scheme.design.rows):
+        bits = [1 << u for u in range(i * scheme.q, (i + 1) * scheme.q)]
+        point_miss = list(map(operator.xor, point_miss, map(bits.__getitem__, row)))
     miss = [0] * scheme.f_s
     for s in range(scheme.z):
         miss[s::scheme.z] = point_miss

@@ -14,6 +14,8 @@ form a resolvable design over the point set X = {0, ..., numCodewords - 1}.
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -75,40 +77,48 @@ def _generator_rows(source: GeneratorMatrix) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class ResolvableDesign:
-    """Point set {0..numPoints-1} with n parallel classes of q blocks each."""
+    """Point set {0..numPoints-1} with n parallel classes of q blocks each,
+    stored as label rows: rows[i][p] = l iff point p lies in B_{i,l}."""
 
     num_points: int
     n: int
     q: int
-    classes: tuple[tuple[tuple[int, ...], ...], ...]  # classes[i][l] = sorted points
+    rows: tuple[tuple[int, ...], ...]
     source: Source
 
     @property
     def block_size(self) -> int:
         return self.num_points // self.q
 
+    @functools.cached_property
+    def classes(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """classes[i][l] = the points of B_{i,l}, ascending; built on first use."""
+        classes = []
+        for row in self.rows:
+            buckets: list[list[int]] = [[] for _ in range(self.q)]
+            for p, l in enumerate(row):
+                buckets[l].append(p)
+            classes.append(tuple(map(tuple, buckets)))
+        return tuple(classes)
+
     def block(self, i: int, l: int) -> tuple[int, ...]:
         return self.classes[i][l]
 
 
 def resolvable_design(t: CodewordMatrix) -> ResolvableDesign:
-    """Blocks B_{i,l} = columns of T whose row-i entry is l.
+    """Blocks B_{i,l} = columns of T whose row-i entry is l; shares T's rows.
 
-    Equal block sizes are rechecked while bucketing; a failure means the
-    source violates the unit-content condition over its ring.
+    Equal block sizes are rechecked from each row's label counts; a failure
+    means the source violates the unit-content condition over its ring.
     """
     expected = t.num_codewords // t.q
-    classes = []
     for i, row in enumerate(t.rows):
-        buckets: list[list[int]] = [[] for _ in range(t.q)]
-        for j, label in enumerate(row):
-            buckets[label].append(j)
-        for l, bucket in enumerate(buckets):
-            if len(bucket) != expected:
+        counts = collections.Counter(row)
+        for l in range(t.q):
+            if counts[l] != expected:
                 raise RingConditionViolated(
-                    f"row {i}: label {l} appears {len(bucket)} times, expected {expected}")
-        classes.append(tuple(tuple(b) for b in buckets))
-    return ResolvableDesign(t.num_codewords, t.n, t.q, tuple(classes), t.source)
+                    f"row {i}: label {l} appears {counts[l]} times, expected {expected}")
+    return ResolvableDesign(t.num_codewords, t.n, t.q, t.rows, t.source)
 
 
 @dataclass(frozen=True)
@@ -122,21 +132,18 @@ class DesignReport:
 
 
 def verify_resolvable(d: ResolvableDesign) -> DesignReport:
-    """Check every parallel class partitions the point set into equal blocks."""
+    """Check every parallel class partitions the point set into equal blocks.
+    Label rows never overlap blocks; a short row or a label outside 0..q-1 misses points."""
     violations = []
-    points = set(range(d.num_points))
-    for i, cls in enumerate(d.classes):
-        sizes = {len(b) for b in cls}
+    labels = range(d.q)
+    for i, row in enumerate(d.rows):
+        counts = collections.Counter(row)
+        sizes = set(map(counts.__getitem__, labels))
         if sizes != {d.block_size}:
             violations.append(f"class {i}: unequal block sizes {sorted(sizes)}")
-        seen: set[int] = set()
-        for l, b in enumerate(cls):
-            dup = seen.intersection(b)
-            if dup:
-                violations.append(f"class {i}: blocks overlap at points {sorted(dup)[:4]}")
-            seen.update(b)
-        if seen != points:
-            violations.append(f"class {i}: union misses {len(points - seen)} points")
+        missed = d.num_points - sum(map(labels.__contains__, row[:d.num_points]))
+        if missed:
+            violations.append(f"class {i}: union misses {missed} points")
     return DesignReport(not violations, d.num_points, d.n, d.q, d.block_size,
                         tuple(violations))
 
@@ -144,9 +151,9 @@ def verify_resolvable(d: ResolvableDesign) -> DesignReport:
 def block_intersection(d: ResolvableDesign,
                        picks: Sequence[tuple[int, int]]) -> frozenset[int]:
     """Intersection of blocks B_{i,l} over the given (class, label) picks."""
-    out = set(range(d.num_points))
+    out = range(d.num_points)
     for i, l in picks:
-        out.intersection_update(d.classes[i][l])
+        out = [p for p in out if d.rows[i][p] == l]
     return frozenset(out)
 
 
@@ -154,11 +161,9 @@ def incidence_matrix(d: ResolvableDesign) -> list[list[int]]:
     """0/1 point-by-block matrix; blocks class-major (class, then label)."""
     cols = d.n * d.q
     out = [[0] * cols for _ in range(d.num_points)]
-    for i, cls in enumerate(d.classes):
-        for l, block in enumerate(cls):
-            c = i * d.q + l
-            for x in block:
-                out[x][c] = 1
+    for i, row in enumerate(d.rows):
+        for x, l in enumerate(row):
+            out[x][i * d.q + l] = 1
     return out
 
 

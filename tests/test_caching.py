@@ -43,7 +43,7 @@ from codedcache.codes import (
     extend_ccp,
     kron_identity,
 )
-from codedcache.design import codeword_matrix, resolvable_design
+from codedcache.design import ResolvableDesign, codeword_matrix, resolvable_design
 from codedcache.errors import (
     DecodeFailure,
     IncompleteDemands,
@@ -381,9 +381,16 @@ DELIVERY_SOURCES = {
 @pytest.mark.parametrize("name", sorted(DELIVERY_SOURCES))
 def test_delivery_matches_mask_reference_at_every_alpha(name, deadline):
     """Same equations in the same order as the mask algorithm, for generator,
-    ring and residue sources at every alpha they support."""
+    ring and residue sources at every alpha they support.  The design
+    shares the codeword rows, and the blocks the reference reads are those
+    rows bucketed by label, points ascending."""
     source = DELIVERY_SOURCES[name]()
-    d = resolvable_design(codeword_matrix(source))
+    cm = codeword_matrix(source)
+    d = resolvable_design(cm)
+    assert d.rows is cm.rows
+    assert d.classes == tuple(
+        tuple(tuple(p for p, v in enumerate(row) if v == l) for l in range(cm.q))
+        for row in cm.rows)
     for alpha in every_alpha(source):
         s = placement(d, alpha)
         graph = recovery_set_graph(s.n, alpha)
@@ -575,19 +582,27 @@ def test_simulate_brute_force_all_demand_vectors():
 
 def test_simulate_reads_no_design_state(monkeypatch):
     """Once the simulation form is built, simulate never goes back to the
-    placement: caches and columns are computed once per plan."""
-    s, plan = example_plan()
-    ms = scheme_from_plan(s, plan)
+    placement: caches and columns are computed once per plan.  From
+    placement on, base and transposed, only the design's label rows are
+    read: its blocks are never built."""
+    d = example_design()
 
     def forbidden(*args):
         raise AssertionError("simulate read the placement")
 
     monkeypatch.setattr(CachingScheme, "cache_cols", forbidden)
+    monkeypatch.setattr(ResolvableDesign, "classes", property(forbidden))
+    monkeypatch.setattr(ResolvableDesign, "block", forbidden)
+    s = placement(d, 3)
+    plan = generate_delivery(s, recovery_set_graph(4, 3))
+    ms = scheme_from_plan(s, plan)
+    transposed = scheme_from_eq_subfile(equation_subfile_matrix(s, plan).transpose())
     demand_vectors = [list(range(12)), [0] * 12, [u % 3 for u in range(12)],
                       [11 - u for u in range(12)]]
     for seed, demands in enumerate(demand_vectors):
         report = simulate(ms, demands, num_files=12, subfile_bytes=4, seed=seed)
         assert report.all_ok, demands
+    assert simulate(transposed, [0] * 12, num_files=1, subfile_bytes=4).all_ok
 
 
 def test_scheme_from_plan_keeps_plan_order_and_placement_caches():
@@ -1323,8 +1338,11 @@ def test_certificate_matches_reference_on_plans_and_edits(name):
     m = equation_subfile_matrix(s, plan)
     rng = random.Random(20170601)
     verdicts = set()
-    for ms in (scheme_from_plan(s, plan), scheme_from_eq_subfile(m.transpose())):
+    base, transposed = scheme_from_plan(s, plan), scheme_from_eq_subfile(m.transpose())
+    for ms in (base, transposed):
         assert ms.delivery == reference_certificate(ms) and ms.delivery.ok
+    # Lemma 4 is symmetric under transposition: every column served once
+    assert transposed.delivery == caching.Delivery(base.delivery.recovered, 0, True, True)
     for mat in (m, m.transpose()):
         for _ in range(60):
             ms = caching._read_off(single_edit(mat, rng))

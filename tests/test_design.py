@@ -13,6 +13,7 @@ from codedcache.codes import (
     check_ccp,
 )
 from codedcache.design import (
+    CodewordMatrix,
     block_intersection,
     codeword_matrix,
     incidence_csv,
@@ -202,6 +203,22 @@ def test_design_crt_q6_block_sizes():
             assert row.count(l) == 2
 
 
+@pytest.mark.parametrize("row, text", [
+    # label 1 is short and label 2 long: the lowest failing label is named
+    ((0, 1, 2, 1, 2, 0, 2, 0, 2), "row 2: label 1 appears 2 times, expected 3"),
+    ((0, 1, 0, 1, 0, 0, 1, 0, 1), "row 2: label 0 appears 5 times, expected 3"),
+    ((0, 1, 1, 1, 0, 1, 1, 0, 1), "row 2: label 1 appears 6 times, expected 3"),
+])
+def test_resolvable_design_refuses_an_unbalanced_row(row, text):
+    """Generator checks refuse a source with an unbalanced codeword row
+    first, so a hand-built matrix is what reaches this refusal."""
+    g = example_code_4_2()
+    rows = codeword_matrix(g).rows
+    cm = CodewordMatrix(4, 9, 3, rows[:2] + (row,) + rows[3:], g)
+    with pytest.raises(RingConditionViolated, match=f"^{text}$"):
+        resolvable_design(cm)
+
+
 def test_verify_resolvable_clean_on_constructions():
     for g in (example_code_4_2(), build_spc(2, GF2), build_mds(4, 3, ScalarDomain.field(5))):
         d = resolvable_design(codeword_matrix(g))
@@ -211,14 +228,15 @@ def test_verify_resolvable_clean_on_constructions():
 
 
 def test_verify_resolvable_flags_moved_point():
+    """A label row cannot put a point in two blocks, so a tampered row shows
+    as a missed point (a label outside 0..q-1) or unequal blocks (a point
+    moved to another block of the class)."""
     d = resolvable_design(codeword_matrix(build_spc(2, GF2)))
-    classes = [list(map(list, cls)) for cls in d.classes]
-    classes[0][0] = [0, 3]  # point 1 dropped, 3 duplicated into block (0,0)
-    tampered = dataclasses.replace(
-        d, classes=tuple(tuple(tuple(b) for b in cls) for cls in classes))
-    rep = verify_resolvable(tampered)
-    assert not rep.ok
-    assert any("overlap" in v or "misses" in v for v in rep.violations)
+    assert d.rows[0] == (0, 0, 1, 1)
+    for row, text in (((0, 2, 1, 1), "misses"), ((0, 0, 0, 1), "unequal block sizes")):
+        rep = verify_resolvable(dataclasses.replace(d, rows=(row,) + d.rows[1:]))
+        assert not rep.ok
+        assert any(text in v for v in rep.violations), rep.violations
 
 
 def test_point_appears_once_per_class():
