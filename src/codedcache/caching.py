@@ -29,10 +29,11 @@ ms.equations) are views built on demand, and each constructor also packs
 them.  scheme_from_plan shares the plan's store; scheme_from_eq_subfile
 reads a scheme off a matrix.  A MatrixScheme certifies its delivery once,
 at construction, for every demand vector; Lemma 4 is that certificate on the
-scheme read off a matrix.  simulate checks one demand vector against a
-MatrixScheme and reads each user's outcome off that certificate; it
-generates no file bytes, since a user that caches every other term of its
-equations decodes its own subfile by XOR whatever the files hold.
+scheme read off a matrix.  The certificate comes from each column's served
+mask, built in one pass over the terms.  simulate checks one demand vector
+against a MatrixScheme and reads each user's outcome off that certificate;
+it generates no file bytes, since a user that caches every other term of
+its equations decodes its own subfile by XOR whatever the files hold.
 
 Equations, users and subfiles are ordered deterministically throughout:
 recovery sets ascending, block tuples in lexicographic order, ranks ascending.
@@ -506,6 +507,20 @@ def _checked(num_users: int, cols: int, terms) -> TermStore:
     return _pack(terms)
 
 
+def _served(num_users: int, cols: int, store: TermStore) -> list[int]:
+    """Per column, the mask of the users whose terms hold it.  A term out
+    of range fails a lookup, and _checked on the term tuples then names it."""
+    bits = [1 << u for u in range(num_users)]
+    served = [0] * cols
+    try:
+        for user, col in zip(store.users, store.cols):
+            served[col] |= bits[user]
+    except IndexError:
+        _checked(num_users, cols, store.tuples)
+        raise
+    return served
+
+
 @dataclass(frozen=True)
 class EqSubfileMatrix:
     """Delta x F_s equation-subfile matrix stored by its nonzeros.
@@ -634,7 +649,11 @@ class MatrixScheme:
     equations) also packs term tuples once; `equations` builds them back.
     One mask per column, and every user and column in range, are checked at
     construction (ShapeMismatch); then the terms are certified once for any
-    demands (`delivery`, outside ==, hash and repr)."""
+    demands (`delivery`, outside ==, hash and repr), from each column's
+    served mask, the users whose terms hold it: `once` iff the masks'
+    popcounts sum to the term count, user u recovers the columns whose
+    masks have bit u set, and `incomplete` has the bits where served and
+    miss masks differ."""
 
     num_users: int
     f_s: int
@@ -651,18 +670,16 @@ class MatrixScheme:
                      if not 0 <= mask < everyone)
             raise ShapeMismatch(f"mask of column {c} names a user outside "
                                 f"0..{self.num_users - 1}")
-        store = _checked(self.num_users, self.f_s, self.store)
-        users, cols = store.users, store.cols
-        served = [0] * self.f_s  # served[c]: the users that recover column c
-        for user, col in zip(users, cols):
-            served[col] |= 1 << user
-        once = sum(map(int.bit_count, served)) == len(users)
-        recovered = collections.Counter(users if once else (u for u, _ in set(zip(users, cols))))
+        store = self.store
+        if not isinstance(store, TermStore):
+            store = _checked(self.num_users, self.f_s, store)
+        served = _served(self.num_users, self.f_s, store)
         object.__setattr__(self, "store", store)
         object.__setattr__(self, "delivery", Delivery(
-            tuple(map(recovered.__getitem__, range(self.num_users))),
+            tuple(_bit_counts(self.num_users, served)),
             functools.reduce(operator.or_, map(operator.xor, served, self.miss), 0),
-            once, _clean(self.num_users, self.miss, store)))
+            sum(map(int.bit_count, served)) == len(store.users),
+            _clean(self.num_users, self.miss, store)))
 
     @property
     def equations(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -708,13 +725,22 @@ def _slotted(table: list, values: array, width: int, t: int, end: int) -> list[i
                            "little") for j in range(t, t + width)]
 
 
+def _bit_counts(num_users: int, masks: Sequence[int]) -> list[int]:
+    """For each user u, the number of masks with bit u set: the masks side
+    by side in one integer of whole-byte slots, ANDed with bit u of every
+    slot and popcounted."""
+    size = (num_users + 7) // 8
+    packed = int.from_bytes(b"".join(map(int.to_bytes, masks, itertools.repeat(size),
+                                         itertools.repeat("little"))), "little")
+    ones = int.from_bytes(b"\x01".ljust(size, b"\x00") * len(masks), "little")
+    return [(packed & ones << u).bit_count() for u in range(num_users)]
+
+
 def _read_off(m: EqSubfileMatrix) -> MatrixScheme:
     """The scheme m defines: user t lacks column j iff t appears in it, and
-    each row is one equation as it stands."""
-    miss = [0] * m.cols
-    for user, j in zip(m.store.users, m.store.cols):
-        miss[j] |= 1 << user
-    return MatrixScheme(m.num_users, m.cols, tuple(miss), m.store)
+    each row is one equation as it stands: its miss masks are served masks."""
+    return MatrixScheme(m.num_users, m.cols, tuple(_served(m.num_users, m.cols, m.store)),
+                        m.store)
 
 
 def scheme_from_eq_subfile(m: EqSubfileMatrix) -> MatrixScheme:
@@ -779,7 +805,8 @@ def scheme_metrics(scheme: Union[CachingScheme, MatrixScheme],
                                   scheme.num_points, transposed)
     if transposed:
         raise ShapeMismatch("matrix schemes carry no further transposed point")
-    fractions = {scheme.cache_fraction(u) for u in range(scheme.num_users)}
+    fractions = {Fraction(scheme.f_s - lacking, scheme.f_s)
+                 for lacking in _bit_counts(scheme.num_users, scheme.miss)}
     m_over_n = fractions.pop() if len(fractions) == 1 else None
     gain = None
     if m_over_n is not None and scheme.rate:

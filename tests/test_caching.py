@@ -1388,6 +1388,43 @@ def test_certificate_matches_reference_on_hand_built_schemes():
     assert [scheme.delivery.ok for scheme in schemes] == [False] * 6
 
 
+def spc_plan(k, q, alpha):
+    s = placement(resolvable_design(codeword_matrix(
+        build_spc(k, ScalarDomain.field(q)))), alpha)
+    return s, generate_delivery(s, recovery_set_graph(s.n, alpha))
+
+
+@pytest.mark.parametrize("k, q, alpha, transposed", [
+    (7, 3, 8, False), (7, 3, 4, False), (4, 4, 5, True)])
+def test_certificate_matches_reference_on_the_benchmark_shapes(k, q, alpha, transposed):
+    """The schemes that the benchmark's simulate and transpose workloads
+    certify: spc(7)/GF(3) at alpha 8 and 4, and spc(4)/GF(4) transposed."""
+    s, plan = spc_plan(k, q, alpha)
+    if transposed:
+        ms = scheme_from_eq_subfile(equation_subfile_matrix(s, plan).transpose())
+    else:
+        ms = scheme_from_plan(s, plan)
+    assert ms.delivery == reference_certificate(ms) and ms.delivery.ok
+
+
+def test_certificate_transients_stay_small():
+    """Certifying spc(7)/GF(3) at alpha 4 (34,992 terms) peaks near 1.3 MiB
+    under tracemalloc, in the slotted integers of the clean test.  A list
+    copy of the store's users and columns would peak near 1.56 MiB, in the
+    served-mask pass."""
+    s, plan = spc_plan(7, 3, 4)
+    scheme_from_plan(s, plan)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        scheme_from_plan(s, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(plan.store.users) == 34992
+    assert peak < 1.5 * 2 ** 20, peak / 1024
+
+
 @pytest.mark.parametrize("name", sorted(PLANNED))
 def test_store_round_trips_through_term_tuples(name):
     """Packing the tuple views again gives an equal object, and each view
