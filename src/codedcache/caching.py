@@ -26,14 +26,15 @@ plan, an equation-subfile matrix and a MatrixScheme (per column, a bitmask
 of the users that lack it) hold their terms in a TermStore of flat arrays,
 with no Python object per term; term tuples (plan.equations, m.row_terms,
 ms.equations) are views built on demand, and each constructor also packs
-them.  scheme_from_plan shares the plan's store; scheme_from_eq_subfile
-reads a scheme off a matrix.  A MatrixScheme certifies its delivery once,
-at construction, for every demand vector; Lemma 4 is that certificate on the
-scheme read off a matrix.  The certificate comes from each column's served
-mask, built in one pass over the terms.  simulate checks one demand vector
-against a MatrixScheme and reads each user's outcome off that certificate;
-it generates no file bytes, since a user that caches every other term of
-its equations decodes its own subfile by XOR whatever the files hold.
+them.  scheme_from_plan and equation_subfile_matrix share the plan's store,
+in plan order; scheme_from_eq_subfile reads a scheme off a matrix.  A
+MatrixScheme certifies its delivery once, at construction, for every demand
+vector; Lemma 4 is that certificate on the scheme read off a matrix.  The
+certificate comes from each column's served mask, built in one pass over the
+terms.  simulate checks one demand vector against a MatrixScheme and reads
+each user's outcome off that certificate; it generates no file bytes, since
+a user that caches every other term of its equations decodes its own
+subfile by XOR whatever the files hold.
 
 Equations, users and subfiles are ordered deterministically throughout:
 recovery sets ascending, block tuples in lexicographic order, ranks ascending.
@@ -41,6 +42,7 @@ recovery sets ascending, block tuples in lexicographic order, ranks ascending.
 
 from __future__ import annotations
 
+import bisect
 import collections
 import functools
 import itertools
@@ -526,7 +528,7 @@ class EqSubfileMatrix:
     """Delta x F_s equation-subfile matrix stored by its nonzeros.
 
     Row i holds the (user, column) terms of equation i of the store, 0-based
-    and in ascending column order; every other cell is empty.  In the
+    and in the order given; every other cell is empty.  In the
     paper's notation entry (i, j) is the 1-based user index user + 1, or 0.
     EqSubfileMatrix(num_users, cols, row_terms) also takes the rows as term
     tuples and packs them once; `row_terms` builds them back on demand.  A
@@ -550,7 +552,8 @@ class EqSubfileMatrix:
 
     def transpose(self) -> "EqSubfileMatrix":
         """Swap indices: (user, j) in row i becomes (user, i) in row j, by a
-        counting sort of the terms on their column that keeps row order."""
+        counting sort on column that keeps row order, so result rows ascend.
+        Lemma4Violated names the least cell (i, j) that two terms share."""
         users = [array("I") for _ in range(self.cols)]
         rows = [array("I") for _ in range(self.cols)]
         row_of = itertools.chain.from_iterable(map(
@@ -558,29 +561,24 @@ class EqSubfileMatrix:
         for user, i, j in zip(self.store.users, row_of, self.store.cols):
             users[j].append(user)
             rows[j].append(i)
-        return EqSubfileMatrix(self.num_users, self.rows, TermStore(
-            array("I", b"".join(map(array.tobytes, users))),
-            array("I", b"".join(map(array.tobytes, rows))),
-            array("I", itertools.accumulate(map(len, users), initial=0))))
+        store = TermStore(array("I", b"".join(map(array.tobytes, users))),
+                          array("I", b"".join(map(array.tobytes, rows))),
+                          array("I", itertools.accumulate(map(len, users), initial=0)))
+        firsts = set(store.starts)  # a row index may repeat across two rows
+        shared = [(store.cols[t], bisect.bisect(store.starts, t) - 1)
+                  for t in itertools.compress(itertools.count(1), map(
+                      operator.eq, store.cols, store.cols[1:])) if t not in firsts]
+        if shared:
+            _, j = min(shared)
+            raise Lemma4Violated(f"two users recover subfile column {j} in one equation")
+        return EqSubfileMatrix(self.num_users, self.rows, store)
 
 
 def equation_subfile_matrix(scheme: CachingScheme,
                             plan: DeliveryPlan) -> EqSubfileMatrix:
-    """One row per equation of the plan, its terms sorted by column."""
-    store, users, cols = plan.store, array("I"), array("I")
-    rows = map(sorted, map(itertools.islice, itertools.repeat(
-        zip(store.cols, store.users)), _widths(store.starts)))
-    firsts = set(store.starts)  # a column may repeat across two rows
-    while ranked := list(itertools.chain.from_iterable(itertools.islice(rows, 4096))):
-        chunk = [col for col, _ in ranked]
-        for t in itertools.compress(itertools.count(1), map(operator.eq, chunk, chunk[1:])):
-            if len(cols) + t not in firsts:
-                raise Lemma4Violated(
-                    f"two users recover subfile column {chunk[t]} in one equation")
-        cols.fromlist(chunk)
-        users.fromlist([user for _, user in ranked])
-    return EqSubfileMatrix(scheme.num_users, scheme.f_s,
-                           TermStore(users, cols, store.starts))
+    """One row per equation of the plan: the matrix shares the plan's
+    store, so each row holds its terms in plan order."""
+    return EqSubfileMatrix(scheme.num_users, scheme.f_s, plan.store)
 
 
 @dataclass(frozen=True)
@@ -602,11 +600,11 @@ def verify_lemma4(m: EqSubfileMatrix) -> Lemma4Report:
     if _read_off(m).delivery.ok:
         return Lemma4Report(True, ())
     where: dict[tuple[int, int], list[int]] = {}  # (user, column) -> rows
-    first: dict[int, int] = {}  # user -> rank of its first occurrence
+    first: dict[int, tuple[int, int]] = {}  # user -> its first cell, row-major
     for i, row in enumerate(m.row_terms):
         for user, j in row:
             where.setdefault((user, j), []).append(i)
-            first.setdefault(user, len(first))
+            first[user] = min(first.get(user, (i, j)), (i, j))
     columns = sorted(
         (j, i2, f"user {user + 1} appears twice in column {j} (rows {i1}, {i2})")
         for (user, j), rows in where.items() for i1, i2 in zip(rows, rows[1:]))
@@ -744,11 +742,13 @@ def _read_off(m: EqSubfileMatrix) -> MatrixScheme:
 
 
 def scheme_from_eq_subfile(m: EqSubfileMatrix) -> MatrixScheme:
-    """The scheme read off a matrix that meets Lemma 4; any other matrix is
-    refused with Lemma4Violated, naming its first three violations."""
+    """The scheme read off a matrix that meets Lemma 4, or Lemma4Violated
+    naming the first three violations, else a cell two terms share."""
     ms = _read_off(m)
     if not ms.delivery.ok:
-        raise Lemma4Violated("; ".join(verify_lemma4(m).violations[:3]))
+        if not (violations := verify_lemma4(m).violations):
+            m.transpose()  # refuses the cell, which no dense matrix can show
+        raise Lemma4Violated("; ".join(violations[:3]))
     return ms
 
 

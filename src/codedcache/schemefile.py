@@ -32,10 +32,10 @@ VERSION = 1
 SIZE_CAP = 1 << 20
 
 # Largest equation-term count (Delta * alpha) simulate builds in memory.  A
-# term costs about 40 bytes of peak RSS, 58 transposed, at alpha = k+1: CLI
-# simulate peaks at 37 MiB (47 transposed) for spc(9)/GF(3), 393,660 terms,
-# and at 88 MiB (117) for spc(8)/GF(4), 1,769,472 terms (CPython 3.11,
-# 64-bit), so a run at the cap stays near 140 MiB, under 1 GiB.
+# term costs about 40 bytes of peak RSS, 50 transposed, at alpha = k+1: CLI
+# simulate peaks at 37 MiB (44 transposed) for spc(9)/GF(3), 393,660 terms,
+# and at 88 MiB (109) for spc(8)/GF(4), 1,769,472 terms (CPython 3.11,
+# 64-bit), so a run at the cap stays near 125 MiB, under 1 GiB.
 TERM_CAP = 1 << 21
 
 SchemeSource = Union[GeneratorMatrix, CrtCodewordSource]

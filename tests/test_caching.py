@@ -477,6 +477,43 @@ def test_benchmark_plans_keep_their_bytes(k, q, alpha):
                  for a in arrays) == BENCHMARK_PLANS[k, q, alpha]
 
 
+# sha256 of the tobytes() of users, cols and starts of the transposed
+# store, and of the miss masks (each in (num_users + 7) // 8 little-endian
+# bytes), of the schemes that scheme_from_eq_subfile reads off the
+# transposed matrices of spc(4)/GF(4) at alpha 5, spc(7)/GF(3) at alpha 4 and
+# spc(4)/GF(3) at alpha 3 (z = 3), pinned while equation_subfile_matrix
+# still sorted each row by column
+BENCHMARK_TRANSPOSES = {
+    (4, 4, 5): ("50c2cb30a3a5c21b73d04994a2df4924783b21e4c2eca88684b2b5d12cd61603",
+                "1b16b22290e748d81e19261aed39ccfef41c3d7a62f4efe63dafe35f22f02b2b",
+                "ad201d874d793e992e4ed6ee0f48397433f13d39ed6981542dd0c35b49d60a76",
+                "b3b463ef55d77f7a059b06122b11865a83037390983f07f46b323ea006f9e060"),
+    (7, 3, 4): ("3e96473dff0c149ad426e4a06013693bff5c2294c74fc15f2d431497504628e6",
+                "fb62843a43e70e089cd1571cd75baae3bd07f0c7dd0ef22169632027b480379e",
+                "ec032b71e84947eed9d3f09c11aa2f0b0d2977946bd33634339343788c0073d8",
+                "c40529c9388ad7bda748759b6fddf82e9b10389f3f40b50775274ad136ae381c"),
+    (4, 3, 3): ("4c4fc6e4f17c2d15a30479e8addffe1186616fb87496fd19a68d08750e9456b9",
+                "d8a028a4d2236ce891ff9ef2f256455bd0ac061b6b92e3aa7fbf01fa82bb4ac8",
+                "635fb63181a7b7ffc7f661342e8164b2de3c3fc8aea64021a7be41fd06ff43c9",
+                "81f7d4add60fa97c448d1ccccf162b7b0c46eaf9084ed7cd82ed86d7199dba8e"),
+}
+
+
+@pytest.mark.parametrize("k, q, alpha", sorted(BENCHMARK_TRANSPOSES))
+def test_benchmark_transposes_keep_their_bytes(k, q, alpha):
+    """The transposed store and masks, byte for byte, whatever the order
+    of the terms within the matrix's rows."""
+    source = build_spc(k, ScalarDomain.field(q))
+    s = placement(resolvable_design(codeword_matrix(source)), alpha)
+    plan = generate_delivery(s, recovery_set_graph(s.n, alpha))
+    ms = scheme_from_eq_subfile(equation_subfile_matrix(s, plan).transpose())
+    size = (ms.num_users + 7) // 8
+    miss = b"".join(mask.to_bytes(size, "little") for mask in ms.miss)
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                    for a in (ms.store.users, ms.store.cols, ms.store.starts))
+    assert digests + (hashlib.sha256(miss).hexdigest(),) == BENCHMARK_TRANSPOSES[k, q, alpha]
+
+
 def test_alpha_1_serves_each_user_its_missing_points_uncoded(deadline):
     s = placement(example_design(), 1)
     plan = generate_delivery(s, recovery_set_graph(4, 1))
@@ -1070,16 +1107,25 @@ def test_eq_subfile_matrix_spc_exact():
     plan = generate_delivery(s, graph)
     m = equation_subfile_matrix(s, plan)
     assert (m.rows, m.cols, m.num_users) == (4, 4, 6)
-    assert m == sparse(6, ((6, 3, 1, 0), (4, 5, 0, 1), (2, 0, 5, 3), (0, 2, 4, 6)))
+    # the matrix is its cells; its rows keep the plan's store and term order
+    assert dense(m) == ((6, 3, 1, 0), (4, 5, 0, 1), (2, 0, 5, 3), (0, 2, 4, 6))
+    assert m.store is plan.store
     assert verify_lemma4(m).ok
 
 
 def test_eq_subfile_matrix_rejects_shared_column():
+    """Two users in one cell are refused when the matrix is transposed,
+    naming the lowest such equation, then its least such column: here
+    column 1 of equation 1, not column 2, met first in plan order, nor
+    column 0 of equation 2."""
     s = placement(spc_design(), 3)
-    # users 0 and 1 would both recover subfile (point 0, superscript 0)
-    clash = Equation(0, ((0, 0), (1, 0)))
-    with pytest.raises(Lemma4Violated):
-        equation_subfile_matrix(s, DeliveryPlan((clash,)))
+    plan = DeliveryPlan((Equation(0, ((0, 0), (1, 1))),
+                         Equation(1, ((2, 2), (3, 2), (4, 1), (5, 1))),
+                         Equation(2, ((0, 0), (1, 0)))))
+    m = equation_subfile_matrix(s, plan)
+    with pytest.raises(Lemma4Violated, match=(
+            "^two users recover subfile column 1 in one equation$")):
+        m.transpose()
 
 
 @pytest.mark.parametrize("user, col", [(0, -1), (0, 2), (2, 0)])
@@ -1113,7 +1159,8 @@ def test_lemma4_refuses_two_users_in_one_cell():
     it, but neither user cancels the other's term."""
     m = EqSubfileMatrix(2, 1, (((0, 0), (1, 0)),))
     assert verify_lemma4(m) == caching.Lemma4Report(False, ())
-    with pytest.raises(Lemma4Violated):
+    with pytest.raises(Lemma4Violated, match=(
+            "^two users recover subfile column 0 in one equation$")):
         scheme_from_eq_subfile(m)
 
 
@@ -1137,6 +1184,19 @@ def test_lemma4_matches_dense_reference_on_random_matrices():
         for mat in (m, m.transpose()):
             rep = verify_lemma4(mat)
             assert (rep.ok, rep.violations) == reference_lemma4(dense(mat)), entries
+
+
+def test_lemma4_matches_dense_reference_on_shuffled_rows():
+    """The random matrices with each row's terms shuffled, as a plan's
+    matrix holds them out of column order: the same cells, so the same
+    violations in the same order."""
+    rng = random.Random(20170601)
+    for entries, m in random_matrices():
+        rows = [list(row) for row in m.row_terms]
+        for row in rows:
+            rng.shuffle(row)
+        rep = verify_lemma4(EqSubfileMatrix(m.num_users, m.cols, tuple(map(tuple, rows))))
+        assert (rep.ok, rep.violations) == reference_lemma4(entries), entries
 
 
 def single_edit(m, rng):
@@ -1213,9 +1273,12 @@ def test_unchecked_results_equal_checked_ones_on_random_matrices():
 def test_lemma4_transpose_symmetry():
     s, plan = example_plan()
     m = equation_subfile_matrix(s, plan)
+    mt = m.transpose()
     assert verify_lemma4(m).ok
-    assert verify_lemma4(m.transpose()).ok
-    assert m.transpose().transpose() == m
+    assert verify_lemma4(mt).ok
+    # m keeps plan order within its rows; a transposed matrix's rows ascend
+    assert dense(mt.transpose()) == dense(m)
+    assert mt.transpose().transpose() == mt
 
 
 def test_scheme_from_displayed_4x6_matrix():
