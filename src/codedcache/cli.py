@@ -10,9 +10,11 @@ Exit codes: 0 success or property satisfied, 1 domain error (including a
 scheme too large to simulate), 2 usage error, 3 verification or simulation
 failure.  With --json, errors are emitted as a
 machine-readable object on stdout.  All commands are deterministic given
-their flags and seed.  The argparse tree is built on the first call of
-main and reused by every later call in the process; help and usage text
-still read COLUMNS when they print.
+their flags and seed.  The first call of main builds the argparse tree
+with every command but construct filled; construct's builder parsers are
+made when construct is first chosen, and a builder's arguments when that
+builder is first chosen.  Later calls in the process reuse the tree; help
+and usage text still read COLUMNS when they print.
 """
 
 from __future__ import annotations
@@ -90,34 +92,58 @@ def _print_summary(source: schemefile.SchemeSource, alpha: int,
               f"R={met['R']} gain={met['gain']}", file=out)
 
 
-def cmd_construct(args: argparse.Namespace) -> int:
-    kind = args.builder
-    if kind == "mds":
-        source: schemefile.SchemeSource = codes.build_mds(
-            args.n, args.k, _domain_from_args(args))
-    elif kind == "cyclic":
-        source = codes.build_cyclic(args.n, args.g, _domain_from_args(args))
-    elif kind == "spc":
-        source = codes.build_spc(args.k, _domain_from_args(args))
-    elif kind == "claim5":
-        source = codes.build_claim5(args.t, args.z, args.alpha_cols,
-                                    _domain_from_args(args))
-    elif kind == "claim6":
-        source = codes.build_claim6(args.t, args.z, _domain_from_args(args))
-    elif kind == "claim9":
-        source = codes.build_claim9(args.t, args.q)
-    elif kind == "kron":
-        base = _load_generator(args.base)
-        source = codes.kron_identity(base, args.t)
-    elif kind == "extend":
-        base = _load_generator(args.base)
-        source = codes.extend_ccp(base, args.s, args.alpha)
-    elif kind == "crt":
-        comps = [(g, ScalarDomain.field(q)) for g, q in args.component]
-        source = codes.build_crt_cyclic(comps, args.n)
-    else:  # pragma: no cover
-        raise DomainError(f"unknown builder {kind!r}")
+_INT = {"type": int, "required": True}
+_FLAG = {"action": "store_true"}
+_BASE = ("--base", {"required": True, "help": "scheme file of the base code"})
+_OUT = (("--out", {"help": "scheme file to write (default: JSON to stdout)"}),
+        ("--skip-certify", {**_FLAG, "help": "skip the consecutive-column-property check"}),
+        ("--digest", {**_FLAG, "help": "embed a sha256 digest of the codeword matrix"}))
+_FIELD = (("--q", {**_INT, "help": "alphabet size (prime power = field, else Z mod q)"}),
+          ("--modulus", {"type": _int_list, "default": None,
+                         "help": "irreducible polynomial for the extension field, "
+                                 "comma-separated, constant term first"})) + _OUT
 
+# construct's builders: name -> (help, arguments in help order, source factory)
+_BUILDERS = {
+    "mds": ("Vandermonde generator, needs q >= n",
+            (("--n", _INT), ("--k", _INT)) + _FIELD,
+            lambda a: codes.build_mds(a.n, a.k, _domain_from_args(a))),
+    "cyclic": ("cyclic code from a generator polynomial",
+               (("--n", _INT),
+                ("--g", {"type": _int_list, "required": True,
+                         "help": "generator polynomial, comma-separated, constant first"}))
+               + _FIELD,
+               lambda a: codes.build_cyclic(a.n, a.g, _domain_from_args(a))),
+    "spc": ("single parity check code [I | 1]", (("--k", _INT),) + _FIELD,
+            lambda a: codes.build_spc(a.k, _domain_from_args(a))),
+    "claim5": ("block Vandermonde family (k=tz-1, n=t*alpha_cols, q > alpha_cols)",
+               (("--t", _INT), ("--z", _INT), ("--alpha-cols", _INT)) + _FIELD,
+               lambda a: codes.build_claim5(a.t, a.z, a.alpha_cols, _domain_from_args(a))),
+    "claim6": ("banded block family (k=zt-1, n=(z+1)t, q >= z)",
+               (("--t", _INT), ("--z", _INT)) + _FIELD,
+               lambda a: codes.build_claim6(a.t, a.z, _domain_from_args(a))),
+    "claim9": ("ring variant of the banded block family (z=2)",
+               (("--t", _INT), ("--q", {**_INT, "help": "ring modulus"}), ("--out", {}),
+                ("--skip-certify", _FLAG), ("--digest", _FLAG)),
+               lambda a: codes.build_claim9(a.t, a.q)),
+    "kron": ("Kronecker lift A (x) I_t of a base scheme file",
+             (_BASE, ("--t", _INT)) + _OUT,
+             lambda a: codes.kron_identity(_load_generator(a.base), a.t)),
+    "extend": ("prepend s copies of the first alpha columns",
+               (_BASE, ("--s", _INT), ("--alpha", {"type": int, "default": None})) + _OUT,
+               lambda a: codes.extend_ccp(_load_generator(a.base), a.s, a.alpha)),
+    "crt": ("residue source from prime-field cyclic components",
+            (("--n", _INT), ("--component", {"type": _component, "action": "append",
+                                             "required": True, "metavar": "q:c0,c1,...",
+                                             "help": "component modulus and generator "
+                                                     "polynomial (repeatable)"})) + _OUT,
+            lambda a: codes.build_crt_cyclic(
+                [(g, ScalarDomain.field(q)) for g, q in a.component], a.n)),
+}
+
+
+def cmd_construct(args: argparse.Namespace) -> int:
+    source: schemefile.SchemeSource = _BUILDERS[args.builder][2](args)
     n, q, alpha, _ = _source_params(source)
     cert = None
     if not args.skip_certify:
@@ -394,86 +420,52 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _FillOnChoice(argparse._SubParsersAction):
+    """Subparsers that fill a chosen parser just before it parses: the
+    first call that picks a name in ``fills`` runs ``fills[name](parser)``."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.fills = {}
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        fill = self.fills.pop(values[0], None)
+        if fill is not None:
+            fill(self._name_parser_map[values[0]])
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _fill_construct(con: argparse.ArgumentParser) -> None:
+    """construct's builder parsers by name and help; each builder's
+    arguments are added when that builder is chosen."""
+    sub = con.add_subparsers(dest="builder", metavar="builder", required=True,
+                             action=_FillOnChoice)
+    for name, (text, arguments, _) in _BUILDERS.items():
+        sub.add_parser(name, help=text)
+        sub.fills[name] = functools.partial(_add_arguments, arguments)
+
+
+def _add_arguments(arguments, p: argparse.ArgumentParser) -> None:
+    for flag, kwargs in arguments:
+        p.add_argument(flag, **kwargs)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The tree, built once: parsing leaves it unchanged, so main reuses it."""
+    """The tree, built once and reused by main: every command but
+    construct is filled here; construct's builders are filled by the first
+    call that chooses them (_FillOnChoice), and parsing changes nothing else."""
     parser = argparse.ArgumentParser(
         prog="codedcache",
         description="Construct, certify, and simulate low-subpacketization "
                     "coded caching schemes from linear block codes.")
     parser.add_argument("--json", action="store_true",
                         help="emit errors as machine-readable JSON on stdout")
-    sub = parser.add_subparsers(dest="command", metavar="command")
-
-    con = sub.add_parser("construct", help="build a code and write a scheme file")
-    conb = con.add_subparsers(dest="builder", metavar="builder", required=True)
-
-    def _common(p: argparse.ArgumentParser, *, q: bool = True) -> None:
-        if q:
-            p.add_argument("--q", type=int, required=True,
-                           help="alphabet size (prime power = field, else Z mod q)")
-            p.add_argument("--modulus", type=_int_list, default=None,
-                           help="irreducible polynomial for the extension field, "
-                                "comma-separated, constant term first")
-        p.add_argument("--out", help="scheme file to write (default: JSON to stdout)")
-        p.add_argument("--skip-certify", action="store_true",
-                       help="skip the consecutive-column-property check")
-        p.add_argument("--digest", action="store_true",
-                       help="embed a sha256 digest of the codeword matrix")
-        p.set_defaults(func=cmd_construct)
-
-    p = conb.add_parser("mds", help="Vandermonde generator, needs q >= n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _common(p)
-
-    p = conb.add_parser("cyclic", help="cyclic code from a generator polynomial")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--g", type=_int_list, required=True,
-                   help="generator polynomial, comma-separated, constant first")
-    _common(p)
-
-    p = conb.add_parser("spc", help="single parity check code [I | 1]")
-    p.add_argument("--k", type=int, required=True)
-    _common(p)
-
-    p = conb.add_parser("claim5", help="block Vandermonde family "
-                                       "(k=tz-1, n=t*alpha_cols, q > alpha_cols)")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--z", type=int, required=True)
-    p.add_argument("--alpha-cols", type=int, required=True)
-    _common(p)
-
-    p = conb.add_parser("claim6", help="banded block family (k=zt-1, n=(z+1)t, q >= z)")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--z", type=int, required=True)
-    _common(p)
-
-    p = conb.add_parser("claim9", help="ring variant of the banded block family (z=2)")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--q", type=int, required=True, help="ring modulus")
-    p.add_argument("--out")
-    p.add_argument("--skip-certify", action="store_true")
-    p.add_argument("--digest", action="store_true")
-    p.set_defaults(func=cmd_construct)
-
-    p = conb.add_parser("kron", help="Kronecker lift A (x) I_t of a base scheme file")
-    p.add_argument("--base", required=True, help="scheme file of the base code")
-    p.add_argument("--t", type=int, required=True)
-    _common(p, q=False)
-
-    p = conb.add_parser("extend", help="prepend s copies of the first alpha columns")
-    p.add_argument("--base", required=True, help="scheme file of the base code")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--alpha", type=int, default=None)
-    _common(p, q=False)
-
-    p = conb.add_parser("crt", help="residue source from prime-field cyclic components")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--component", type=_component, action="append", required=True,
-                   metavar="q:c0,c1,...",
-                   help="component modulus and generator polynomial (repeatable)")
-    _common(p, q=False)
+    sub = parser.add_subparsers(dest="command", metavar="command",
+                                action=_FillOnChoice)
+    sub.add_parser("construct", help="build a code and write a scheme file"
+                   ).set_defaults(func=cmd_construct)
+    sub.fills["construct"] = _fill_construct
 
     p = sub.add_parser("verify", help="check the consecutive column property")
     p.add_argument("file", help="scheme file")

@@ -4,6 +4,7 @@ Every test drives codedcache.cli.main() in process and checks exit codes,
 stdout/stderr text, and the files the commands leave behind.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -596,23 +597,83 @@ def test_no_subcommand_prints_help():
     assert "usage" in err.lower()
 
 
+BUILDERS = ("mds", "cyclic", "spc", "claim5", "claim6", "claim9", "kron",
+            "extend", "crt")
+
+
 def test_shared_parser_leaks_nothing_between_calls(tmp_path, monkeypatch):
-    """main reuses one parser per process.  Calls that could leave state in
-    it (an append action, usage errors, --json, help at two widths) print
-    exactly what the same argv prints in a fresh process."""
+    """main reuses one parser per process and fills construct's builders on
+    first choice.  Calls that could leave state in it (an append action,
+    usage errors, --json, help at two widths, the first fill of construct
+    and of each builder after search and simulate have run on a fresh
+    tree) print exactly what the same argv prints in a fresh process."""
+    cli._build_parser.cache_clear()
     assert cli._build_parser() is cli._build_parser()
+    write_ex3(tmp_path / "ex3.json")
+    steps = [("80", ["search", "--n", "4", "--q", "2"]),
+             ("80", ["simulate", "ex3.json", "--files", "2"])]
+    steps += [(columns, argv) for columns in ("60", "120")
+              for argv in [["construct", "--help"]]
+              + [["construct", b, "--help"] for b in BUILDERS]
+              + [["construct", b, "--bogus"] for b in BUILDERS]]
     crt = ["construct", "crt", "--n", "4",
            "--component", "2:1,1", "--component", "3:1,1"]
     usage = ["construct", "spc", "--q", "3"]
     domain = ["construct", "mds", "--n", "5", "--k", "2", "--q", "3"]
-    steps = [("80", argv) for argv in (crt, crt, usage, usage,
-                                       ["--json"] + domain, domain)]
+    steps += [("80", argv) for argv in (crt, crt, usage, usage,
+                                        ["--json"] + domain, domain)]
     steps += [(columns, argv) for columns in ("60", "120")
               for argv in (["--help"], ["simulate", "--help"])]
+    monkeypatch.chdir(tmp_path)
     for columns, argv in steps:
         monkeypatch.setenv("COLUMNS", columns)
         child = run_child(argv, tmp_path)
         assert run(argv) == (child.returncode, child.stdout, child.stderr), argv
+
+
+def test_parser_fills_only_the_chosen_builder(tmp_path, monkeypatch):
+    """The first call builds the tree without construct's builders; a
+    construct call makes the nine builder parsers and adds arguments to the
+    chosen builder only."""
+    made, added = [], []
+    init = argparse.ArgumentParser.__init__
+    add = argparse.ArgumentParser.add_argument
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self.prog)
+
+    def counting_add(self, *args, **kwargs):
+        added.append((self.prog, args[0]))
+        return add(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting_add)
+    monkeypatch.chdir(tmp_path)
+    cli._build_parser.cache_clear()
+    try:
+        assert run(["search", "--n", "4", "--q", "2"])[0] == 0
+        assert made == ["codedcache"] + [f"codedcache {c}" for c in (
+            "construct", "verify", "simulate", "search", "compare")]
+        assert [(prog, flag) for prog, flag in added
+                if prog.startswith("codedcache construct")] == [
+                    ("codedcache construct", "-h")]
+        made.clear()
+        added.clear()
+        assert run(["construct", "mds", "--n", "5", "--k", "2", "--q", "5"])[0] == 0
+        assert made == [f"codedcache construct {b}" for b in BUILDERS]
+        filled = [prog for prog, flag in added if flag != "-h"]
+        assert set(filled) == {"codedcache construct mds"}
+        assert len(filled) == 7
+        made.clear()
+        added.clear()
+        assert run(["construct", "mds", "--n", "5", "--k", "2", "--q", "5"])[0] == 0
+        assert run(["construct", "spc", "--help"])[0] == 0
+        assert made == []
+        assert {prog for prog, flag in added if flag != "-h"} == {
+            "codedcache construct spc"}
+    finally:
+        cli._build_parser.cache_clear()
 
 
 # ---------------------------------------------------------------------------
