@@ -42,7 +42,7 @@ from .errors import (
     NoFeasibleK,
     NoSolutionInRange,
 )
-from .gf import natural_domain
+from .gf import ScalarDomain, natural_domain
 
 # ---------------------------------------------------------------------------
 # candidate search over k
@@ -67,33 +67,51 @@ class CandidateEntry:
     notes: tuple[str, ...]
 
 
+def _extend(step: dict, dom: ScalarDomain,
+            g: Optional[GeneratorMatrix]) -> GeneratorMatrix:
+    if g is None:
+        raise DomainError("extend step with nothing to extend")
+    return extend_ccp(g, step["s"])
+
+
+# route steps: op -> (rebuild from the step, the alphabet and the code built
+# so far; the step's label in the search table)
+_ROUTE_STEPS = {
+    "spc": (lambda s, dom, g: build_spc(s["k"], dom),
+            lambda s: f"spc(k={s['k']})"),
+    "cyclic": (lambda s, dom, g: build_cyclic(s["n"], s["gen_poly"], dom),
+               lambda s: f"cyclic(n={s['n']},g={','.join(map(str, s['gen_poly']))})"),
+    "mds": (lambda s, dom, g: build_mds(s["n"], s["k"], dom),
+            lambda s: f"mds(n={s['n']},k={s['k']})"),
+    "claim5": (lambda s, dom, g: build_claim5(s["t"], s["z"], s["alpha_cols"], dom),
+               lambda s: f"block-vandermonde(t={s['t']},z={s['z']},a={s['alpha_cols']})"),
+    "claim6": (lambda s, dom, g: build_claim6(s["t"], s["z"], dom),
+               lambda s: f"block-banded(t={s['t']},z={s['z']})"),
+    "claim9": (lambda s, dom, g: build_claim9(s["t"], dom.q),
+               lambda s: f"block-banded-ring(t={s['t']})"),
+    "extend": (_extend, lambda s: f"extend(s={s['s']})"),
+}
+
+
 def replay_route(route: Sequence[dict], q: int) -> GeneratorMatrix:
     """Rebuild the generator matrix described by a candidate route."""
     dom = natural_domain(q)
     g: Optional[GeneratorMatrix] = None
     for step in route:
-        op = step["op"]
-        if op == "spc":
-            g = build_spc(step["k"], dom)
-        elif op == "cyclic":
-            g = build_cyclic(step["n"], step["gen_poly"], dom)
-        elif op == "mds":
-            g = build_mds(step["n"], step["k"], dom)
-        elif op == "claim5":
-            g = build_claim5(step["t"], step["z"], step["alpha_cols"], dom)
-        elif op == "claim6":
-            g = build_claim6(step["t"], step["z"], dom)
-        elif op == "claim9":
-            g = build_claim9(step["t"], q)
-        elif op == "extend":
-            if g is None:
-                raise DomainError("extend step with nothing to extend")
-            g = extend_ccp(g, step["s"])
-        else:
-            raise DomainError(f"unknown route step {op!r}")
+        if step["op"] not in _ROUTE_STEPS:
+            raise DomainError(f"unknown route step {step['op']!r}")
+        g = _ROUTE_STEPS[step["op"]][0](step, dom, g)
     if g is None:
         raise DomainError("empty route")
     return g
+
+
+def _route_label(entry: CandidateEntry) -> str:
+    """The search table's construction column: the route's step labels
+    joined by +, or - for a k with no construction."""
+    if not entry.found:
+        return "-"
+    return "+".join(_ROUTE_STEPS[step["op"]][1](step) for step in entry.route)
 
 
 def _with_extension(step: dict, built_n: int, n: int, a: int) -> list[dict]:

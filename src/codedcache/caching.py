@@ -42,7 +42,6 @@ recovery sets ascending, block tuples in lexicographic order, ranks ascending.
 
 from __future__ import annotations
 
-import bisect
 import collections
 import functools
 import itertools
@@ -552,8 +551,8 @@ class EqSubfileMatrix:
 
     def transpose(self) -> "EqSubfileMatrix":
         """Swap indices: (user, j) in row i becomes (user, i) in row j, by a
-        counting sort on column that keeps row order, so result rows ascend.
-        Lemma4Violated names the least cell (i, j) that two terms share."""
+        counting sort on column that keeps row order, so result rows ascend
+        and transposing twice gives each row its terms in column order."""
         users = [array("I") for _ in range(self.cols)]
         rows = [array("I") for _ in range(self.cols)]
         row_of = itertools.chain.from_iterable(map(
@@ -564,13 +563,6 @@ class EqSubfileMatrix:
         store = TermStore(array("I", b"".join(map(array.tobytes, users))),
                           array("I", b"".join(map(array.tobytes, rows))),
                           array("I", itertools.accumulate(map(len, users), initial=0)))
-        firsts = set(store.starts)  # a row index may repeat across two rows
-        shared = [(store.cols[t], bisect.bisect(store.starts, t) - 1)
-                  for t in itertools.compress(itertools.count(1), map(
-                      operator.eq, store.cols, store.cols[1:])) if t not in firsts]
-        if shared:
-            _, j = min(shared)
-            raise Lemma4Violated(f"two users recover subfile column {j} in one equation")
         return EqSubfileMatrix(self.num_users, self.rows, store)
 
 
@@ -596,12 +588,15 @@ def verify_lemma4(m: EqSubfileMatrix) -> Lemma4Report:
     in its row but lacks.  Only when they fail are the violations listed: a
     user v at (i, j) and any other nonzero (i, j2) of row i break the
     rectangle with every occurrence of v in column j2 outside row i, in the
-    order a row-major scan of the dense matrix would find them."""
+    order a row-major scan of the dense matrix would find them.  Last comes
+    each cell that two distinct users share, by row, then column: no dense
+    matrix holds one, and neither user can cancel the other's term."""
     if _read_off(m).delivery.ok:
         return Lemma4Report(True, ())
+    terms = m.row_terms
     where: dict[tuple[int, int], list[int]] = {}  # (user, column) -> rows
     first: dict[int, tuple[int, int]] = {}  # user -> its first cell, row-major
-    for i, row in enumerate(m.row_terms):
+    for i, row in enumerate(terms):
         for user, j in row:
             where.setdefault((user, j), []).append(i)
             first[user] = min(first.get(user, (i, j)), (i, j))
@@ -609,10 +604,10 @@ def verify_lemma4(m: EqSubfileMatrix) -> Lemma4Report:
         (j, i2, f"user {user + 1} appears twice in column {j} (rows {i1}, {i2})")
         for (user, j), rows in where.items() for i1, i2 in zip(rows, rows[1:]))
     violations = [text for _, _, text in columns]
-    violations += [f"row {i} repeats a user" for i, row in enumerate(m.row_terms)
+    violations += [f"row {i} repeats a user" for i, row in enumerate(terms)
                    if len({user for user, _ in row}) != len(row)]
     corners = set()
-    for i, row in enumerate(m.row_terms):
+    for i, row in enumerate(terms):
         for user, j in row:
             for _, j2 in row:
                 if j2 == j:
@@ -623,6 +618,9 @@ def verify_lemma4(m: EqSubfileMatrix) -> Lemma4Report:
                         corners.add((first[user], user, a, b))
     violations += [f"user {user + 1} at ({i1},{j1}) and ({i2},{j2}) lacks zero corners"
                    for _, user, (i1, j1), (i2, j2) in sorted(corners)]
+    violations += [f"two users recover subfile column {j} in one equation"
+                   for row in terms for j in sorted({c for _, c in row})
+                   if len({user for user, c in row if c == j}) > 1]
     return Lemma4Report(False, tuple(violations))
 
 
@@ -743,12 +741,10 @@ def _read_off(m: EqSubfileMatrix) -> MatrixScheme:
 
 def scheme_from_eq_subfile(m: EqSubfileMatrix) -> MatrixScheme:
     """The scheme read off a matrix that meets Lemma 4, or Lemma4Violated
-    naming the first three violations, else a cell two terms share."""
+    naming the first three violations that verify_lemma4 lists."""
     ms = _read_off(m)
     if not ms.delivery.ok:
-        if not (violations := verify_lemma4(m).violations):
-            m.transpose()  # refuses the cell, which no dense matrix can show
-        raise Lemma4Violated("; ".join(violations[:3]))
+        raise Lemma4Violated("; ".join(verify_lemma4(m).violations[:3]))
     return ms
 
 

@@ -123,8 +123,7 @@ _BUILDERS = {
                (("--t", _INT), ("--z", _INT)) + _FIELD,
                lambda a: codes.build_claim6(a.t, a.z, _domain_from_args(a))),
     "claim9": ("ring variant of the banded block family (z=2)",
-               (("--t", _INT), ("--q", {**_INT, "help": "ring modulus"}), ("--out", {}),
-                ("--skip-certify", _FLAG), ("--digest", _FLAG)),
+               (("--t", _INT), ("--q", {**_INT, "help": "ring modulus"})) + _OUT,
                lambda a: codes.build_claim9(a.t, a.q)),
     "kron": ("Kronecker lift A (x) I_t of a base scheme file",
              (_BASE, ("--t", _INT)) + _OUT,
@@ -319,33 +318,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _route_label(entry: analysis.CandidateEntry) -> str:
-    if not entry.found:
-        return "-"
-    parts = []
-    for step in entry.route:
-        op = step["op"]
-        if op == "cyclic":
-            gen = ",".join(str(c) for c in step["gen_poly"])
-            parts.append(f"cyclic(n={step['n']},g={gen})")
-        elif op == "extend":
-            parts.append(f"extend(s={step['s']})")
-        elif op == "spc":
-            parts.append(f"spc(k={step['k']})")
-        elif op == "mds":
-            parts.append(f"mds(n={step['n']},k={step['k']})")
-        elif op == "claim5":
-            parts.append(f"block-vandermonde(t={step['t']},z={step['z']},"
-                         f"a={step['alpha_cols']})")
-        elif op == "claim6":
-            parts.append(f"block-banded(t={step['t']},z={step['z']})")
-        elif op == "claim9":
-            parts.append(f"block-banded-ring(t={step['t']})")
-        else:
-            parts.append(op)
-    return "+".join(parts)
-
-
 def cmd_search(args: argparse.Namespace) -> int:
     entries = analysis.construct_candidate_set(args.n, args.q, args.cyclic_limit)
     budget_result = None
@@ -359,7 +331,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         if budget_result and e.k == budget_result["k_max"]:
             mark = "  <-- k_max for budget"
         print(f"{e.k:>3} {e.n_prime:>7} {e.z:>3} {e.alpha_cols:>5} "
-              f"{str(e.found):>5}  {_route_label(e)}{mark}")
+              f"{str(e.found):>5}  {analysis._route_label(e)}{mark}")
         for note in e.notes:
             print(f"      note: {note}")
     if budget_result:
@@ -369,7 +341,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         lines = ["k,n_prime,z,alpha_cols,found,construction"]
         for e in entries:
             lines.append(f"{e.k},{e.n_prime},{e.z},{e.alpha_cols},"
-                         f"{e.found},\"{_route_label(e)}\"")
+                         f"{e.found},\"{analysis._route_label(e)}\"")
         _write_text(args.csv, "\n".join(lines) + "\n")
     if args.json_out:
         doc = {"format": "codedcache-search", "version": 1,

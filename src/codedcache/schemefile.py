@@ -140,16 +140,15 @@ def load_scheme(path: Union[str, os.PathLike]) -> tuple[SchemeSource, dict]:
     return scheme_from_dict(data), data
 
 
-def codeword_digest(source: SchemeSource, max_codewords: int = SIZE_CAP) -> str:
+def codeword_digest(source: SchemeSource) -> str:
     """sha256 over the canonical codeword matrix, for change detection.
-    Refuses enumerations larger than max_codewords."""
+    Refuses enumerations larger than SIZE_CAP, read at call time."""
     from .design import codeword_matrix  # deferred: design imports codes
 
     # count first: the cap must refuse before anything is enumerated
     count = source.num_codewords
-    if count > max_codewords:
-        raise SchemeFileError(
-            f"{count} codewords exceed digest cap {max_codewords}")
+    if count > SIZE_CAP:
+        raise SchemeFileError(f"{count} codewords exceed digest cap {SIZE_CAP}")
     cm = codeword_matrix(source)
     # entries lie in [0, q): look their decimal forms up, not format each
     digits = [str(v) for v in range(cm.q)]

@@ -65,13 +65,21 @@ def test_candidate_k10_not_found_with_reason(table_entries):
     assert any("q >= 11" in note for note in e.notes)
 
 
-def test_every_found_route_replays_to_certified_code(table_entries):
-    for e in table_entries:
+@pytest.mark.parametrize("n, q, cyclic_limit", [(12, 5, 10 ** 6), (10, 7, 10000)])
+def test_every_found_route_replays_to_certified_code(n, q, cyclic_limit):
+    """(10, 7) also takes the mds and claim5 steps: mds(n=4,k=2)+extend(s=2)
+    at k = 2 and block-vandermonde(t=2,z=3,a=5) at k = 5."""
+    entries = construct_candidate_set(n, q, cyclic_limit)
+    for e in entries:
         if not e.found:
             continue
-        g = replay_route(e.route, 5)
-        assert (g.n, g.k) == (12, e.k)
+        g = replay_route(e.route, q)
+        assert (g.n, g.k) == (n, e.k)
         assert check_ccp(g, e.k + 1).satisfied, f"k={e.k}"
+    if (n, q) == (10, 7):
+        by_k = {e.k: e for e in entries}
+        assert by_k[2].route == ({"op": "mds", "n": 4, "k": 2}, {"op": "extend", "s": 2})
+        assert by_k[5].route == ({"op": "claim5", "t": 2, "z": 3, "alpha_cols": 5},)
 
 
 def test_candidate_entries_cover_all_k(table_entries):

@@ -1114,18 +1114,19 @@ def test_eq_subfile_matrix_spc_exact():
 
 
 def test_eq_subfile_matrix_rejects_shared_column():
-    """Two users in one cell are refused when the matrix is transposed,
-    naming the lowest such equation, then its least such column: here
-    column 1 of equation 1, not column 2, met first in plan order, nor
-    column 0 of equation 2."""
+    """Two users in one cell survive transposition, and Lemma 4 names each
+    such cell last, by equation, then column: column 1 of equation 1 before
+    column 2, met first in plan order, then column 0 of equation 2."""
     s = placement(spc_design(), 3)
     plan = DeliveryPlan((Equation(0, ((0, 0), (1, 1))),
                          Equation(1, ((2, 2), (3, 2), (4, 1), (5, 1))),
                          Equation(2, ((0, 0), (1, 0)))))
     m = equation_subfile_matrix(s, plan)
-    with pytest.raises(Lemma4Violated, match=(
-            "^two users recover subfile column 1 in one equation$")):
-        m.transpose()
+    twice = m.transpose().transpose()
+    assert [sorted(row) for row in twice.row_terms] == [
+        sorted(row) for row in m.row_terms]
+    assert verify_lemma4(m).violations[-3:] == tuple(
+        f"two users recover subfile column {j} in one equation" for j in (1, 2, 0))
 
 
 @pytest.mark.parametrize("user, col", [(0, -1), (0, 2), (2, 0)])
@@ -1155,13 +1156,39 @@ def test_lemma4_flags_each_condition():
 
 
 def test_lemma4_refuses_two_users_in_one_cell():
-    """No dense matrix holds two users in one cell, so no violation can name
-    it, but neither user cancels the other's term."""
+    """No dense matrix holds two users in one cell, so only the shared-cell
+    entry names it: neither user cancels the other's term."""
     m = EqSubfileMatrix(2, 1, (((0, 0), (1, 0)),))
-    assert verify_lemma4(m) == caching.Lemma4Report(False, ())
+    assert verify_lemma4(m) == caching.Lemma4Report(
+        False, ("two users recover subfile column 0 in one equation",))
     with pytest.raises(Lemma4Violated, match=(
             "^two users recover subfile column 0 in one equation$")):
         scheme_from_eq_subfile(m)
+
+
+def test_lemma4_names_a_violation_on_random_sparse_matrices():
+    """2000 seeded sparse matrices of 1-4 rows, columns and users, each row
+    0-4 terms that may repeat a user or a column, so two users may share a
+    cell: every failing report names a violation, scheme_from_eq_subfile
+    refuses exactly the failing ones with the first three, and transposing
+    twice gives each row its terms in column order."""
+    rng = random.Random(20170601)
+    for _ in range(2000):
+        users, cols = rng.randint(1, 4), rng.randint(1, 4)
+        terms = tuple(tuple((rng.randrange(users), rng.randrange(cols))
+                            for _ in range(rng.randint(0, 4)))
+                      for _ in range(rng.randint(1, 4)))
+        m = EqSubfileMatrix(users, cols, terms)
+        assert m.transpose().transpose().row_terms == tuple(
+            tuple(sorted(row, key=lambda term: term[1])) for row in terms)
+        rep = verify_lemma4(m)
+        assert rep.ok != bool(rep.violations), terms
+        if rep.ok:
+            scheme_from_eq_subfile(m)
+            continue
+        with pytest.raises(Lemma4Violated) as refusal:
+            scheme_from_eq_subfile(m)
+        assert str(refusal.value) == "; ".join(rep.violations[:3])
 
 
 def random_matrices():

@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from codedcache import caching, cli, design, schemefile
 
 
@@ -75,6 +77,35 @@ def test_construct_cyclic_example_code(tmp_path):
     assert code == 0
     # cyclic codes take the single-window shortcut
     assert "satisfied via cyclic-shortcut" in out
+
+
+def test_construct_cyclic_failing_the_shortcut_exits_three(tmp_path):
+    """The file is still written; its delivery then fails, which main
+    reports as DecodeFailure with exit 3, as text or as --json."""
+    c7 = tmp_path / "c7.json"
+    code, out, _ = run(["construct", "cyclic", "--n", 7, "--g", "1,1,0,1",
+                        "--q", 2, "--out", c7])
+    assert code == 3
+    assert "ccp: alpha=5 NOT satisfied via cyclic-shortcut" in out.splitlines()
+    message = "unequal served-point counts within a tuple"
+    assert run(["simulate", c7, "--files", 2]) == (3, "", f"error: {message}\n")
+    code, out, err = run(["--json", "simulate", c7, "--files", 2])
+    assert (code, err) == (3, "")
+    assert json.loads(out) == {"error": {"type": "DecodeFailure", "message": message}}
+
+
+@pytest.mark.parametrize("modulus", ["1,0,1,1", "1,1,0,1"])
+def test_construct_mds_keeps_its_modulus(tmp_path, modulus):
+    """GF(8)'s default modulus and another irreducible cubic."""
+    m5 = tmp_path / "m5.json"
+    assert run(["construct", "mds", "--n", 5, "--k", 2, "--q", 8,
+                "--modulus", modulus, "--out", m5])[0] == 0
+    assert json.loads(m5.read_text())["domain"] == {
+        "kind": "field", "q": 8, "p": 2, "m": 3,
+        "modulus": [int(c) for c in modulus.split(",")]}
+    code, out, _ = run(["verify", m5])
+    assert code == 0
+    assert out.splitlines()[-1] == "satisfied"
 
 
 def test_construct_mds_field_too_small_is_domain_error(tmp_path):
@@ -512,6 +543,15 @@ def test_search_table_budget_and_outputs(tmp_path):
         assert entry["found"] == bool(entry["route"])
 
 
+def test_search_labels_mds_and_claim5_steps():
+    code, out, _ = run(["search", "--n", 10, "--q", 7, "--cyclic-limit", 10000])
+    assert code == 0
+    rows = {ln[:3]: ln for ln in out.splitlines()}
+    assert rows["  2"].endswith(" True  mds(n=4,k=2)+extend(s=2)")
+    assert rows["  5"].endswith(" True  block-vandermonde(t=2,z=3,a=5)")
+    assert rows["  6"].endswith(" False  -")
+
+
 def test_search_ring_reports_field_only_steps():
     code, out, _ = run(["search", "--n", 6, "--q", 6])
     assert code == 0
@@ -537,15 +577,22 @@ def test_search_budget_too_small_is_domain_error():
 
 
 def test_compare_against_single_cache_point_baseline(tmp_path):
-    scheme = tmp_path / "spc15.json"
+    scheme, csv_path, json_path = (tmp_path / name for name in (
+        "spc15.json", "tab.csv", "tab.json"))
     assert run(["construct", "spc", "--k", 15, "--q", 4,
                 "--out", scheme])[0] == 0
-    code, out, _ = run(["compare", scheme, "--mn"])
+    code, out, _ = run(["compare", scheme, "--mn", "--csv", csv_path,
+                        "--json-out", json_path])
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "scheme_id,K,M_over_N,R,F_s,gain"
     assert "spc15,64,1/4,3,1073741824,16" in lines
     assert any(ln.startswith("mn(K=64") for ln in lines)
+    # the files hold the printed table
+    assert csv_path.read_text() == out
+    doc = json.loads(json_path.read_text())
+    assert (doc["format"], doc["version"]) == ("codedcache-comparison", 1)
+    assert [",".join(map(str, row.values())) for row in doc["rows"]] == lines[1:]
 
 
 def test_compare_memory_sharing_bound(tmp_path):
@@ -599,6 +646,18 @@ def test_no_subcommand_prints_help():
 
 BUILDERS = ("mds", "cyclic", "spc", "claim5", "claim6", "claim9", "kron",
             "extend", "crt")
+
+
+def test_every_builder_describes_its_output_flags(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for builder in BUILDERS:
+        code, out, _ = run(["construct", builder, "--help"])
+        assert code == 0
+        text = " ".join(out.split())
+        for line in ("--out OUT scheme file to write (default: JSON to stdout)",
+                     "--skip-certify skip the consecutive-column-property check",
+                     "--digest embed a sha256 digest of the codeword matrix"):
+            assert line in text, builder
 
 
 def test_shared_parser_leaks_nothing_between_calls(tmp_path, monkeypatch):

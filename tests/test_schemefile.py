@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from codedcache import design
+from codedcache import design, schemefile
 from codedcache.codes import (
     CrtCodewordSource,
     GeneratorMatrix,
@@ -210,11 +210,13 @@ def test_digest_covers_crt_sources():
     assert codeword_digest(src).startswith("sha256:")
 
 
-def test_digest_enumeration_cap():
+def test_digest_enumeration_cap(monkeypatch):
     g = build_spc(4, GF3)  # 81 codewords
+    monkeypatch.setattr(schemefile, "SIZE_CAP", 80)
     with pytest.raises(SchemeFileError):
-        codeword_digest(g, max_codewords=80)
-    codeword_digest(g, max_codewords=81)
+        codeword_digest(g)
+    monkeypatch.setattr(schemefile, "SIZE_CAP", 81)
+    codeword_digest(g)
 
 
 def test_digest_cap_refuses_before_enumerating(monkeypatch):
@@ -222,8 +224,10 @@ def test_digest_cap_refuses_before_enumerating(monkeypatch):
         raise AssertionError("codeword_matrix called despite the cap")
 
     monkeypatch.setattr(design, "codeword_matrix", enumerate_all)
-    with pytest.raises(SchemeFileError, match="exceed digest cap 80"):
-        codeword_digest(build_spc(4, GF3), max_codewords=80)  # 81 codewords
+    monkeypatch.setattr(schemefile, "SIZE_CAP", 80)
+    with pytest.raises(SchemeFileError, match="^81 codewords exceed digest cap 80$"):
+        codeword_digest(build_spc(4, GF3))
     crt = build_crt_cyclic([([1, 1], GF2), ([1, 1, 1], GF3)], 3)  # 4 * 3
-    with pytest.raises(SchemeFileError, match="12 codewords exceed"):
-        codeword_digest(crt, max_codewords=11)
+    monkeypatch.setattr(schemefile, "SIZE_CAP", 11)
+    with pytest.raises(SchemeFileError, match="^12 codewords exceed digest cap 11$"):
+        codeword_digest(crt)
