@@ -18,10 +18,10 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from ._frozen import frozen
 from .caching import CachingScheme, code_point_metrics
 from .codes import (
     GeneratorMatrix,
@@ -49,7 +49,7 @@ from .gf import ScalarDomain, natural_domain
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class CandidateEntry:
     """Search outcome for one dimension k at gain k+1.
 
@@ -238,8 +238,9 @@ def k_max_for_budget(n: int, q: int, budget: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class ComparisonRow:
+    """One operating point: K users, cache fraction M/N, rate R, F_s and gain."""
     scheme_id: str
     big_k: int
     m_over_n: Fraction

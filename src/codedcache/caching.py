@@ -47,10 +47,10 @@ import functools
 import itertools
 import operator
 from array import array
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
+from ._frozen import frozen
 from .codes import CrtCodewordSource, ccp_windows, least_z
 from .design import ResolvableDesign, Source
 from .errors import (
@@ -67,7 +67,7 @@ from .errors import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class CachingScheme:
     """Placement derived from a resolvable design at gain parameter alpha."""
 
@@ -123,7 +123,7 @@ def placement(d: ResolvableDesign, alpha: int) -> CachingScheme:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class RecoverySetGraph:
     """Bipartite structure between parallel classes and recovery sets.
 
@@ -163,7 +163,7 @@ def recovery_set_graph(n: int, alpha: int) -> RecoverySetGraph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class Equation:
     """One broadcast XOR, a (user, column) term per participating user."""
     recovery_set: int
@@ -174,8 +174,9 @@ class TermStore:
     """Equation terms without a Python object per term: equation i is
     (users[t], cols[t]) for t in starts[i]:starts[i+1], each an array("I"),
     starts one entry longer than there are equations.  `tuples` builds each
-    equation's (user, column) tuples on first use and keeps them.  A plain
-    class: a dataclass would cost every import about 1 ms."""
+    equation's (user, column) tuples on first use and keeps them.  Two
+    stores are == when their arrays are; arrays are unhashable, and so is a
+    store."""
 
     def __init__(self, users: array, cols: array, starts: array) -> None:
         self.users, self.cols, self.starts = users, cols, starts
@@ -224,7 +225,7 @@ def _runs(starts: array) -> Iterator[tuple[int, int, int]]:
             yield width, t, end
 
 
-@dataclass(frozen=True)
+@frozen
 class DeliveryPlan:
     """The equations in plan order: their terms in a TermStore, and sets,
     an array("I") of each equation's recovery set.  DeliveryPlan(equations)
@@ -412,8 +413,9 @@ def byte_stream(seed: int, count: int) -> bytes:
     return bytes(out[:count])
 
 
-@dataclass(frozen=True)
+@frozen
 class UserOutcome:
+    """What one user demanded and recovered in a simulated delivery."""
     user: int
     demanded: int
     recovered_count: int
@@ -423,8 +425,9 @@ class UserOutcome:
     exact: bool
 
 
-@dataclass(frozen=True)
+@frozen
 class SimulationReport:
+    """The broadcast for one demand vector and each user's outcome."""
     num_users: int
     num_files: int
     subfile_bytes: int
@@ -522,7 +525,7 @@ def _served(num_users: int, cols: int, store: TermStore) -> list[int]:
     return served
 
 
-@dataclass(frozen=True)
+@frozen
 class EqSubfileMatrix:
     """Delta x F_s equation-subfile matrix stored by its nonzeros.
 
@@ -573,8 +576,9 @@ def equation_subfile_matrix(scheme: CachingScheme,
     return EqSubfileMatrix(scheme.num_users, scheme.f_s, plan.store)
 
 
-@dataclass(frozen=True)
+@frozen
 class Lemma4Report:
+    """verify_lemma4's verdict: ok, else the violations that break it."""
     ok: bool
     violations: tuple[str, ...]
 
@@ -636,7 +640,7 @@ class Delivery(NamedTuple):
         return self.once and self.clean and not self.incomplete
 
 
-@dataclass(frozen=True)
+@frozen
 class MatrixScheme:
     """A caching scheme as simulate reads it: subfiles are the columns
     0..f_s-1, bit u of miss[c] is set iff user u lacks column c, and the
@@ -654,8 +658,7 @@ class MatrixScheme:
     num_users: int
     f_s: int
     miss: tuple[int, ...]
-    store: TermStore
-    delivery: Delivery = field(init=False, compare=False, repr=False)
+    store: TermStore  # delivery: Delivery, set by __post_init__, is not a field
 
     def __post_init__(self) -> None:
         if len(self.miss) != self.f_s:

@@ -17,9 +17,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
+from ._frozen import frozen
 from .errors import (
     BaseNotCcp,
     ComponentInvalid,
@@ -43,14 +43,16 @@ from .gf import Matrix, ScalarDomain, mat_det_is_unit, mat_rank, reduce_rows, ro
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class Provenance:
     """How a generator matrix was built; enough to rebuild it."""
 
     kind: str
-    params: dict = field(default_factory=dict)
+    params: Optional[dict] = None  # None: a fresh {} per instance
 
     def __post_init__(self) -> None:
+        if self.params is None:
+            object.__setattr__(self, "params", {})
         if "kind" in self.params:
             raise DomainError("provenance params may not shadow the kind key")
 
@@ -128,7 +130,7 @@ class GeneratorMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class WindowCheck:
     """Verdict for one column window."""
 
@@ -138,8 +140,9 @@ class WindowCheck:
     ok: bool
 
 
-@dataclass(frozen=True)
+@frozen
 class CcpCertificate:
+    """check_ccp's verdict at gain alpha, with the windows it checked."""
     alpha: int
     z: int
     satisfied: bool

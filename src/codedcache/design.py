@@ -17,9 +17,9 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Sequence, Union
 
+from ._frozen import frozen
 from .codes import CrtCodewordSource, GeneratorMatrix
 from .errors import RingConditionViolated
 from .gf import ScalarDomain
@@ -27,7 +27,7 @@ from .gf import ScalarDomain
 Source = Union[GeneratorMatrix, CrtCodewordSource]
 
 
-@dataclass(frozen=True)
+@frozen
 class CodewordMatrix:
     """All codewords of a source, one per column; rows are code coordinates."""
 
@@ -75,7 +75,7 @@ def _generator_rows(source: GeneratorMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
+@frozen
 class ResolvableDesign:
     """Point set {0..numPoints-1} with n parallel classes of q blocks each,
     stored as label rows: rows[i][p] = l iff point p lies in B_{i,l}."""
@@ -121,8 +121,9 @@ def resolvable_design(t: CodewordMatrix) -> ResolvableDesign:
     return ResolvableDesign(t.num_codewords, t.n, t.q, t.rows, t.source)
 
 
-@dataclass(frozen=True)
+@frozen
 class DesignReport:
+    """verify_resolvable's verdict, with one violation text per failed check."""
     ok: bool
     num_points: int
     n: int

@@ -25,9 +25,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
+from ._frozen import frozen
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -414,7 +414,7 @@ def natural_domain(q: int) -> ScalarDomain:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class Matrix:
     """Immutable dense matrix with canonical int entries over a ScalarDomain."""
 

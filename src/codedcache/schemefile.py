@@ -10,7 +10,6 @@ structurally and rebuilds an identical source.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from typing import Optional, Union
@@ -143,6 +142,7 @@ def load_scheme(path: Union[str, os.PathLike]) -> tuple[SchemeSource, dict]:
 def codeword_digest(source: SchemeSource) -> str:
     """sha256 over the canonical codeword matrix, for change detection.
     Refuses enumerations larger than SIZE_CAP, read at call time."""
+    import hashlib  # here: only --digest pays for its import
     from .design import codeword_matrix  # deferred: design imports codes
 
     # count first: the cap must refuse before anything is enumerated

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 
@@ -14,6 +13,7 @@ from codedcache.codes import (
 )
 from codedcache.design import (
     CodewordMatrix,
+    ResolvableDesign,
     block_intersection,
     codeword_matrix,
     incidence_csv,
@@ -234,7 +234,8 @@ def test_verify_resolvable_flags_moved_point():
     d = resolvable_design(codeword_matrix(build_spc(2, GF2)))
     assert d.rows[0] == (0, 0, 1, 1)
     for row, text in (((0, 2, 1, 1), "misses"), ((0, 0, 0, 1), "unequal block sizes")):
-        rep = verify_resolvable(dataclasses.replace(d, rows=(row,) + d.rows[1:]))
+        tampered = ResolvableDesign(d.num_points, d.n, d.q, (row,) + d.rows[1:], d.source)
+        rep = verify_resolvable(tampered)
         assert not rep.ok
         assert any(text in v for v in rep.violations), rep.violations
 

@@ -1,8 +1,10 @@
 """The package's public names: every export resolves, none is listed twice;
-and the package imports nothing outside the standard library."""
+the package imports nothing outside the standard library, and the CLI
+module leaves the costly stdlib modules it does not need unimported."""
 
 import ast
 import pathlib
+import subprocess
 import sys
 
 import codedcache
@@ -29,3 +31,14 @@ def test_package_imports_only_the_standard_library():
             outside += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_cli_import_leaves_out_dataclasses_inspect_and_hashlib():
+    """dataclasses (which imports inspect) and hashlib cost every CLI
+    process about 18 ms of import; only --digest needs hashlib."""
+    src = str(pathlib.Path(codedcache.__file__).parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import codedcache.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'hashlib'} & sys.modules.keys()))")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == "[]\n"
