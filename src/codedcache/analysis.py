@@ -145,8 +145,6 @@ def _candidate_for_k(n: int, q: int, k: int, limit: int) -> CandidateEntry:
             else:
                 for gen in search_cyclic_generators(n2, k, dom, limit):
                     if all(_cyclic_shortcut_oks(gen, n2, k, dom)):
-                        # checks the winner divides X^n2 - 1
-                        build_cyclic(n2, gen, dom)
                         route = _with_extension(
                             {"op": "cyclic", "n": n2, "gen_poly": list(gen)},
                             n2, n, a)

@@ -33,6 +33,7 @@ from .errors import (
     DecodeFailure,
     DomainError,
     IncompleteDemands,
+    InvalidAlpha,
     TooLarge,
 )
 from .gf import ScalarDomain, natural_domain
@@ -217,6 +218,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     alpha = args.alpha if args.alpha is not None else _source_params(source)[2]
     if args.method == "cyclic":
         cert = codes.check_ccp_cyclic_shortcut(source)
+        if alpha != cert.alpha:
+            raise InvalidAlpha(f"the cyclic shortcut checks alpha = k+1 = "
+                               f"{cert.alpha} only, got {alpha}")
     else:
         cert = codes.check_ccp(source, alpha)
     _print_certificate(cert)

@@ -36,7 +36,18 @@ from .errors import (
     ZeroColumn,
     ZeroConstantTerm,
 )
-from .gf import Matrix, ScalarDomain, mat_det_is_unit, mat_rank, reduce_rows, row_reduce
+from .gf import (
+    Matrix,
+    ScalarDomain,
+    _poly_divmod,
+    _poly_gcd,
+    _poly_mul,
+    _poly_trim,
+    mat_det_is_unit,
+    mat_rank,
+    reduce_rows,
+    row_reduce,
+)
 
 # ---------------------------------------------------------------------------
 # provenance
@@ -341,57 +352,12 @@ def check_ccp_cyclic_shortcut(g: GeneratorMatrix) -> CcpCertificate:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers (coefficient lists, constant term first)
+# X^n - 1: factors and divisors (coefficient lists, constant term first)
 # ---------------------------------------------------------------------------
 
 
-def _poly_divmod(num: Sequence[int], den: Sequence[int],
-                 dom: ScalarDomain) -> tuple[list[int], list[int]]:
-    """Divide by a monic polynomial; exact over rings because den is monic."""
-    num = [x % dom.q for x in num]
-    d = len(den) - 1
-    if len(num) < len(den):
-        return [], num
-    quot = [0] * (len(num) - d)
-    for i in range(len(num) - 1 - d, -1, -1):
-        c = num[i + d]
-        quot[i] = c
-        if c:
-            for j in range(d + 1):
-                num[i + j] = dom.sub(num[i + j], dom.mul(c, den[j]))
-    return quot, num[:d]
-
-
-def _divides_xn_minus_1(gen: Sequence[int], n: int, dom: ScalarDomain) -> bool:
-    xn1 = [dom.neg(1)] + [0] * (n - 1) + [1]
-    _, rem = _poly_divmod(xn1, gen, dom)
-    return not any(rem)
-
-
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int], dom: ScalarDomain) -> list[int]:
-    add, mul = dom.add, dom.mul
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = add(out[i + j], mul(x, y))
-    return out
-
-
-def _poly_gcd(a: list[int], b: list[int], dom: ScalarDomain) -> list[int]:
-    """Monic gcd over a field of a nonzero a and any b (both trimmed)."""
-    while b:
-        inv = dom.inv(b[-1])
-        b = [dom.mul(inv, x) for x in b]
-        a, b = b, _poly_trim(_poly_divmod(a, b, dom)[1])
-    inv = dom.inv(a[-1])
-    return [dom.mul(inv, x) for x in a]
+def _xn_minus_1(n: int, dom: ScalarDomain) -> list[int]:
+    return [dom.neg(1)] + [0] * (n - 1) + [1]
 
 
 def _berlekamp(f: list[int], dom: ScalarDomain) -> list[list[int]]:
@@ -438,7 +404,7 @@ def _berlekamp(f: list[int], dom: ScalarDomain) -> list[list[int]]:
 def _xn_minus_1_factors(n: int, dom: ScalarDomain) -> tuple[tuple[int, ...], ...]:
     """Monic irreducible factors of a squarefree X^n - 1 over a field,
     factored once per (n, field)."""
-    return tuple(map(tuple, _berlekamp([dom.neg(1)] + [0] * (n - 1) + [1], dom)))
+    return tuple(map(tuple, _berlekamp(_xn_minus_1(n, dom), dom)))
 
 
 def _xn_minus_1_divisors(n: int, deg: int, dom: ScalarDomain) -> Iterator[list[int]]:
@@ -487,6 +453,8 @@ def build_mds(n: int, k: int, domain: ScalarDomain) -> GeneratorMatrix:
         raise RingNotSupported("MDS construction requires a field")
     if domain.q < n:
         raise FieldTooSmall(f"need q >= n, got q={domain.q} < n={n}")
+    if not 1 <= k < n:
+        raise ShapeMismatch(f"need 1 <= k < n, got k={k}, n={n}")
     rows = [[domain.pow(x, i) for x in range(n)] for i in range(k)]
     mat = Matrix.from_rows(domain, rows)
     return GeneratorMatrix(mat, Provenance("mds", {"n": n, "k": k, "q": domain.q}))
@@ -506,7 +474,7 @@ def build_cyclic(n: int, gen_poly: Sequence[int], domain: ScalarDomain) -> Gener
         raise ZeroConstantTerm("generator polynomial must have a nonzero constant term")
     if deg >= n:
         raise ShapeMismatch(f"degree {deg} must be below n={n}")
-    if not _divides_xn_minus_1(gen, n, domain):
+    if any(_poly_divmod(_xn_minus_1(n, domain), gen, domain)[1]):
         raise NotADivisor(f"{gen} does not divide X^{n} - 1 over {domain!r}")
     k = n - deg
     rows = [[0] * i + gen + [0] * (n - deg - 1 - i) for i in range(k)]

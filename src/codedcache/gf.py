@@ -16,6 +16,11 @@ tables hold O(q) entries and are built once, when the domain is constructed.
 Two row kernels, ``add_scaled`` and ``add_outer``, run a whole row through
 the same tables in one call; row reduction and codeword enumeration use them.
 
+Polynomials over any domain are coefficient lists, constant term first.  One
+toolkit (``_poly_divmod``, ``_poly_mul``, ``_poly_gcd``, ``_poly_trim``)
+serves them all: over the prime subfield it builds the extension-field tables
+and tests moduli for irreducibility, and ``codes`` factors X^n - 1 with it.
+
 All operations are exact integer computations; no floats appear anywhere in
 this module.
 """
@@ -25,7 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ._frozen import frozen
 from .errors import (
@@ -42,35 +47,22 @@ _MAX_ORDER = 1024
 
 def _prime_power(q: int) -> Optional[tuple[int, int]]:
     """Return (p, m) with q == p**m and p prime, or None."""
-    p = next(_prime_factors(q), None)
-    if p is None:
+    if q < 2:
         return None
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
     m = 1
     while p ** m < q:
         m += 1
     return (p, m) if p ** m == q else None
 
 
-def _prime_factors(n: int) -> Iterator[int]:
-    """The distinct prime factors of n in ascending order, each found by
-    trial division only when it is asked for."""
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            yield d
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        yield n
-
-
 @functools.cache
 def _default_modulus(p: int, m: int) -> tuple[int, ...]:
     """The lexicographically smallest monic irreducible polynomial of degree
-    m over GF(p), constant term first; every degree has one."""
+    m over GF(p), constant term first; every degree has one.  X divides the
+    candidates with a zero constant term."""
     return next(low + (1,) for low in itertools.product(range(p), repeat=m)
-                if _poly_irreducible(low + (1,), p))
+                if low[0] and _poly_irreducible(low + (1,), p))
 
 
 class ScalarDomain:
@@ -181,24 +173,30 @@ class ScalarDomain:
     # ------------------------------------------------------------ table prep
 
     def _build_tables(self) -> None:
-        q, p = self.q, self.p
-        gen = None
-        factors = list(_prime_factors(q - 1))
-        for cand in range(1, q):
-            if all(self._pow_raw(cand, (q - 1) // r) != 1 for r in factors):
-                gen = cand
-                break
-        if gen is None:  # pragma: no cover - impossible for a true field
-            raise DomainError(f"no primitive element found for GF({q})")
+        q, p, m = self.q, self.p, self.m
+        fp = ScalarDomain("field", p, p, 1, None)
+        mod = self.modulus
+        assert mod is not None
         n = q - 1
-        exp = [1] * n
+        # walk the powers of 2, 3, ... until they return to 1; the first walk
+        # that meets all n units is that of the least primitive element
+        for cand in range(2, q):
+            c = _poly_trim(_unpack(cand, p, m))
+            exp = [1]
+            acc = [1]
+            for _ in range(n):
+                acc = _poly_divmod(_poly_mul(c, acc, fp), mod, fp)[1]
+                e = _pack(acc, p)
+                if e == 1:
+                    break
+                exp.append(e)
+            if len(exp) == n:
+                break
+        else:  # pragma: no cover - impossible for a true field
+            raise DomainError(f"no primitive element found for GF({q})")
         log = [0] * q
-        acc = 1
-        for i in range(1, n):
-            acc = self._mul_raw(acc, gen)
-            exp[i] = acc
-            log[acc] = i
-        log[1] = 0
+        for i, e in enumerate(exp):
+            log[e] = i
         # exp is doubled, so a sum of two logs needs no reduction, and ends
         # in a third of zeros; log[0] = 2n points into that third, so a log
         # sum with one zero operand reads 0.
@@ -214,36 +212,6 @@ class ScalarDomain:
                     zech[i] = log[one_plus]
             self._zech = zech
         self._exp, self._log = exp + exp + [0] * n, log
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        """Polynomial product mod (modulus, p) on packed ints; no tables."""
-        p, m = self.p, self.m
-        da = _unpack(a, p, m)
-        db = _unpack(b, p, m)
-        prod = [0] * (2 * m - 1)
-        for i, ca in enumerate(da):
-            if ca:
-                for j, cb in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ca * cb) % p
-        mod = self.modulus
-        assert mod is not None
-        for i in range(len(prod) - 1, m - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(m + 1):
-                    prod[i - m + j] = (prod[i - m + j] - c * mod[j]) % p
-        return _pack(prod[:m], p)
-
-    def _pow_raw(self, a: int, e: int) -> int:
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self._mul_raw(out, base)
-            base = self._mul_raw(base, base)
-            e >>= 1
-        return out
 
     # ------------------------------------------------------------ scalar ops
 
@@ -332,13 +300,11 @@ class ScalarDomain:
         a %= self.q
         if a == 0:
             raise NotAUnit(f"0 is not invertible in {self!r}")
-        if self.kind == "ring":
+        if self.m == 1:
             try:
                 return pow(a, -1, self.q)
             except ValueError:
                 raise NotAUnit(f"{a} is not a unit in {self!r}") from None
-        if self.m == 1:
-            return pow(a, self.q - 2, self.q)
         return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
 
     def is_unit(self, a: int) -> bool:
@@ -368,6 +334,13 @@ class ScalarDomain:
         return a
 
 
+def natural_domain(q: int) -> ScalarDomain:
+    """Field when q is a prime power, integers mod q otherwise."""
+    if _prime_power(q):
+        return ScalarDomain.field(q)
+    return ScalarDomain.ring(q)
+
+
 def _unpack(a: int, p: int, m: int) -> list[int]:
     out = []
     for _ in range(m):
@@ -385,28 +358,64 @@ def _pack(coeffs: Iterable[int], p: int) -> int:
     return out
 
 
+# ---------------------------------------------------------------------------
+# polynomials: coefficient lists over a ScalarDomain, constant term first
+# ---------------------------------------------------------------------------
+
+
+def _poly_divmod(num: Sequence[int], den: Sequence[int],
+                 dom: ScalarDomain) -> tuple[list[int], list[int]]:
+    """Divide by a monic polynomial; exact over rings because den is monic."""
+    num = [x % dom.q for x in num]
+    d = len(den) - 1
+    if len(num) < len(den):
+        return [], num
+    sub, mul = dom.sub, dom.mul
+    # den is monic, so step i would clear num[i + d], which no later step
+    # reads; only den's nonzero lower terms are subtracted
+    low = [(j, y) for j, y in enumerate(den[:d]) if y]
+    quot = [0] * (len(num) - d)
+    for i in range(len(num) - 1 - d, -1, -1):
+        c = num[i + d]
+        quot[i] = c
+        if c:
+            for j, y in low:
+                num[i + j] = sub(num[i + j], mul(c, y))
+    return quot, num[:d]
+
+
+def _poly_trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_mul(a: Sequence[int], b: Sequence[int], dom: ScalarDomain) -> list[int]:
+    add, mul = dom.add, dom.mul
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = add(out[i + j], mul(x, y))
+    return out
+
+
+def _poly_gcd(a: list[int], b: list[int], dom: ScalarDomain) -> list[int]:
+    """Monic gcd over a field of a nonzero a and any b (both trimmed)."""
+    while b:
+        inv = dom.inv(b[-1])
+        b = [dom.mul(inv, x) for x in b]
+        a, b = b, _poly_trim(_poly_divmod(a, b, dom)[1])
+    inv = dom.inv(a[-1])
+    return [dom.mul(inv, x) for x in a]
+
+
 def _poly_irreducible(coeffs: Sequence[int], p: int) -> bool:
     """Exhaustive divisor check: no monic factor of degree 1..deg//2."""
-    deg = len(coeffs) - 1
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            den = list(tail) + [1]
-            rem = list(coeffs)
-            for i in range(len(rem) - 1 - d, -1, -1):
-                c = rem[i + d] % p
-                if c:
-                    for j in range(d + 1):
-                        rem[i + j] = (rem[i + j] - c * den[j]) % p
-            if all(x % p == 0 for x in rem[:d]):
-                return False
-    return True
-
-
-def natural_domain(q: int) -> ScalarDomain:
-    """Field when q is a prime power, integers mod q otherwise."""
-    if _prime_power(q):
-        return ScalarDomain.field(q)
-    return ScalarDomain.ring(q)
+    fp = ScalarDomain("field", p, p, 1, None)
+    return all(any(_poly_divmod(coeffs, tail + (1,), fp)[1])
+               for d in range(1, (len(coeffs) - 1) // 2 + 1)
+               for tail in itertools.product(range(p), repeat=d))
 
 
 # ---------------------------------------------------------------------------

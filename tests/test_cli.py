@@ -70,6 +70,11 @@ def test_construct_spc_writes_file_and_summary(tmp_path):
     assert f"wrote {out_file}" in out
 
 
+def test_construct_mds_without_rows_names_the_true_n():
+    assert run(["construct", "mds", "--n", 3, "--k", 0, "--q", 4]) == (
+        1, "", "error: need 1 <= k < n, got k=0, n=3\n")
+
+
 def test_construct_cyclic_example_code(tmp_path):
     out_file = tmp_path / "c84.json"
     code, out, _ = run(["construct", "cyclic", "--n", 8, "--q", 3,
@@ -200,6 +205,23 @@ def test_verify_cyclic_both_methods(tmp_path):
     code, out, _ = run(["verify", scheme, "--method", "cyclic"])
     assert code == 0
     assert "method=cyclic-shortcut" in out
+
+
+def test_verify_cyclic_shortcut_refuses_any_alpha_but_k_plus_1(tmp_path):
+    scheme = tmp_path / "c84.json"
+    assert run(["construct", "cyclic", "--n", 8, "--q", 3,
+                "--g", "2,1,0,1,1", "--out", scheme])[0] == 0
+    plain = run(["verify", scheme, "--method", "cyclic"])
+    assert plain[0] == 0
+    assert run(["verify", scheme, "--method", "cyclic", "--alpha", 5]) == plain
+    for alpha in (0, 3, 4, 6):
+        text = f"the cyclic shortcut checks alpha = k+1 = 5 only, got {alpha}"
+        assert run(["verify", scheme, "--method", "cyclic",
+                    "--alpha", alpha]) == (1, "", f"error: {text}\n")
+        code, out, err = run(["--json", "verify", scheme, "--method", "cyclic",
+                              "--alpha", alpha])
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"error": {"type": "InvalidAlpha", "message": text}}
 
 
 def test_verify_handwritten_scheme_file(tmp_path):

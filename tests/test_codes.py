@@ -404,6 +404,19 @@ def test_mds_needs_enough_points():
         build_mds(3, 2, ScalarDomain.ring(6))
 
 
+def test_mds_shape_error_names_the_true_n():
+    # k = 0 gives no Vandermonde rows, so no columns to count n from
+    gf4 = ScalarDomain.field(4)
+    for k in (-1, 0, 3, 4):
+        with pytest.raises(ShapeMismatch, match=rf"^need 1 <= k < n, got k={k}, n=3$"):
+            build_mds(3, k, gf4)
+    # the field checks come first
+    with pytest.raises(FieldTooSmall):
+        build_mds(5, 0, gf4)
+    with pytest.raises(RingNotSupported):
+        build_mds(3, 0, ScalarDomain.ring(6))
+
+
 # ---------------------------------------------------------------------------
 # construction: cyclic
 # ---------------------------------------------------------------------------

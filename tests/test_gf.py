@@ -225,7 +225,8 @@ def test_custom_modulus_must_be_irreducible():
 
 
 # Digit-wise reference arithmetic: an element of GF(p^m) is the packed int
-# sum(c_i * p**i), and addition works coefficient by coefficient mod p.
+# sum(c_i * p**i), addition works coefficient by coefficient mod p, and
+# multiplication is the schoolbook product of the digit polynomials.
 
 
 def _unpack(a, p, m):
@@ -260,12 +261,32 @@ def reference_neg(dom, a):
     return _pack([(-x) % p for x in _unpack(a, p, m)], p)
 
 
+def reference_mul(dom, a, b):
+    """Schoolbook product of the digit polynomials, reduced mod the modulus
+    from the top coefficient down."""
+    p, m, mod = dom.p, dom.m, dom.modulus
+    prod = [0] * (2 * m - 1)
+    db = _unpack(b, p, m)
+    for i, x in enumerate(_unpack(a, p, m)):
+        for j, y in enumerate(db):
+            prod[i + j] += x * y
+    for i in range(2 * m - 2, m - 1, -1):
+        c = prod[i] % p
+        if c:
+            for j in range(m + 1):
+                prod[i - m + j] -= c * mod[j]
+    return _pack([c % p for c in prod[:m]], p)
+
+
 def assert_matches_reference(dom, pairs):
     for a in dom.elements():
         assert dom.neg(a) == reference_neg(dom, a), (dom, a)
+        if a:
+            assert reference_mul(dom, a, dom.inv(a)) == 1, (dom, a)
     for a, b in pairs:
         assert dom.add(a, b) == reference_add(dom, a, b), (dom, a, b)
         assert dom.sub(a, b) == reference_sub(dom, a, b), (dom, a, b)
+        assert dom.mul(a, b) == reference_mul(dom, a, b), (dom, a, b)
         if dom.p == 2:
             assert dom.add(a, b) == a ^ b, (dom, a, b)
 
