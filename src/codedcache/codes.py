@@ -22,6 +22,7 @@ from typing import Iterator, Optional, Sequence
 from ._frozen import frozen
 from .errors import (
     BaseNotCcp,
+    CodedCacheError,
     ComponentInvalid,
     DomainError,
     FieldTooSmall,
@@ -333,14 +334,24 @@ def check_ccp_cyclic_shortcut(g: GeneratorMatrix) -> CcpCertificate:
     eliminated once: C_j for j <= floor(k/2) is the j x j block of
     T_a[r][c] = g[n-k-1-r+c], and C_j for larger j the (k-j) x (k-j) block
     of T_b[r][c] = g[1-r+c], of size k - floor(k/2) - 1, read in reverse.
+
+    The verdict is about the polynomial, so g's rows must be build_cyclic's
+    code of the provenance's gen_poly; NotCyclic otherwise.
     """
     if g.provenance.kind != "cyclic":
         raise NotCyclic("shortcut applies to cyclic-code generator matrices only")
     n, k = g.n, g.k
+    gen = g.provenance.params.get("gen_poly")
+    try:
+        code = build_cyclic(n, gen, g.domain)
+    except (CodedCacheError, TypeError, ValueError, OverflowError) as exc:
+        raise NotCyclic(f"gen_poly {gen!r} builds no cyclic code of length {n}") from exc
+    if code.mat != g.mat:
+        raise NotCyclic(f"the stored rows are not the cyclic code of gen_poly {gen!r}")
     start = n - k // 2 - 1
     cols = tuple((start + j) % n for j in range(k + 1))
     checks: list[tuple[str, bool]] = [("boundary j=0 (triangular unit block)", True)]
-    oks = list(_cyclic_shortcut_oks(g.provenance.params["gen_poly"], n, k, g.domain))
+    oks = list(_cyclic_shortcut_oks(code.provenance.params["gen_poly"], n, k, g.domain))
     oks[k // 2:] = reversed(oks[k // 2:])
     for j, ok in enumerate(oks, 1):
         dim = j if j <= k // 2 else k - j

@@ -179,8 +179,13 @@ class ScalarDomain:
         assert mod is not None
         n = q - 1
         # walk the powers of 2, 3, ... until they return to 1; the first walk
-        # that meets all n units is that of the least primitive element
+        # that meets all n units is that of the least primitive element.  A
+        # candidate met on an earlier walk is a power of a non-primitive
+        # element, so it is not primitive either and is skipped.
+        seen = set()
         for cand in range(2, q):
+            if cand in seen:
+                continue
             c = _poly_trim(_unpack(cand, p, m))
             exp = [1]
             acc = [1]
@@ -192,6 +197,7 @@ class ScalarDomain:
                 exp.append(e)
             if len(exp) == n:
                 break
+            seen.update(exp)
         else:  # pragma: no cover - impossible for a true field
             raise DomainError(f"no primitive element found for GF({q})")
         log = [0] * q

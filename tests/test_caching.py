@@ -15,7 +15,6 @@ from codedcache.caching import (
     EqSubfileMatrix,
     Equation,
     MatrixScheme,
-    byte_stream,
     code_point_metrics,
     equation_subfile_matrix,
     expected_delta,
@@ -50,7 +49,6 @@ from codedcache.errors import (
     InvalidAlpha,
     Lemma4Violated,
     ShapeMismatch,
-    TooLarge,
 )
 from codedcache.gf import Matrix, ScalarDomain
 
@@ -538,7 +536,8 @@ def test_incomplete_demands_rejected():
 
 
 def reference_stream(seed, count):
-    """The first count bytes of the generator run one word at a time."""
+    """The first count bytes of a 64-bit linear congruential generator
+    started at seed, 8 little-endian bytes per state."""
     mult, inc, mask = 6364136223846793005, 1442695040888963407, (1 << 64) - 1
     state = seed
     want = bytearray()
@@ -546,27 +545,6 @@ def reference_stream(seed, count):
         state = (state * mult + inc) & mask
         want += state.to_bytes(8, "little")
     return bytes(want[:count])
-
-
-def test_byte_stream_matches_reference_lcg():
-    """The stream equals the generator run word by word: counts on both
-    sides of a word and of a 2048-byte block, and a seed past 2^64."""
-    counts = (0, 1, 5, 7, 8, 9, 24, 2047, 2048, 2049, 4097)
-    for seed in (0, 1, 7, 42, 2 ** 64 + 3):
-        want = reference_stream(seed, 2048 + 4097)
-        for count in counts:
-            assert byte_stream(seed, count) == want[:count], (seed, count)
-
-
-def test_byte_stream_of_no_bytes_is_empty():
-    for seed in (0, 7):
-        for count in (0, -1, -8, -4097):
-            assert byte_stream(seed, count) == b""
-
-
-def test_byte_stream_deterministic_and_seed_sensitive():
-    assert byte_stream(7, 64) == byte_stream(7, 64)
-    assert byte_stream(7, 64) != byte_stream(8, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +560,7 @@ def test_simulate_example_scheme_rate_8_3():
     assert sim.rate == Fraction(8, 3)
     assert sim.load_bytes == 72 * 8
     for out in sim.users:
-        assert out.complete and out.exact
+        assert out.complete
         assert out.recovered_count == 27 - 9
 
 
@@ -728,10 +706,11 @@ def reference_simulate(ms, demands, num_files, subfile_bytes, seed):
     against the cache and XOR-ed out of the payload.  A scheme whose users
     all cancel, but which repeats a user in an equation, is refused after
     that scan, naming the first such equation and the first of its users
-    that appears twice.  Returns the users' (user, demanded, recovered,
-    complete, exact) rows, or the DecodeFailure message."""
+    that appears twice.  Every user it reports must have decoded each of its
+    subfiles bit-exactly.  Returns the users' (user, demanded, recovered,
+    complete) rows, or the DecodeFailure message."""
     caches, f_s, sub = cached(ms), ms.f_s, subfile_bytes
-    stream = byte_stream(seed, num_files * f_s * sub)
+    stream = reference_stream(seed, num_files * f_s * sub)
 
     def chunk(file_idx, col):
         off = (file_idx * f_s + col) * sub
@@ -764,9 +743,10 @@ def reference_simulate(ms, demands, num_files, subfile_bytes, seed):
         repeated = [user for user in users if users.count(user) > 1]
         if repeated:
             return f"equation {i} repeats user {repeated[0]}"
+    assert all(exact), [u for u, ok in enumerate(exact) if not ok]
     every = frozenset(range(f_s))
     return tuple((u, demands[u], len(recovered[u]),
-                  recovered[u] == every - caches[u], exact[u])
+                  recovered[u] == every - caches[u])
                  for u in range(len(caches)))
 
 
@@ -776,7 +756,7 @@ def simulated(ms, demands, num_files, subfile_bytes, seed):
         report = simulate(ms, demands, num_files, subfile_bytes, seed)
     except DecodeFailure as exc:
         return str(exc)
-    return tuple((o.user, o.demanded, o.recovered_count, o.complete, o.exact)
+    return tuple((o.user, o.demanded, o.recovered_count, o.complete)
                  for o in report.users)
 
 
@@ -833,8 +813,8 @@ def test_decode_failure_with_a_column_missing_from_two_caches():
 def test_repeated_users_and_twice_served_subfiles_keep_reference_reports():
     """A user repeated in an equation whose columns every other user caches
     is refused before any payload: it could only recover its terms XOR-ed
-    together.  A subfile served twice leaves complete and exact as they
-    were."""
+    together.  A subfile served twice leaves every user complete and
+    bit-exact."""
     s, plan = example_plan()
     ms = scheme_from_plan(s, plan)
     (u0, c0), (u1, c1), (u2, c2) = ms.equations[5]
@@ -846,8 +826,7 @@ def test_repeated_users_and_twice_served_subfiles_keep_reference_reports():
             want = reference_simulate(scheme, demands, files, sub, seed)
             assert simulated(scheme, demands, files, sub, seed) == want
     assert_same_failure(repeated, f"equation 5 repeats user {u0}")
-    assert all(row[3] and row[4]
-               for row in reference_simulate(twice, list(range(12)), 12, 8, 1))
+    assert all(row[3] for row in reference_simulate(twice, list(range(12)), 12, 8, 1))
 
 
 def test_delivery_certifies_base_and_transposed_schemes():
@@ -873,14 +852,14 @@ def test_delivery_certifies_spc9_gf3_at_alpha_10():
 
 def test_delivery_flags_a_column_served_twice():
     """Serving a user a column twice breaks `once` alone; the report still
-    calls every user complete and exact."""
+    calls every user complete."""
     ms = scheme_from_plan(*example_plan())
     twice = MatrixScheme(12, 27, ms.miss, ms.equations + ms.equations[:1])
     d = twice.delivery
     assert (d.once, d.clean, d.incomplete, d.ok) == (False, True, 0, False)
     assert d.recovered == ms.delivery.recovered
     report = simulate(twice, list(range(12)), num_files=12, subfile_bytes=8, seed=1)
-    assert all(u.complete and u.exact for u in report.users)
+    assert all(u.complete for u in report.users)
 
 
 def test_delivery_flags_a_user_repeated_in_an_equation():
@@ -911,8 +890,8 @@ def test_delivery_flags_a_lacking_column_never_served():
 
 
 def test_undecodable_scheme_fails_before_any_payload():
-    """Bad demands, subfile size and payload size are still refused first,
-    then DecodeFailure."""
+    """Bad demands and subfile size are still refused first, then
+    DecodeFailure."""
     ms = scheme_from_plan(*example_plan())
     (u0, c0), (u1, _), (u2, c2) = ms.equations[-1]
     x = min(set(range(27)) - cached(ms)[u0] - {c0})
@@ -923,8 +902,6 @@ def test_undecodable_scheme_fails_before_any_payload():
         simulate(broken, [1] * 12, num_files=1)
     with pytest.raises(ShapeMismatch, match="^subfile_bytes must be >= 1, got 0$"):
         simulate(broken, [0] * 12, num_files=1, subfile_bytes=0)
-    with pytest.raises(TooLarge):
-        simulate(broken, [0] * 12, num_files=12, subfile_bytes=caching.PAYLOAD_CAP)
     with pytest.raises(DecodeFailure, match=f"^user {u0} cannot cancel column {x}$"):
         simulate(broken, list(range(12)), num_files=12)
 
@@ -960,10 +937,10 @@ def test_simulate_matches_reference_on_random_edits():
             sub, seed = rng.choice((1, 3, 8, 17)), rng.randrange(100)
             want = reference_simulate(variant, demands, files, sub, seed)
             assert simulated(variant, demands, files, sub, seed) == want
-            outcomes.add(want if isinstance(want, str) else
-                         (all(r[3] for r in want), all(r[4] for r in want)))
-    # every report is exact: a variant that repeats a user is refused
-    assert {(True, True), (False, True)} <= outcomes
+            outcomes.add(want if isinstance(want, str) else all(r[3] for r in want))
+    # the reference checks every reported user bit-exact: a variant that
+    # repeats a user is refused
+    assert {True, False} <= outcomes
     texts = [o.split()[2] for o in outcomes if isinstance(o, str)]
     assert {"cannot", "repeats"} <= set(texts)
 
@@ -994,7 +971,7 @@ def test_simulate_matches_reference_past_64_users(transposed):
         assert simulated(variant, demands, 5, 8, 3) == want
         return want
 
-    assert all(row[3] and row[4] for row in outcome(ms))
+    assert all(row[3] for row in outcome(ms))
     swapped = [(u1, c0), (u0, c1)] + terms[2:]
     for broken in (swapped, terms + [(u0, lacking[-1])]):
         assert "cannot cancel column" in outcome(edited(ms, 7, broken))
@@ -1029,16 +1006,14 @@ def test_simulate_matches_reference_on_every_family(name, transposed):
                            ([(users - u) % 3 for u in range(users)], 3)):
         want = reference_simulate(ms, demands, files, 5, 11)
         assert simulated(ms, demands, files, 5, 11) == want
-        assert all(row[3] and row[4] for row in want)
+        assert all(row[3] for row in want)
 
 
-def test_simulate_at_the_payload_cap_materializes_nothing():
-    """Twelve distinct demands on files of 27 subfiles of 207,126 bytes,
-    64 MiB in all and just under PAYLOAD_CAP, are reported without building
-    any file byte."""
+def test_simulate_of_a_huge_payload_materializes_nothing():
+    """Twelve distinct demands on files of 27 subfiles of 10^12 bytes,
+    324 TB in all, are reported without building any file byte."""
     ms = scheme_from_plan(*example_plan())
-    sub = caching.PAYLOAD_CAP // (12 * 27)
-    assert caching.PAYLOAD_CAP - 12 * 27 < 12 * 27 * sub < caching.PAYLOAD_CAP
+    sub = 10 ** 12
     tracemalloc.start()
     try:
         report = simulate(ms, list(range(12)), num_files=12, subfile_bytes=sub,

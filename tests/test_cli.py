@@ -224,6 +224,36 @@ def test_verify_cyclic_shortcut_refuses_any_alpha_but_k_plus_1(tmp_path):
         assert json.loads(out) == {"error": {"type": "InvalidAlpha", "message": text}}
 
 
+def test_verify_cyclic_shortcut_certifies_the_stored_rows(tmp_path):
+    """The shortcut decides the code of the provenance's gen_poly, so a file
+    whose rows are not that code, or whose gen_poly builds none, is refused
+    with NotCyclic and exit 1 instead of judged or crashed on."""
+    scheme = tmp_path / "c84.json"
+    write_c84(scheme)
+    doc = json.loads(scheme.read_text())
+    edits = {}
+    rows = [list(row) for row in doc["source"]["rows"]]
+    rows[1] = rows[0]
+    edits["rows"] = (dict(doc, source=dict(doc["source"], rows=rows)),
+                     "the stored rows are not the cyclic code of gen_poly "
+                     "[2, 1, 0, 1, 1]")
+    bare = {k: v for k, v in doc["provenance"].items() if k != "gen_poly"}
+    edits["missing"] = (dict(doc, provenance=bare),
+                        "gen_poly None builds no cyclic code of length 8")
+    edits["text"] = (dict(doc, provenance=dict(bare, gen_poly="abc")),
+                     "gen_poly 'abc' builds no cyclic code of length 8")
+    for name, (edited, text) in edits.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(edited))
+        argv = ["verify", path, "--method", "cyclic"]
+        assert run(argv) == (1, "", f"error: {text}\n"), name
+        code, out, err = run(["--json"] + argv)
+        assert (code, err) == (1, ""), name
+        assert json.loads(out) == {"error": {"type": "NotCyclic", "message": text}}
+    code, out, _ = run(["verify", tmp_path / "rows.json"])
+    assert code == 3 and out.splitlines()[-1] == "not satisfied"
+
+
 def test_verify_handwritten_scheme_file(tmp_path):
     scheme = tmp_path / "ex3.json"
     write_ex3(scheme)
@@ -298,12 +328,12 @@ def test_simulate_demand_forms(tmp_path):
 
 
 def test_uniform_random_demands_follow_the_reference_lcg():
-    """User u demands word u of the generator seeded seed + 1, modulo the
-    file count, so 300 users read 2,400 bytes, past one 2,048-byte lane
-    block of the stream."""
+    """User u demands the state after u + 1 steps of the 64-bit generator
+    started at seed + 1, modulo the file count; a negative seed and one
+    past 2^64 are taken modulo 2^64."""
     mult, inc, mask = 6364136223846793005, 1442695040888963407, (1 << 64) - 1
     for num_users in (1, 20, 300):
-        for seed in (0, 7):
+        for seed in (0, 7, -5, 2 ** 64 + 3):
             state, want = seed + 1, []
             for _ in range(num_users):
                 state = (state * mult + inc) & mask
@@ -446,26 +476,28 @@ def test_simulate_checks_alpha_before_the_size_cap(tmp_path, monkeypatch):
             "message": f"alpha must be in 1..16, got {alpha}"}
 
 
-def test_simulate_refuses_oversize_payload_before_building_it(tmp_path,
-                                                             monkeypatch):
-    def build_payload(*args):
-        raise AssertionError(f"payload generation asked for {args}")
-
+def test_simulate_reports_payloads_above_the_old_cap(tmp_path):
+    """Payload streams (files x F_s x bytes) far above the 2^26 bytes that
+    simulate once refused exit 0 with the closed-form report: no payload
+    byte is built, so only load_bytes grows."""
     scheme = tmp_path / "c84.json"
     write_c84(scheme)
-    monkeypatch.setattr(cli.caching, "byte_stream", build_payload)
-    # F_s = 81 * 5 = 405 subfiles per file
-    for extra, size in ((["--files", 10 ** 9], 405 * 16 * 10 ** 9),
-                        (["--files", 2, "--bytes", 10 ** 8], 2 * 405 * 10 ** 8)):
-        argv = ["simulate", scheme, "--demands", "all-same:0"] + extra
-        code, out, err = run(argv)
-        assert code == 1
-        assert out == ""
-        assert err == (f"error: {size} payload bytes exceed the payload cap "
-                       f"{1 << 26}\n")
-        code, out, _ = run(["--json"] + argv + ["--transpose"])
-        assert code == 1
-        assert json.loads(out)["error"]["type"] == "TooLarge"
+    # base: F_s = 81 * 5 = 405 subfiles and Delta = 1296 equations;
+    # transposed, the two swap; either way each of the 24 users lacks 270
+    for files, size, extra, f_s, delta in ((10 ** 9, 16, [], 405, 1296),
+                                           (2, 10 ** 8, [], 405, 1296),
+                                           (10 ** 9, 10 ** 8, ["--transpose"], 1296, 405)):
+        code, out, err = run(["simulate", scheme, "--demands", "all-same:0",
+                              "--files", files, "--bytes", size] + extra)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert (report["num_files"], report["subfile_bytes"]) == (files, size)
+        assert (report["F_s"], report["delta"]) == (f_s, delta)
+        assert report["load_bytes"] == delta * size
+        assert report["all_ok"] is True
+        assert report["users"] == [{"user": u, "demanded": 0, "recovered": 270,
+                                    "complete": True, "exact": True}
+                                   for u in range(24)]
 
 
 def test_simulate_all_same_demand_generates_only_that_file(tmp_path):
@@ -654,6 +686,37 @@ def test_compare_rejects_alpha_above_k_min_of_a_residue_source(tmp_path):
     assert code == 1
     assert out == ""
     assert err == "error: residue sources support alpha in 1..3, got 4\n"
+
+
+def test_verify_refuses_alpha_above_k_min_of_a_residue_source(tmp_path):
+    """verify checks a residue source's alpha as simulate and compare do,
+    before it checks any component."""
+    crt = tmp_path / "crt.json"
+    assert run(["construct", "crt", "--n", 4, "--component", "2:1,1",
+                "--component", "3:1,1", "--out", crt])[0] == 0
+    assert run(["verify", crt, "--alpha", 3])[0] == 0
+    text = "residue sources support alpha in 1..3, got 4"
+    assert run(["verify", crt, "--alpha", 4]) == (1, "", f"error: {text}\n")
+    for argv in (["simulate", crt, "--files", 2, "--alpha", 4],
+                 ["compare", crt, "--alpha", 4], ["verify", crt, "--alpha", 4]):
+        code, out, _ = run(["--json"] + argv)
+        assert code == 1
+        assert json.loads(out) == {"error": {"type": "InvalidAlpha", "message": text}}
+
+
+def test_verify_help_names_every_default_alpha(tmp_path):
+    """k+1 for a generator matrix, k for a Kronecker lift (spc(3)/GF(3)
+    lifted by t = 2 has k = 6) and k_min for a residue source."""
+    code, out, _ = run(["verify", "--help"])
+    assert code == 0
+    assert ("window width (default: k+1; k for a Kronecker lift, k_min for a "
+            "residue source)") in " ".join(out.split())
+    spc3, kron = tmp_path / "spc3.json", tmp_path / "kron.json"
+    assert run(["construct", "spc", "--k", 3, "--q", 3, "--out", spc3])[0] == 0
+    assert run(["construct", "kron", "--base", spc3, "--t", 2, "--out", kron])[0] == 0
+    code, out, _ = run(["verify", kron])
+    assert code == 0
+    assert out.splitlines()[0].startswith("alpha=6 ")
 
 
 def test_compare_without_files_is_usage_error():

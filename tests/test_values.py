@@ -63,9 +63,9 @@ CASES = [
     (DeliveryPlan, ("store", "sets"), lambda: (_store(), array("I", [0])), False,
      "DeliveryPlan(store=TermStore(array('I', [0, 1]), array('I', [1, 0]), "
      "array('I', [0, 2])), sets=array('I', [0]))"),
-    (UserOutcome, ("user", "demanded", "recovered_count", "complete", "exact"),
-     lambda: (0, 1, 1, True, True), True,
-     "UserOutcome(user=0, demanded=1, recovered_count=1, complete=True, exact=True)"),
+    (UserOutcome, ("user", "demanded", "recovered_count", "complete"),
+     lambda: (0, 1, 1, True), True,
+     "UserOutcome(user=0, demanded=1, recovered_count=1, complete=True)"),
     (SimulationReport, ("num_users", "num_files", "subfile_bytes", "f_s", "delta",
                         "rate", "load_bytes", "seed", "users"),
      lambda: (2, 2, 8, 2, 1, Fraction(1, 2), 8, 7, ()), True,
