@@ -11,10 +11,10 @@ scheme too large to simulate), 2 usage error, 3 verification or simulation
 failure.  With --json, errors are emitted as a
 machine-readable object on stdout.  All commands are deterministic given
 their flags and seed.  The first call of main builds the argparse tree
-with every command but construct filled; construct's builder parsers are
-made when construct is first chosen, and a builder's arguments when that
-builder is first chosen.  Later calls in the process reuse the tree; help
-and usage text still read COLUMNS when they print.
+with one empty parser per command; a command's arguments (construct's
+builder parsers) and a builder's are added when it is first chosen.  Later
+calls in the process reuse the tree; help and usage text still read
+COLUMNS when they print.
 """
 
 from __future__ import annotations
@@ -417,82 +417,77 @@ class _FillOnChoice(argparse._SubParsersAction):
         super().__call__(parser, namespace, values, option_string)
 
 
-def _fill_construct(con: argparse.ArgumentParser) -> None:
-    """construct's builder parsers by name and help; each builder's
-    arguments are added when that builder is chosen."""
-    sub = con.add_subparsers(dest="builder", metavar="builder", required=True,
-                             action=_FillOnChoice)
-    for name, (text, arguments, _) in _BUILDERS.items():
+# the commands: name -> (help, arguments in help order or construct's
+# builder table, command function)
+_COMMANDS = {
+    "construct": ("build a code and write a scheme file", _BUILDERS, cmd_construct),
+    "verify": ("check the consecutive column property",
+               (("file", {"help": "scheme file"}),
+                ("--alpha", {"type": int, "help": "window width (default: k+1; k for a "
+                                                  "Kronecker lift, k_min for a residue source)"}),
+                ("--method", {"choices": ["exhaustive", "cyclic"], "default": "exhaustive"})),
+               cmd_verify),
+    "simulate": ("report the broadcast for one demand vector",
+                 (("file", {"help": "scheme file"}),
+                  ("--files", {**_INT, "help": "library size N"}), ("--alpha", {"type": int}),
+                  ("--bytes", {"type": int, "default": 16, "help": "bytes per subfile"}),
+                  ("--seed", {"type": int, "default": 0}),
+                  ("--demands", {"default": "uniform-random",
+                                 "help": '"uniform-random", "all-same:i", or a comma list'}),
+                  ("--transpose", {**_FLAG, "help": "simulate the complementary-memory scheme"})),
+                 cmd_simulate),
+    "search": ("per-k candidate table for (n, q)",
+               (("--n", _INT), ("--q", _INT),
+                ("--budget", {"type": int, "help": "subpacketization budget for k_max"}),
+                ("--cyclic-limit", {"type": int, "default": 10 ** 6,
+                                    "help": "candidate cap per cyclic length"}),
+                ("--csv", {"help": "write the table as CSV"}),
+                ("--json-out", {"help": "write the table (with routes) as JSON"})),
+               cmd_search),
+    "compare": ("exact comparison table for scheme files",
+                (("files", {"nargs": "+", "help": "scheme files"}),
+                 ("--alpha", {"type": int, "help": "gain parameter override for all schemes"}),
+                 ("--mn", {**_FLAG, "help": "include the single-cache-point baseline rows"}),
+                 ("--memory-sharing",
+                  {**_FLAG, "help": "include memory-sharing subpacketization bounds"}),
+                 ("--csv", {"help": "write the table as CSV"}),
+                 ("--json-out", {"help": "write the table as JSON"})),
+                cmd_compare),
+}
+
+
+def _add_table(parser: argparse.ArgumentParser, dest: str, table: dict,
+               required: bool = False) -> None:
+    """One parser per name of table (_COMMANDS or _BUILDERS), made with its
+    help; its arguments are added when the name is first chosen."""
+    sub = parser.add_subparsers(dest=dest, metavar=dest, required=required,
+                                action=_FillOnChoice)
+    for name, (text, arguments, _) in table.items():
         sub.add_parser(name, help=text)
         sub.fills[name] = functools.partial(_add_arguments, arguments)
 
 
 def _add_arguments(arguments, p: argparse.ArgumentParser) -> None:
-    for flag, kwargs in arguments:
-        p.add_argument(flag, **kwargs)
+    if isinstance(arguments, dict):  # construct: one parser per builder
+        _add_table(p, "builder", arguments, required=True)
+    else:
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The tree, built once and reused by main: every command but
-    construct is filled here; construct's builders are filled by the first
-    call that chooses them (_FillOnChoice), and parsing changes nothing else."""
+    """The tree, built once and reused by main: the command parsers by name
+    and help.  The first call that chooses a command adds its arguments, or
+    for construct its builder parsers, and the first that chooses a builder
+    adds that builder's (_FillOnChoice); parsing changes nothing else."""
     parser = argparse.ArgumentParser(
         prog="codedcache",
         description="Construct, certify, and simulate low-subpacketization "
                     "coded caching schemes from linear block codes.")
     parser.add_argument("--json", action="store_true",
                         help="emit errors as machine-readable JSON on stdout")
-    sub = parser.add_subparsers(dest="command", metavar="command",
-                                action=_FillOnChoice)
-    sub.add_parser("construct", help="build a code and write a scheme file"
-                   ).set_defaults(func=cmd_construct)
-    sub.fills["construct"] = _fill_construct
-
-    p = sub.add_parser("verify", help="check the consecutive column property")
-    p.add_argument("file", help="scheme file")
-    p.add_argument("--alpha", type=int, default=None,
-                   help="window width (default: k+1; k for a Kronecker lift, "
-                        "k_min for a residue source)")
-    p.add_argument("--method", choices=["exhaustive", "cyclic"],
-                   default="exhaustive")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("simulate", help="report the broadcast for one demand vector")
-    p.add_argument("file", help="scheme file")
-    p.add_argument("--files", type=int, required=True, help="library size N")
-    p.add_argument("--alpha", type=int, default=None)
-    p.add_argument("--bytes", type=int, default=16, help="bytes per subfile")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--demands", default="uniform-random",
-                   help='"uniform-random", "all-same:i", or a comma list')
-    p.add_argument("--transpose", action="store_true",
-                   help="simulate the complementary-memory scheme")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("search", help="per-k candidate table for (n, q)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None,
-                   help="subpacketization budget for k_max")
-    p.add_argument("--cyclic-limit", type=int, default=10 ** 6,
-                   help="candidate cap per cyclic length")
-    p.add_argument("--csv", help="write the table as CSV")
-    p.add_argument("--json-out", help="write the table (with routes) as JSON")
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("compare", help="exact comparison table for scheme files")
-    p.add_argument("files", nargs="+", help="scheme files")
-    p.add_argument("--alpha", type=int, default=None,
-                   help="gain parameter override for all schemes")
-    p.add_argument("--mn", action="store_true",
-                   help="include the single-cache-point baseline rows")
-    p.add_argument("--memory-sharing", action="store_true",
-                   help="include memory-sharing subpacketization bounds")
-    p.add_argument("--csv", help="write the table as CSV")
-    p.add_argument("--json-out", help="write the table as JSON")
-    p.set_defaults(func=cmd_compare)
-
+    _add_table(parser, "command", _COMMANDS)
     return parser
 
 
@@ -508,11 +503,11 @@ def _emit_error(as_json: bool, exc: Exception) -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if not hasattr(args, "func"):
+    if args.command is None:
         parser.print_help(sys.stderr)
         return 2
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][2](args)
     except DecodeFailure as exc:
         _emit_error(args.json, exc)
         return 3

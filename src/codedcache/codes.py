@@ -343,6 +343,9 @@ def check_ccp_cyclic_shortcut(g: GeneratorMatrix) -> CcpCertificate:
     n, k = g.n, g.k
     gen = g.provenance.params.get("gen_poly")
     try:
+        # build_cyclic would truncate 2.5 and read true as 1
+        if any(isinstance(c, bool) or not isinstance(c, int) for c in gen):
+            raise TypeError("gen_poly coefficients must be integers")
         code = build_cyclic(n, gen, g.domain)
     except (CodedCacheError, TypeError, ValueError, OverflowError) as exc:
         raise NotCyclic(f"gen_poly {gen!r} builds no cyclic code of length {n}") from exc

@@ -47,13 +47,27 @@ def _domain_descriptor(dom: ScalarDomain) -> dict:
     return out
 
 
+def _refuse_non_integers(name: str, value, depth: int) -> None:
+    """Refuse the JSON floats, strings and booleans in value, depth lists
+    deep, that int() would truncate or parse: 2.5, "2" and true are not
+    integers.  A value of any other wrong type is left to its reader."""
+    if depth and isinstance(value, list):
+        for x in value:
+            _refuse_non_integers(name, x, depth - 1)
+    elif isinstance(value, (bool, float, str)):
+        raise SchemeFileError(f"{name} holds {json.dumps(value)}, not a JSON integer")
+
+
 def _domain_from_descriptor(desc: dict) -> ScalarDomain:
     try:
         kind, q = desc["kind"], desc["q"]
     except (KeyError, TypeError) as exc:
         raise SchemeFileError(f"bad domain descriptor: {desc!r}") from exc
+    _refuse_non_integers("domain q", q, 0)
     if kind == "field":
-        return ScalarDomain.field(q, desc.get("modulus"))
+        modulus = desc.get("modulus")
+        _refuse_non_integers("domain modulus", modulus, 1)
+        return ScalarDomain.field(q, modulus)
     if kind == "ring":
         return ScalarDomain.ring(q)
     raise SchemeFileError(f"unknown domain kind {kind!r}")
@@ -100,14 +114,22 @@ def scheme_from_dict(data: dict) -> SchemeSource:
         raise SchemeFileError("missing or malformed source section")
     try:
         if src["type"] == "crt":
-            comps = [(c["gen_poly"], ScalarDomain.field(c["q"]))
-                     for c in src["components"]]
+            comps = []
+            for i, c in enumerate(src["components"]):
+                _refuse_non_integers(f"component {i} gen_poly", c["gen_poly"], 1)
+                _refuse_non_integers(f"component {i} q", c["q"], 0)
+                comps.append((c["gen_poly"], ScalarDomain.field(c["q"])))
+            _refuse_non_integers("source n", src["n"], 0)
             return build_crt_cyclic(comps, src["n"])
         if src["type"] == "generator":
             dom = _domain_from_descriptor(data.get("domain", {}))
+            _refuse_non_integers("rows", src["rows"], 2)
             mat = Matrix.from_rows(dom, src["rows"])
-            prov = Provenance.from_dict(data.get("provenance", {"kind": "user"}))
-            return GeneratorMatrix(mat, prov)
+            prov = data.get("provenance", {"kind": "user"})
+            if not isinstance(prov, dict):
+                raise SchemeFileError(f"provenance must be an object, got "
+                                      f"{type(prov).__name__}")
+            return GeneratorMatrix(mat, Provenance.from_dict(prov))
     except SchemeFileError:
         raise
     except (CodedCacheError, KeyError, TypeError, ValueError) as exc:

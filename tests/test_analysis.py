@@ -130,6 +130,17 @@ def test_k_max_for_budget_table_values(table_entries):
     assert r == {"k_max": 8, "F_s": 1_171_875, "g_max": 9}
 
 
+def test_k_max_for_budget_searches_when_given_no_entries():
+    """Without entries it runs the search at the given cyclic limit: k = 4
+    of (8, 3) is found only by the cyclic search."""
+    for limit, k_max in ((10 ** 6, 4), (0, 3)):
+        entries = construct_candidate_set(8, 3, limit)
+        assert k_max_for_budget(8, 3, 500, cyclic_search_limit=limit)["k_max"] == k_max
+        for budget in (3, 100, 500, 10 ** 4):
+            assert k_max_for_budget(8, 3, budget, cyclic_search_limit=limit) == \
+                k_max_for_budget(8, 3, budget, entries=entries)
+
+
 def test_k_max_small_budget(table_entries):
     r = k_max_for_budget(12, 5, 5, entries=table_entries)
     assert r["k_max"] == 1

@@ -164,6 +164,19 @@ def test_graph_every_class_degree_z_labels_permutation():
             assert sorted(labels) == list(range(z))
 
 
+def test_graph_refuses_alpha_outside_1_to_n():
+    for alpha in (0, 5):
+        with pytest.raises(ShapeMismatch, match=f"^alpha must be in 1..4, got {alpha}$"):
+            recovery_set_graph(4, alpha)
+
+
+def test_delivery_refuses_the_graph_of_other_parameters():
+    s = placement(resolvable_design(codeword_matrix(build_spc(2, GF3))), 3)
+    for n, alpha in ((3, 2), (4, 3)):
+        with pytest.raises(ShapeMismatch, match="^graph does not match scheme parameters$"):
+            generate_delivery(s, recovery_set_graph(n, alpha))
+
+
 def test_graph_z1_single_membership():
     graph = recovery_set_graph(4, 2)
     assert graph.sets == ((0, 1), (2, 3))
@@ -1523,6 +1536,8 @@ def test_store_refuses_terms_out_of_range_with_the_tuple_text():
         if max(user, col) < 2 ** 32 and min(user, col) >= 0:
             with pytest.raises(ShapeMismatch, match=text.format(user, col)):
                 scheme_from_plan(s, DeliveryPlan(equations))
+            with pytest.raises(ShapeMismatch, match=text.format(user, col)):
+                equation_subfile_matrix(s, DeliveryPlan(equations))
         else:
             with pytest.raises(ShapeMismatch, match=r"^a user, column or recovery "
                                r"set is outside 0\.\.2\^32-1$"):

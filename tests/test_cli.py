@@ -181,6 +181,27 @@ def test_construct_kron_and_extend_from_base_files(tmp_path):
     assert "K=18 users, alpha=4" in out
     assert run(["verify", kron_file])[0] == 0
 
+    crt = tmp_path / "crt.json"
+    assert run(["construct", "crt", "--n", 4, "--component", "2:1,1",
+                "--component", "3:1,1", "--out", crt])[0] == 0
+    text = f"{crt} holds a residue source; this operation needs a generator matrix"
+    for argv in (["kron", "--base", crt, "--t", 2], ["extend", "--base", crt, "--s", 1]):
+        assert run(["construct"] + argv) == (1, "", f"error: {text}\n")
+        assert run(["--json", "construct"] + argv) == (
+            1, json.dumps({"error": {"type": "DomainError", "message": text}}) + "\n", "")
+
+
+def test_list_flags_refuse_non_integers_as_usage_errors():
+    for argv, text in (
+            (["cyclic", "--n", 3, "--q", 2, "--g", "1,x"],
+             "codedcache construct cyclic: error: argument --g: not a "
+             "comma-separated integer list: '1,x'"),
+            (["crt", "--n", 4, "--component", "x:1"],
+             "codedcache construct crt: error: argument --component: component "
+             "must be q:c0,c1,... got 'x:1'")):
+        code, out, err = run(["construct"] + argv)
+        assert (code, out, err.splitlines()[-1]) == (2, "", text)
+
 
 # ---------------------------------------------------------------------------
 # verify
@@ -242,6 +263,10 @@ def test_verify_cyclic_shortcut_certifies_the_stored_rows(tmp_path):
                         "gen_poly None builds no cyclic code of length 8")
     edits["text"] = (dict(doc, provenance=dict(bare, gen_poly="abc")),
                      "gen_poly 'abc' builds no cyclic code of length 8")
+    # build_cyclic would read 2.5 as 2 and true as 1 and certify [2, 1, 0, 1, 1]
+    for name, c0 in (("float", 2.5), ("true", True)):
+        edits[name] = (dict(doc, provenance=dict(bare, gen_poly=[c0, 1, 0, 1, 1])),
+                       f"gen_poly [{c0!r}, 1, 0, 1, 1] builds no cyclic code of length 8")
     for name, (edited, text) in edits.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(edited))
@@ -273,6 +298,45 @@ def write_repeated_columns(path):
         "provenance": {"kind": "user"},
     }
     path.write_text(json.dumps(doc))
+
+
+def test_loader_refuses_malformed_provenance_and_non_integer_numbers(tmp_path):
+    """A provenance that is not an object, and a number in the domain or
+    source that is not a JSON integer, are refused with SchemeFileError and
+    exit 1: int() would truncate 1.9 and read "2" and true, so verify would
+    certify and construct extend would write rows the file does not hold."""
+    base = tmp_path / "s.json"
+    assert run(["construct", "spc", "--k", 3, "--q", 3, "--out", base])[0] == 0
+    doc = json.loads(base.read_text())
+    ex3 = tmp_path / "ex3.json"
+    write_ex3(ex3)
+    hand = json.loads(ex3.read_text())
+    gf9 = {**hand, "domain": {"kind": "field", "q": 9, "p": 3, "m": 2, "modulus": [2, 2, 1]},
+           "source": {"type": "generator", "rows": [[1, 0, 1], [0, 1, 1]]}}
+    cases = {
+        "int": (dict(doc, provenance=5), "provenance must be an object, got int"),
+        "list": (dict(doc, provenance=[1]), "provenance must be an object, got list"),
+        "row-float": (dict(hand, source={"type": "generator",
+                                         "rows": [[1.9, 0, 1, 1], [0, 1, 1, "2"]]}),
+                      "rows holds 1.9, not a JSON integer"),
+        "row-text": (dict(hand, source={"type": "generator",
+                                        "rows": [[1, 0, 1, 1], [0, 1, 1, "2"]]}),
+                     'rows holds "2", not a JSON integer'),
+        "modulus": (dict(gf9, domain=dict(gf9["domain"], modulus=[2.7, 2, 1])),
+                    "domain modulus holds 2.7, not a JSON integer"),
+    }
+    assert run(["verify", _dump(tmp_path / "gf9.json", gf9)])[0] == 0
+    for name, (edited, text) in cases.items():
+        path = _dump(tmp_path / f"{name}.json", edited)
+        for argv in (["verify", path], ["construct", "extend", "--base", path, "--s", 0]):
+            assert run(argv) == (1, "", f"error: {text}\n"), name
+            assert run(["--json"] + argv) == (1, json.dumps(
+                {"error": {"type": "SchemeFileError", "message": text}}) + "\n", ""), name
+
+
+def _dump(path, doc):
+    path.write_text(json.dumps(doc))
+    return path
 
 
 def test_verify_failure_exits_three(tmp_path):
@@ -746,15 +810,17 @@ def test_every_builder_describes_its_output_flags(monkeypatch):
 
 
 def test_shared_parser_leaks_nothing_between_calls(tmp_path, monkeypatch):
-    """main reuses one parser per process and fills construct's builders on
-    first choice.  Calls that could leave state in it (an append action,
-    usage errors, --json, help at two widths, the first fill of construct
-    and of each builder after search and simulate have run on a fresh
-    tree) print exactly what the same argv prints in a fresh process."""
+    """main reuses one parser per process and fills each command and each
+    builder on first choice.  Calls that could leave state in it (an append
+    action, usage errors, --json, help at two widths, the first fill of
+    simulate, verify and compare after search has run on a fresh tree, and
+    of construct and of each builder after search and simulate have) print
+    exactly what the same argv prints in a fresh process."""
     cli._build_parser.cache_clear()
     assert cli._build_parser() is cli._build_parser()
     write_ex3(tmp_path / "ex3.json")
     steps = [("80", ["search", "--n", "4", "--q", "2"]),
+             ("60", ["simulate", "--help"]),
              ("80", ["simulate", "ex3.json", "--files", "2"])]
     steps += [(columns, argv) for columns in ("60", "120")
               for argv in [["construct", "--help"]]
@@ -766,8 +832,11 @@ def test_shared_parser_leaks_nothing_between_calls(tmp_path, monkeypatch):
     domain = ["construct", "mds", "--n", "5", "--k", "2", "--q", "3"]
     steps += [("80", argv) for argv in (crt, crt, usage, usage,
                                         ["--json"] + domain, domain)]
-    steps += [(columns, argv) for columns in ("60", "120")
-              for argv in (["--help"], ["simulate", "--help"])]
+    steps += [("60", ["verify", "--help"]), ("120", ["verify", "--help"]), ("80", ["verify"]),
+              ("80", ["compare", "ex3.json", "--alpha", "x"]),
+              ("60", ["compare", "--help"]), ("120", ["compare", "--help"]),
+              ("80", ["simulate", "ex3.json"]), ("120", ["simulate", "--help"]),
+              ("60", ["--help"]), ("120", ["--help"])]
     monkeypatch.chdir(tmp_path)
     for columns, argv in steps:
         monkeypatch.setenv("COLUMNS", columns)
@@ -775,10 +844,13 @@ def test_shared_parser_leaks_nothing_between_calls(tmp_path, monkeypatch):
         assert run(argv) == (child.returncode, child.stdout, child.stderr), argv
 
 
+COMMANDS = ("construct", "verify", "simulate", "search", "compare")
+
+
 def test_parser_fills_only_the_chosen_builder(tmp_path, monkeypatch):
-    """The first call builds the tree without construct's builders; a
-    construct call makes the nine builder parsers and adds arguments to the
-    chosen builder only."""
+    """The first call builds the tree with one empty parser per command and
+    adds arguments to the chosen command only; a construct call makes the
+    nine builder parsers and adds arguments to the chosen builder only."""
     made, added = [], []
     init = argparse.ArgumentParser.__init__
     add = argparse.ArgumentParser.add_argument
@@ -794,14 +866,27 @@ def test_parser_fills_only_the_chosen_builder(tmp_path, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting_add)
     monkeypatch.chdir(tmp_path)
-    cli._build_parser.cache_clear()
+    write_ex3(tmp_path / "ex3.json")
+    tree = [("codedcache", "-h"), ("codedcache", "--json")] + [
+        (f"codedcache {c}", "-h") for c in COMMANDS]
     try:
+        for argv, flags in (
+                (["search", "--n", "4", "--q", "2"],
+                 ["--n", "--q", "--budget", "--cyclic-limit", "--csv", "--json-out"]),
+                (["verify", "ex3.json"], ["file", "--alpha", "--method"]),
+                (["simulate", "ex3.json", "--files", "2"],
+                 ["file", "--files", "--alpha", "--bytes", "--seed", "--demands",
+                  "--transpose"]),
+                (["compare", "ex3.json"],
+                 ["files", "--alpha", "--mn", "--memory-sharing", "--csv", "--json-out"])):
+            cli._build_parser.cache_clear()
+            made.clear()
+            added.clear()
+            assert run(argv)[0] == 0
+            assert made == ["codedcache"] + [f"codedcache {c}" for c in COMMANDS]
+            assert added == tree + [(f"codedcache {argv[0]}", flag) for flag in flags]
+        cli._build_parser.cache_clear()
         assert run(["search", "--n", "4", "--q", "2"])[0] == 0
-        assert made == ["codedcache"] + [f"codedcache {c}" for c in (
-            "construct", "verify", "simulate", "search", "compare")]
-        assert [(prog, flag) for prog, flag in added
-                if prog.startswith("codedcache construct")] == [
-                    ("codedcache construct", "-h")]
         made.clear()
         added.clear()
         assert run(["construct", "mds", "--n", "5", "--k", "2", "--q", "5"])[0] == 0

@@ -241,6 +241,18 @@ def test_ring_ccp_uses_unit_determinants():
         gmat(z6, rows)
 
 
+def test_ring_window_below_k_plus_one_without_a_unit_minor_fails():
+    """At alpha <= k over a ring a window passes on its first row minor with
+    a unit determinant; column (2, 3) over Z mod 6 has none."""
+    g = gmat(ScalarDomain.ring(6), [[1, 0, 2], [0, 1, 3]])
+    cert = check_ccp(g, 1)
+    assert not cert.satisfied
+    assert [(w.columns, w.checks, w.ok) for w in cert.windows] == [
+        ((0,), (("rows (0,) give a unit minor", True),), True),
+        ((1,), (("rows (1,) give a unit minor", True),), True),
+        ((2,), (("no unit 1x1 row minor", False),), False)]
+
+
 # ---------------------------------------------------------------------------
 # cyclic shortcut
 # ---------------------------------------------------------------------------
@@ -449,6 +461,14 @@ def test_cyclic_rejects_bad_polynomials():
         build_cyclic(8, [1, 2], GF3)  # 2x + 1
     with pytest.raises(ZeroConstantTerm):
         build_cyclic(8, [0, 1], GF3)  # x
+    with pytest.raises(ShapeMismatch, match="^degree 3 must be below n=3$"):
+        build_cyclic(3, [1, 0, 0, 1], GF2)  # x^3 + 1 divides itself
+
+
+def test_cyclic_drops_trailing_zero_coefficients():
+    g = build_cyclic(3, [1, 1, 0, 0], GF2)
+    assert g.mat == build_cyclic(3, [1, 1], GF2).mat
+    assert g.provenance.params == {"n": 3, "q": 2, "gen_poly": [1, 1]}
 
 
 # ---------------------------------------------------------------------------

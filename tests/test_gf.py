@@ -224,6 +224,25 @@ def test_custom_modulus_must_be_irreducible():
         ScalarDomain.field(9, modulus=[1, 2, 1])
 
 
+def test_custom_modulus_refusals_name_the_fault():
+    """A modulus of the wrong degree, one that is not monic, and one that
+    factors are each refused with their own text."""
+    for q, modulus, text in (
+            (9, [1, 1], "modulus must have degree 2, got degree 1"),
+            (9, [1, 0, 2], "modulus polynomial must be monic"),
+            (4, [1, 0, 1], r"modulus \[1, 0, 1\] is reducible over GF\(2\)")):
+        with pytest.raises(DomainError, match=f"^{text}$"):
+            ScalarDomain.field(q, modulus)
+
+
+def test_zero_has_no_inverse_in_any_domain():
+    for dom, name in ((ScalarDomain.field(3), r"GF\(3\)"), (ScalarDomain.field(9), r"GF\(3\^2\)"),
+                      (ScalarDomain.ring(6), "Z mod 6")):
+        for zero in (0, dom.q):
+            with pytest.raises(NotAUnit, match=f"^0 is not invertible in {name}$"):
+                dom.inv(zero)
+
+
 # Digit-wise reference arithmetic: an element of GF(p^m) is the packed int
 # sum(c_i * p**i), addition works coefficient by coefficient mod p, and
 # multiplication is the schoolbook product of the digit polynomials.

@@ -191,6 +191,48 @@ def test_from_dict_rejects_invalid_generator_content():
         scheme_from_dict(doc)
 
 
+def _edited(doc, section, key, value, index=None):
+    """doc with section[key] (or section["components"][index][key]) set."""
+    part = json.loads(json.dumps(doc[section]))
+    (part if index is None else part["components"][index])[key] = value
+    return dict(doc, **{section: part})
+
+
+def test_from_dict_refuses_numbers_that_are_not_json_integers():
+    """Every number the loader reads from the domain or the source must be
+    a JSON integer: a float, a string or a boolean (true is not 1) would be
+    truncated or parsed by int() and load as a code the file does not hold."""
+    gen = scheme_to_dict(build_cyclic(8, [2, 1, 0, 1, 1], GF3))
+    gf9 = scheme_to_dict(build_spc(2, ScalarDomain.field(9)))
+    crt = scheme_to_dict(build_crt_cyclic([([1, 1], GF2), ([1, 1, 1], GF3)], 3))
+    for base in (gen, gf9, crt):
+        scheme_from_dict(base)
+    rows = gen["source"]["rows"]
+    cases = [
+        (_edited(gen, "source", "rows", [[2.0] + rows[0][1:]] + rows[1:]),
+         "rows holds 2.0"),
+        (_edited(gen, "source", "rows", rows[:-1] + [rows[-1][:-1] + [True]]),
+         "rows holds true"),
+        (_edited(gen, "domain", "q", 3.0), "domain q holds 3.0"),
+        (_edited(gen, "domain", "q", "3"), 'domain q holds "3"'),
+        (_edited(gf9, "domain", "modulus", [2, 2, 1.0]), "domain modulus holds 1.0"),
+        (_edited(gf9, "domain", "modulus", "221"), 'domain modulus holds "221"'),
+        (_edited(crt, "source", "n", 3.0), "source n holds 3.0"),
+        (_edited(crt, "source", "q", False, 1), "component 1 q holds false"),
+        (_edited(crt, "source", "gen_poly", [1, 1.5], 0), "component 0 gen_poly holds 1.5"),
+    ]
+    for doc, text in cases:
+        with pytest.raises(SchemeFileError, match=f"^{text}, not a JSON integer$"):
+            scheme_from_dict(doc)
+
+
+def test_from_dict_refuses_a_provenance_that_is_not_an_object():
+    doc = scheme_to_dict(build_spc(3, GF3))
+    for value, kind in ((5, "int"), ([1], "list"), ("spc", "str"), (None, "NoneType")):
+        with pytest.raises(SchemeFileError, match=f"^provenance must be an object, got {kind}$"):
+            scheme_from_dict(dict(doc, provenance=value))
+
+
 # ---------------------------------------------------------------------------
 # digests
 # ---------------------------------------------------------------------------
