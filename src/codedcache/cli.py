@@ -8,7 +8,8 @@ single-cache-point scheme).
 
 Exit codes: 0 success or property satisfied, 1 domain error (including a
 scheme too large to simulate), 2 usage error, 3 verification or simulation
-failure.  With --json, errors are emitted as a
+failure, 141 stdout closed before the output was written (128 + SIGPIPE, as
+for a process that signal ends).  With --json, errors are emitted as a
 machine-readable object on stdout.  All commands are deterministic given
 their flags and seed.  The first call of main builds the argparse tree
 with one empty parser per command; a command's arguments (construct's
@@ -500,7 +501,7 @@ def _emit_error(as_json: bool, exc: Exception) -> None:
         print(f"error: {exc}", file=sys.stderr)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def _run(argv: Optional[Sequence[str]]) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
@@ -514,6 +515,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CodedCacheError as exc:
         _emit_error(args.json, exc)
         return 1
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    try:
+        try:
+            return _run(argv)
+        finally:
+            # a reader that closed stdout early shows here, not at exit
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # what is left in the buffer goes to devnull, so exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -9,13 +9,15 @@ for alpha <= k the window must have alpha independent columns.  Such matrices
 induce resolvable designs and, from those, coded caching schemes (see design
 and caching modules).
 
-Everything here is exact integer arithmetic on top of the gf module.
+One linear-algebra path serves fields and rings: a generator over Z mod q is
+certified through its reductions mod each prime p | q, over GF(p), since it
+has the CCP iff each of them has.  Everything here is exact integer
+arithmetic on top of the gf module.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import Iterator, Optional, Sequence
 
@@ -44,7 +46,6 @@ from .gf import (
     _poly_gcd,
     _poly_mul,
     _poly_trim,
-    mat_det_is_unit,
     mat_rank,
     reduce_rows,
     row_reduce,
@@ -177,14 +178,30 @@ def ccp_windows(n: int, alpha: int) -> list[tuple[int, ...]]:
 _Form = tuple[list[list[int]], dict[int, int]]
 
 
-def _reduced_forms(g: GeneratorMatrix) -> tuple[_Form, _Form]:
-    """The RREF of a field matrix g, reduced in column order and in reversed
-    column order, each as (rows, pivot column -> row) in g's column order.
+def _prime_fields(dom: ScalarDomain) -> list[ScalarDomain]:
+    """dom itself when it is a field; for Z mod q the prime fields GF(p),
+    p | q, smallest first.  By the CRT, Z mod q is the product of the rings
+    Z mod p^e, and over each of them a map is onto iff it is onto mod p
+    (Nakayama), so a ring window has the CCP iff it has it mod every p."""
+    if dom.is_field:
+        return [dom]
+    out, q = [], dom.q
+    for p in range(2, q + 1):
+        if q % p == 0:
+            out.append(ScalarDomain.field(p))
+            while q % p == 0:
+                q //= p
+    return out
+
+
+def _reduced_forms(m: Matrix) -> tuple[_Form, _Form]:
+    """The RREF of a field matrix m, reduced in column order and in reversed
+    column order, each as (rows, pivot column -> row) in m's column order.
     Row operations keep every window's rank and kernel, and the two forms
-    put the pivot columns at the front and at the back of g."""
-    n = g.n
-    rows, pivots, _ = row_reduce(g.mat)
-    back, back_pivots, _ = row_reduce(g.mat.take_cols(range(n - 1, -1, -1)))
+    put the pivot columns at the front and at the back of m."""
+    n = m.cols
+    rows, pivots, _ = row_reduce(m)
+    back, back_pivots, _ = row_reduce(m.take_cols(range(n - 1, -1, -1)))
     return ((rows, {c: i for i, c in enumerate(pivots)}),
             ([r[::-1] for r in back], {n - 1 - c: i for i, c in enumerate(back_pivots)}))
 
@@ -229,72 +246,63 @@ def _drop_keeps(dom: ScalarDomain, forms: tuple[_Form, _Form],
     return keeps
 
 
-def _check_window_full(g: GeneratorMatrix, alpha: int, cols: tuple[int, ...],
-                       forms: Optional[tuple[_Form, _Form]]
+def _check_window_full(images: list[tuple[Matrix, Optional[tuple[_Form, _Form]]]],
+                       alpha: int, cols: tuple[int, ...]
                        ) -> tuple[tuple[tuple[str, bool], ...], bool]:
     """Verdicts for one window: per dropped column at alpha = k+1, else one.
 
-    A field window at alpha = k+1 is decided from the reduced forms of g;
-    ring windows take one determinant per dropped column.
+    ``images`` holds g over each of its prime fields, with its reduced forms
+    at alpha = k+1; each verdict holds iff it holds over every field.  At
+    alpha = k+1 the reduced forms decide the window, else its column rank.
     """
-    dom = g.domain
-    checks: list[tuple[str, bool]] = []
-    if alpha == g.k + 1:
-        if forms is not None:
-            keeps = _drop_keeps(dom, forms, cols)
-        else:
-            win = g.mat.take_cols(cols)
-            keeps = [mat_det_is_unit(win.take_cols([c for c in range(alpha) if c != d]))[1]
-                     for d in range(alpha)]
-        checks = [(f"drop column {cols[d]}", ok) for d, ok in enumerate(keeps)]
-        return tuple(checks), all(keeps)
-    win = g.mat.take_cols(cols)
-    if dom.is_field:
-        ok = mat_rank(win) == alpha
-        checks.append((f"column rank == {alpha}", ok))
-        return tuple(checks), ok
-    # ring, alpha <= k: look for an alpha x alpha row minor with unit det
-    for rows in itertools.combinations(range(g.k), alpha):
-        if mat_det_is_unit(win.take_rows(rows))[1]:
-            checks.append((f"rows {rows} give a unit minor", True))
-            return tuple(checks), True
-    checks.append((f"no unit {alpha}x{alpha} row minor", False))
-    return tuple(checks), False
+    oks: Optional[list[bool]] = None
+    for m, forms in images:
+        mine = (_drop_keeps(m.domain, forms, cols) if forms is not None
+                else [mat_rank(m.take_cols(cols)) == alpha])
+        oks = mine if oks is None else [a and b for a, b in zip(oks, mine)]
+    # every image has its forms, or none has
+    labels = ([f"drop column {c}" for c in cols] if forms is not None
+              else [f"column rank == {alpha}"])
+    return tuple(zip(labels, oks)), all(oks)
 
 
 def check_ccp(g: GeneratorMatrix, alpha: int) -> CcpCertificate:
     """Certify the (k, alpha)-CCP of g by checking every column window.
 
-    alpha = k+1 tests all k x k submatrices of each window.  Over a field, g
-    is row-reduced twice, in column order and in reversed column order, and
-    each window takes the form with more of its pivot columns inside it (ties
-    to the first): those columns are unit vectors, so only the block of the
+    Over Z mod q, g is reduced mod each prime p | q and certified over
+    GF(p); a window passes iff it passes over every one of those fields.
+    alpha = k+1 tests all k x k submatrices of each window: g is row-reduced
+    twice, in column order and in reversed column order, and each window
+    takes the form with more of its pivot columns inside it (ties to the
+    first): those columns are unit vectors, so only the block of the
     window's other columns on the rows not pivoted there is eliminated, and
-    the window's kernel vector decides every dropped column.  Over a ring
-    each dropped column takes one determinant.  alpha <= k tests for alpha
-    independent columns (fields: rank; rings: exhaustive search for a unit
-    alpha x alpha row minor).
+    the window's kernel vector decides every dropped column.  alpha <= k
+    tests that each window has rank alpha.
     """
     if not 1 <= alpha <= g.k + 1:
         raise InvalidAlpha(f"alpha must be in 1..{g.k + 1}, got {alpha}")
     z = least_z(g.n, alpha)
-    forms = _reduced_forms(g) if alpha == g.k + 1 and g.domain.is_field else None
-    results = tuple(WindowCheck(a, cols, *_check_window_full(g, alpha, cols, forms))
+    images = []
+    for f in _prime_fields(g.domain):
+        m = g.mat if f is g.domain else Matrix(
+            f, g.k, g.n, tuple([x % f.q for x in g.mat.entries]))
+        images.append((m, _reduced_forms(m) if alpha == g.k + 1 else None))
+    results = tuple(WindowCheck(a, cols, *_check_window_full(images, alpha, cols))
                     for a, cols in enumerate(ccp_windows(g.n, alpha)))
     return CcpCertificate(alpha, z, all(w.ok for w in results), "exhaustive", results)
 
 
 def _unit_leading_minors(rows: list[list[int]], dom: ScalarDomain) -> Iterator[bool]:
-    """Whether each leading principal minor of a square matrix is a unit,
-    smallest first, by one elimination without row swaps: while pivots
-    0 .. i-1 are units, minor i is a unit iff pivot i is.  From the first
-    non-unit pivot on, each minor takes its own determinant."""
+    """Whether each leading principal minor of a square field matrix is
+    nonzero, smallest first, by one elimination without row swaps: while
+    pivots 0 .. i-1 are nonzero, minor i is nonzero iff pivot i is.  From
+    the first zero pivot on, each minor takes its own rank."""
     work = [list(r) for r in rows]
     for i, top in enumerate(work):
-        if not dom.is_unit(top[i]):
+        if not top[i]:
             yield False
             for d in range(i + 2, len(rows) + 1):
-                yield mat_det_is_unit(Matrix.from_rows(dom, [r[:d] for r in rows[:d]]))[1]
+                yield mat_rank(Matrix.from_rows(dom, [r[:d] for r in rows[:d]])) == d
             return
         yield True
         inv = dom.inv(top[i])
@@ -307,9 +315,9 @@ def _unit_leading_minors(rows: list[list[int]], dom: ScalarDomain) -> Iterator[b
 
 def _cyclic_shortcut_oks(gen: Sequence[int], n: int, k: int,
                          dom: ScalarDomain) -> Iterator[bool]:
-    """Whether the condition matrix C_j is invertible, for j = 1 .. floor(k/2)
-    and then for j = k-1 down to floor(k/2)+1, so that all() stops at the
-    first non-unit pivot of either elimination."""
+    """Whether the condition matrix C_j over a field is invertible, for
+    j = 1 .. floor(k/2) and then for j = k-1 down to floor(k/2)+1, so that
+    all() stops at the first zero pivot of either elimination."""
     def toeplitz(size: int, shift: int) -> list[list[int]]:
         return [[gen[shift - r + c] if 0 <= shift - r + c < len(gen) else 0
                  for c in range(size)] for r in range(size)]
@@ -354,7 +362,11 @@ def check_ccp_cyclic_shortcut(g: GeneratorMatrix) -> CcpCertificate:
     start = n - k // 2 - 1
     cols = tuple((start + j) % n for j in range(k + 1))
     checks: list[tuple[str, bool]] = [("boundary j=0 (triangular unit block)", True)]
-    oks = list(_cyclic_shortcut_oks(code.provenance.params["gen_poly"], n, k, g.domain))
+    # C_j is invertible over Z mod q iff it is mod every prime p | q
+    coeffs = code.provenance.params["gen_poly"]
+    oks = [all(col) for col in zip(*(
+        _cyclic_shortcut_oks([c % f.q for c in coeffs], n, k, f)
+        for f in _prime_fields(g.domain)))]
     oks[k // 2:] = reversed(oks[k // 2:])
     for j, ok in enumerate(oks, 1):
         dim = j if j <= k // 2 else k - j

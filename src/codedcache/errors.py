@@ -28,10 +28,6 @@ class RingNotSupported(CodedCacheError):
     """The operation is defined over fields only."""
 
 
-class NonSquare(CodedCacheError):
-    """A square matrix was required."""
-
-
 class DimensionMismatch(CodedCacheError):
     """Matrix shapes are incompatible for the requested operation."""
 

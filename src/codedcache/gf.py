@@ -37,7 +37,6 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     DomainMismatch,
-    NonSquare,
     NotAUnit,
     RingNotSupported,
 )
@@ -559,77 +558,5 @@ def mat_rank(m: Matrix) -> int:
     """Rank over a field: the number of pivots ``row_reduce`` finds."""
     if not m.domain.is_field:
         raise RingNotSupported("rank is defined here over fields only; "
-                               "use mat_det_is_unit for square ring matrices")
+                               "take a ring matrix mod each prime of its modulus")
     return len(row_reduce(m)[1])
-
-
-def _det_bareiss_int(rows: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (exact divisions)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    work = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        if work[col][col] == 0:
-            swap = None
-            for r in range(col + 1, n):
-                if work[r][col] != 0:
-                    swap = r
-                    break
-            if swap is None:
-                return 0
-            work[col], work[swap] = work[swap], work[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            for j in range(col + 1, n):
-                work[r][j] = (work[r][j] * work[col][col]
-                              - work[r][col] * work[col][j]) // prev
-            work[r][col] = 0
-        prev = work[col][col]
-    return sign * work[n - 1][n - 1]
-
-
-def mat_det_is_unit(m: Matrix) -> tuple[int, bool]:
-    """Determinant of a square matrix and whether it is a unit.
-
-    Fields read it off ``row_reduce``: the signed product of the pivots when
-    every column has one, else 0.  Rings use integer Bareiss elimination on
-    the canonical representatives with a final reduction mod q (all
-    divisions exact).  The 0x0 determinant is 1.
-    """
-    if m.rows != m.cols:
-        raise NonSquare(f"{m.rows}x{m.cols} matrix has no determinant")
-    dom = m.domain
-    if dom.is_field:
-        _, pivots, scale = row_reduce(m)
-        det = scale if len(pivots) == m.rows else 0
-    else:
-        det = _det_bareiss_int(m.to_rows()) % dom.q
-    return det, dom.is_unit(det)
-
-
-def mat_solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
-    """One solution x of a x = b over a field, or None when inconsistent.
-
-    Row-reduces ``[a | b]``; a pivot in b's columns is a row 0 = nonzero.
-    Free variables are set to zero, so the result is deterministic.
-    """
-    if not a.domain.is_field:
-        raise RingNotSupported("linear solving is supported over fields only")
-    if a.domain != b.domain:
-        raise DomainMismatch(f"{a.domain!r} vs {b.domain!r}")
-    if a.rows != b.rows:
-        raise DimensionMismatch(f"lhs has {a.rows} rows, rhs has {b.rows}")
-    dom = a.domain
-    cols = a.cols
-    joined = Matrix(dom, a.rows, cols + b.cols,
-                    tuple(x for i in range(a.rows) for x in a.row(i) + b.row(i)))
-    rows, pivots, _ = row_reduce(joined)
-    if pivots and pivots[-1] >= cols:
-        return None
-    out = [[0] * b.cols for _ in range(cols)]
-    for i, col in enumerate(pivots):
-        out[col] = rows[i][cols:]
-    return Matrix.from_rows(dom, out)

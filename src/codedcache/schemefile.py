@@ -47,6 +47,11 @@ def _domain_descriptor(dom: ScalarDomain) -> dict:
     return out
 
 
+def _residue_descriptor(q: int) -> dict:
+    """A residue source's domain, Z mod q; q may exceed a ScalarDomain's."""
+    return {"kind": "ring", "q": q, "p": q, "m": 1}
+
+
 def _refuse_non_integers(name: str, value, depth: int) -> None:
     """Refuse the JSON floats, strings and booleans in value, depth lists
     deep, that int() would truncate or parse: 2.5, "2" and true are not
@@ -67,10 +72,27 @@ def _domain_from_descriptor(desc: dict) -> ScalarDomain:
     if kind == "field":
         modulus = desc.get("modulus")
         _refuse_non_integers("domain modulus", modulus, 1)
-        return ScalarDomain.field(q, modulus)
-    if kind == "ring":
-        return ScalarDomain.ring(q)
-    raise SchemeFileError(f"unknown domain kind {kind!r}")
+        dom = ScalarDomain.field(q, modulus)
+    elif kind == "ring":
+        dom = ScalarDomain.ring(q)
+    else:
+        raise SchemeFileError(f"unknown domain kind {kind!r}")
+    _refuse_contradictions(desc, _domain_descriptor(dom), repr(dom))
+    return dom
+
+
+def _refuse_contradictions(desc: dict, want: dict, name: str) -> None:
+    """Refuse a q, kind, p or m in desc that disagrees with want, the
+    descriptor of the domain the source defines (name says which); a ring
+    is written with p = q and m = 1."""
+    for key in ("q", "kind", "p", "m"):
+        if key not in desc:
+            continue
+        if key != "kind":
+            _refuse_non_integers(f"domain {key}", desc[key], 0)
+        if desc[key] != want[key]:
+            raise SchemeFileError(f"domain {key} = {json.dumps(desc[key])} contradicts "
+                                  f"{name}, whose {key} is {json.dumps(want[key])}")
 
 
 def certificate_summary(cert: CcpCertificate) -> dict:
@@ -84,7 +106,7 @@ def scheme_to_dict(source: SchemeSource,
     out: dict = {"format": FORMAT, "version": VERSION}
     if isinstance(source, CrtCodewordSource):
         params = source.provenance.params
-        out["domain"] = {"kind": "ring", "q": source.q, "p": source.q, "m": 1}
+        out["domain"] = _residue_descriptor(source.q)
         out["source"] = {"type": "crt", "n": params["n"],
                          "components": params["components"]}
     elif isinstance(source, GeneratorMatrix):
@@ -120,7 +142,13 @@ def scheme_from_dict(data: dict) -> SchemeSource:
                 _refuse_non_integers(f"component {i} q", c["q"], 0)
                 comps.append((c["gen_poly"], ScalarDomain.field(c["q"])))
             _refuse_non_integers("source n", src["n"], 0)
-            return build_crt_cyclic(comps, src["n"])
+            source = build_crt_cyclic(comps, src["n"])
+            desc = data.get("domain", {})
+            if not isinstance(desc, dict):
+                raise SchemeFileError(f"bad domain descriptor: {desc!r}")
+            _refuse_contradictions(desc, _residue_descriptor(source.q),
+                                   f"Z mod {source.q} of the components")
+            return source
         if src["type"] == "generator":
             dom = _domain_from_descriptor(data.get("domain", {}))
             _refuse_non_integers("rows", src["rows"], 2)

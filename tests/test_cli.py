@@ -18,7 +18,7 @@ import pytest
 from codedcache import caching, cli, design, schemefile
 
 
-def run_child(argv, cwd):
+def run_child(argv, cwd, stdout=subprocess.PIPE):
     """Invoke the CLI in a child process that is killed after 60 s, so a
     command that never ends fails its test instead of stalling the suite."""
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -26,7 +26,7 @@ def run_child(argv, cwd):
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "codedcache"]
                           + [str(a) for a in argv], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=60)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60)
 
 
 def run(argv):
@@ -354,6 +354,39 @@ def test_python_dash_m_exits_with_the_cli_status(tmp_path):
     write_repeated_columns(tmp_path / "rep.json")
     assert run_child(["verify", "ex3.json"], tmp_path).returncode == 0
     assert run_child(["verify", "rep.json"], tmp_path).returncode == 3
+
+
+def test_a_closed_stdout_exits_141_without_a_traceback(tmp_path):
+    """`verify crt.json | head -2` once ended in a BrokenPipeError
+    traceback; a pipe with no reader left now exits 141, quietly."""
+    assert run(["construct", "crt", "--n", 4, "--component", "2:1,1",
+                "--component", "3:1,1", "--out", tmp_path / "crt.json"])[0] == 0
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_child(["verify", "crt.json"], tmp_path, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+def test_verify_a_ring_window_onto_mod_each_prime_exits_zero(tmp_path):
+    """Column (2, 3) over Z mod 6 has no unit entry, yet it is nonzero mod 2
+    and mod 3, so it maps Z_6^2 onto Z_6: verify --alpha 1 certifies (it
+    once exited 3), as simulate --alpha 1 delivers, base and transposed."""
+    path = _dump(tmp_path / "z6.json", {
+        "format": "codedcache-scheme", "version": 1,
+        "domain": {"kind": "ring", "q": 6, "p": 6, "m": 1},
+        "source": {"type": "generator", "rows": [[2, 1, 1], [3, 0, 1]]},
+        "provenance": {"kind": "user"}})
+    assert run(["verify", path, "--alpha", 1]) == (0, (
+        "alpha=1 z=1 method=exhaustive\n"
+        "  window 0 cols=[0]: ok\n  window 1 cols=[1]: ok\n  window 2 cols=[2]: ok\n"
+        "satisfied\n"), "")
+    for flags in ([], ["--transpose"]):
+        code, out, _ = run(["simulate", path, "--alpha", 1, "--files", 2] + flags)
+        assert code == 0
+        assert json.loads(out)["all_ok"] is True
 
 
 # ---------------------------------------------------------------------------

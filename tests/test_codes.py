@@ -28,10 +28,20 @@ from codedcache.codes import (
     search_cyclic_generators,
     WindowCheck,
 )
-from codedcache.design import codeword_matrix
+from codedcache.caching import (
+    equation_subfile_matrix,
+    expected_delta,
+    generate_delivery,
+    placement,
+    recovery_set_graph,
+    scheme_from_eq_subfile,
+    scheme_from_plan,
+)
+from codedcache.design import codeword_matrix, resolvable_design
 from codedcache.errors import (
     BaseNotCcp,
     ComponentInvalid,
+    DecodeFailure,
     DomainError,
     FieldTooSmall,
     InvalidAlpha,
@@ -45,7 +55,8 @@ from codedcache.errors import (
     ZeroColumn,
     ZeroConstantTerm,
 )
-from codedcache.gf import Matrix, ScalarDomain, mat_det_is_unit, mat_rank, natural_domain
+from codedcache.gf import Matrix, ScalarDomain, mat_rank, natural_domain
+from test_gf import brute_force_det, field_det
 
 GF2 = ScalarDomain.field(2)
 GF3 = ScalarDomain.field(3)
@@ -54,6 +65,12 @@ GF5 = ScalarDomain.field(5)
 
 def gmat(dom, rows, provenance=None):
     return GeneratorMatrix(Matrix.from_rows(dom, rows), provenance)
+
+
+def det(dom, rows):
+    """Test-side determinant: row_reduce's over a field, the permutation
+    expansion over a ring."""
+    return field_det(Matrix.from_rows(dom, rows)) if dom.is_field else brute_force_det(dom, rows)
 
 
 def example_code_4_2():
@@ -241,16 +258,86 @@ def test_ring_ccp_uses_unit_determinants():
         gmat(z6, rows)
 
 
-def test_ring_window_below_k_plus_one_without_a_unit_minor_fails():
-    """At alpha <= k over a ring a window passes on its first row minor with
-    a unit determinant; column (2, 3) over Z mod 6 has none."""
+def delivers(g, alpha):
+    """Whether g's scheme at alpha delivers: expected_delta equations and
+    delivery.ok, base and transposed.  DecodeFailure propagates."""
+    s = placement(resolvable_design(codeword_matrix(g)), alpha)
+    plan = generate_delivery(s, recovery_set_graph(s.n, alpha))
+    transposed = scheme_from_eq_subfile(equation_subfile_matrix(s, plan).transpose())
+    return (plan.delta == expected_delta(s) and scheme_from_plan(s, plan).delivery.ok
+            and transposed.delivery.ok)
+
+
+def test_ring_window_below_k_plus_one_without_a_unit_minor_certifies():
+    """Column (2, 3) over Z mod 6 has no unit entry, yet it is nonzero mod 2
+    and mod 3, so the window maps Z_6^2 onto Z_6: it certifies, and the
+    scheme delivers at alpha 1 with delta 540 = expected_delta."""
     g = gmat(ScalarDomain.ring(6), [[1, 0, 2], [0, 1, 3]])
     cert = check_ccp(g, 1)
-    assert not cert.satisfied
+    assert cert.satisfied
     assert [(w.columns, w.checks, w.ok) for w in cert.windows] == [
-        ((0,), (("rows (0,) give a unit minor", True),), True),
-        ((1,), (("rows (1,) give a unit minor", True),), True),
-        ((2,), (("no unit 1x1 row minor", False),), False)]
+        ((c,), (("column rank == 1", True),), True) for c in range(3)]
+    assert expected_delta(placement(resolvable_design(codeword_matrix(g)), 1)) == 540
+    assert delivers(g, 1)
+
+
+def unit_minor(dom, rows):
+    """The ring test at alpha <= k before prime fields: some alpha x alpha
+    row minor of the k x alpha window has a unit determinant."""
+    return any(dom.is_unit(det(dom, [rows[i] for i in pick]))
+               for pick in itertools.combinations(range(len(rows)), len(rows[0])))
+
+
+def random_ring_codes(count):
+    """Seeded generators over Z mod 4, 6, 10 and 12 with k <= 3, n <= 5 and
+    at most 1000 codewords, every column of unit content."""
+    rng = random.Random(15)
+    codes = []
+    while len(codes) < count:
+        q = rng.choice((4, 6, 10, 12))
+        k = rng.randint(1, 3)
+        n = rng.randint(k + 1, 5)
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+        if q ** k <= 1000 and all(math.gcd(q, *col) == 1 for col in zip(*rows)):
+            codes.append(gmat(ScalarDomain.ring(q), rows))
+    return codes
+
+
+def test_ring_ccp_mod_each_prime_matches_the_oracles_and_delivers():
+    """Every window verdict over a ring against test-side oracles: at
+    alpha = k+1 each dropped column by its determinant, below by whether the
+    window maps the codewords onto all q^alpha label tuples, and over the
+    prime power 4 by a unit minor.  A certified code delivers; at alpha = k+1
+    an uncertified one raises DecodeFailure.  Over Z mod 6, 10 and 12 some
+    window is onto with no unit minor, and those certify and deliver."""
+    onto_without_unit_minor = 0
+    for g in random_ring_codes(60):
+        dom, k = g.domain, g.k
+        rows = codeword_matrix(g).rows
+        for alpha in range(1, k + 2):
+            cert = check_ccp(g, alpha)
+            for w in cert.windows:
+                win = g.mat.take_cols(w.columns).to_rows()
+                if alpha == k + 1:
+                    assert w.checks == tuple(
+                        (f"drop column {c}",
+                         dom.is_unit(det(dom, [r[:d] + r[d + 1:] for r in win])))
+                        for d, c in enumerate(w.columns)), (g.mat, alpha)
+                    continue
+                onto = len(set(zip(*(rows[c] for c in w.columns)))) == dom.q ** alpha
+                assert w.checks == ((f"column rank == {alpha}", onto),), (g.mat, alpha)
+                minor = unit_minor(dom, win)
+                assert onto or not minor  # a unit minor makes the window onto
+                if dom.q == 4:
+                    assert minor == onto, (g.mat, alpha)
+                onto_without_unit_minor += onto and not minor
+            assert cert.satisfied == all(w.ok for w in cert.windows)
+            if cert.satisfied:
+                assert delivers(g, alpha), (g.mat, alpha)
+            elif alpha == k + 1:
+                with pytest.raises(DecodeFailure):
+                    delivers(g, alpha)
+    assert onto_without_unit_minor > 0
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +399,7 @@ def reference_shortcut(g):
         else:
             dim = k - j
             rows = [[coeff(1 - r + c) for c in range(dim)] for r in range(dim)]
-        ok = mat_det_is_unit(Matrix.from_rows(dom, rows))[1]
+        ok = dom.is_unit(det(dom, rows))
         checks.append((f"condition matrix for j={j} ({dim}x{dim})", ok))
     checks.append(("boundary j=k (triangular unit block)", True))
     satisfied = all(ok for _, ok in checks)
@@ -400,8 +487,7 @@ def test_mds_3_2_gf3_is_vandermonde():
     g = build_mds(3, 2, GF3)
     assert g.mat.to_rows() == [[1, 1, 1], [0, 1, 2]]
     for pair in itertools.combinations(range(3), 2):
-        det, unit = mat_det_is_unit(g.mat.take_cols(pair))
-        assert unit
+        assert det(GF3, g.mat.take_cols(pair).to_rows()) != 0
 
 
 def test_mds_4_2_gf5_certifies_alpha3():
@@ -617,9 +703,7 @@ def test_spc_window_determinants_are_units_over_z6():
     for cols in ccp_windows(4, 4):
         for drop in range(4):
             sub = g.mat.take_cols([c for i, c in enumerate(cols) if i != drop])
-            det, unit = mat_det_is_unit(sub)
-            assert unit
-            assert det in (1, 5)  # +-1 mod 6
+            assert det(z6, sub.to_rows()) in (1, 5)  # +-1 mod 6, a unit
     assert check_ccp(g, 4).satisfied
 
 
@@ -661,16 +745,14 @@ def test_kron_determinant_power_identity():
     for _ in range(12):
         size = rng.randrange(1, 4)
         rows = [[rng.randrange(5) for _ in range(size)] for _ in range(size)]
-        a = Matrix.from_rows(GF5, rows)
-        det_a, _ = mat_det_is_unit(a)
+        det_a = det(GF5, rows)
         for t in (1, 2, 3):
             lifted_rows = [[0] * (size * t) for _ in range(size * t)]
             for i in range(size):
                 for j in range(size):
                     for r in range(t):
                         lifted_rows[i * t + r][j * t + r] = rows[i][j]
-            det_l, _ = mat_det_is_unit(Matrix.from_rows(GF5, lifted_rows))
-            assert det_l == GF5.pow(det_a, t)
+            assert det(GF5, lifted_rows) == GF5.pow(det_a, t)
 
 
 # ---------------------------------------------------------------------------

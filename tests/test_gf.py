@@ -4,13 +4,12 @@ import random
 
 import pytest
 
-from codedcache.codes import GeneratorMatrix
+from codedcache.codes import GeneratorMatrix, _prime_fields
 from codedcache.design import _generator_rows
 from codedcache.errors import (
     DimensionMismatch,
     DomainError,
     DomainMismatch,
-    NonSquare,
     NotAUnit,
     RingNotSupported,
 )
@@ -19,10 +18,9 @@ from codedcache.gf import (
     _prime_power,
     Matrix,
     ScalarDomain,
-    mat_det_is_unit,
     mat_rank,
-    mat_solve,
     natural_domain,
+    reduce_rows,
     row_reduce,
 )
 
@@ -361,7 +359,8 @@ def test_rank_zero_matrix():
 def test_rank_rejects_rings():
     z6 = ScalarDomain.ring(6)
     m = Matrix.from_rows(z6, [[1, 2], [3, 4]])
-    with pytest.raises(RingNotSupported):
+    with pytest.raises(RingNotSupported, match="^rank is defined here over fields only; "
+                       "take a ring matrix mod each prime of its modulus$"):
         mat_rank(m)
 
 
@@ -385,7 +384,7 @@ def test_rank_counts_independent_rows():
 
 
 # ---------------------------------------------------------------------------
-# determinant / unit test
+# determinants: the oracle, row_reduce's over a field, units mod each prime
 # ---------------------------------------------------------------------------
 
 
@@ -407,62 +406,71 @@ def brute_force_det(dom, rows):
     return total
 
 
+def field_det(m):
+    """row_reduce's determinant of a square field matrix: the signed product
+    of its pivots at full rank, else 0."""
+    _, pivots, scale = row_reduce(m)
+    return scale if len(pivots) == m.rows else 0
+
+
+def full_rank_mod_every_prime(dom, rows):
+    """check_ccp's test of a square ring block: full rank over GF(p), for
+    every prime p | q, which by the CRT holds iff its determinant is a unit."""
+    return all(len(reduce_rows(f, [[x % f.q for x in r] for r in rows], len(rows))[1])
+               == len(rows) for f in _prime_fields(dom))
+
+
 def test_det_hand_examples_z6():
     z6 = ScalarDomain.ring(6)
-    det, unit = mat_det_is_unit(Matrix.from_rows(z6, [[2, 0], [0, 3]]))
-    assert (det, unit) == (0, False)
-    det, unit = mat_det_is_unit(Matrix.from_rows(z6, [[1, 1], [1, 2]]))
-    assert (det, unit) == (1, True)
+    assert [f.q for f in _prime_fields(z6)] == [2, 3]
+    assert brute_force_det(z6, [[2, 0], [0, 3]]) == 0
+    assert not full_rank_mod_every_prime(z6, [[2, 0], [0, 3]])
+    assert brute_force_det(z6, [[1, 1], [1, 2]]) == 1
+    assert full_rank_mod_every_prime(z6, [[1, 1], [1, 2]])
 
 
 def test_det_oracle_2x2_z6_exhaustive():
     z6 = ScalarDomain.ring(6)
     for entries in itertools.product(range(6), repeat=4):
         rows = [list(entries[:2]), list(entries[2:])]
-        det, unit = mat_det_is_unit(Matrix.from_rows(z6, rows))
-        assert det == brute_force_det(z6, rows)
-        assert unit == z6.is_unit(det)
+        assert full_rank_mod_every_prime(z6, rows) == z6.is_unit(brute_force_det(z6, rows))
 
 
 def test_det_oracle_3x3_z6_small_entry_set():
     z6 = ScalarDomain.ring(6)
     for entries in itertools.product((0, 1, 5), repeat=9):
         rows = [list(entries[0:3]), list(entries[3:6]), list(entries[6:9])]
-        det, _ = mat_det_is_unit(Matrix.from_rows(z6, rows))
-        assert det == brute_force_det(z6, rows)
+        assert full_rank_mod_every_prime(z6, rows) == z6.is_unit(brute_force_det(z6, rows))
 
 
 def test_det_oracle_4x4_z6_binary_entries():
     z6 = ScalarDomain.ring(6)
     for entries in itertools.product((0, 1), repeat=16):
         rows = [list(entries[i * 4:(i + 1) * 4]) for i in range(4)]
-        det, _ = mat_det_is_unit(Matrix.from_rows(z6, rows))
-        assert det == brute_force_det(z6, rows)
+        assert full_rank_mod_every_prime(z6, rows) == z6.is_unit(brute_force_det(z6, rows))
 
 
 def test_det_oracle_random_5x5_and_6x6():
-    """Larger ring matrices through Bareiss elimination; cross-check them too."""
+    """Larger ring matrices, over moduli with two primes and a prime power."""
     rng = random.Random(99)
-    for q in (6, 10):
+    for q in (6, 10, 8, 12):
         dom = ScalarDomain.ring(q)
         for n in (5, 6):
             for _ in range(10):
                 rows = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
-                det, unit = mat_det_is_unit(Matrix.from_rows(dom, rows))
-                assert det == brute_force_det(dom, rows)
-                assert unit == dom.is_unit(det)
+                assert full_rank_mod_every_prime(dom, rows) == dom.is_unit(
+                    brute_force_det(dom, rows))
 
 
 def test_det_oracle_field_matrices():
     rng = random.Random(4242)
     for q in (2, 3, 4, 5, 9):
         dom = ScalarDomain.field(q)
+        assert _prime_fields(dom) == [dom]
         for n in (1, 2, 3, 4, 5):
             for _ in range(8):
                 rows = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
-                det, unit = mat_det_is_unit(Matrix.from_rows(dom, rows))
-                assert det == brute_force_det(dom, rows)
-                assert unit == (det != 0)
+                assert field_det(Matrix.from_rows(dom, rows)) == brute_force_det(dom, rows)
 
 
 def test_det_multiplicative_on_fields():
@@ -471,15 +479,13 @@ def test_det_multiplicative_on_fields():
     for _ in range(20):
         a = Matrix.from_rows(gf5, [[rng.randrange(5) for _ in range(3)] for _ in range(3)])
         b = Matrix.from_rows(gf5, [[rng.randrange(5) for _ in range(3)] for _ in range(3)])
-        da, _ = mat_det_is_unit(a)
-        db, _ = mat_det_is_unit(b)
-        dab, _ = mat_det_is_unit(a.mul(b))
-        assert dab == gf5.mul(da, db)
+        assert field_det(a.mul(b)) == gf5.mul(field_det(a), field_det(b))
 
 
 def test_det_of_empty_matrix_is_one():
-    for dom in (ScalarDomain.ring(6), ScalarDomain.field(5)):
-        assert mat_det_is_unit(Matrix.from_rows(dom, [])) == (1, True)
+    assert field_det(Matrix.from_rows(ScalarDomain.field(5), [])) == 1
+    z6 = ScalarDomain.ring(6)
+    assert brute_force_det(z6, []) == 1 and full_rank_mod_every_prime(z6, [])
 
 
 def test_row_reduce_scale_rank_and_echelon_form():
@@ -509,77 +515,6 @@ def test_row_reduce_scale_rank_and_echelon_form():
         row_reduce(Matrix.identity(ScalarDomain.ring(6), 2))
 
 
-def test_det_rejects_non_square():
-    gf2 = ScalarDomain.field(2)
-    with pytest.raises(NonSquare):
-        mat_det_is_unit(Matrix.from_rows(gf2, [[1, 0, 1], [0, 1, 1]]))
-
-
-# ---------------------------------------------------------------------------
-# linear solve
-# ---------------------------------------------------------------------------
-
-
-def test_solve_identity_system():
-    gf7 = ScalarDomain.field(7)
-    b = Matrix.from_rows(gf7, [[3], [5], [1]])
-    x = mat_solve(Matrix.identity(gf7, 3), b)
-    assert x.to_rows() == b.to_rows()
-
-
-def test_solve_substitutes_back():
-    rng = random.Random(31337)
-    for q in (2, 3, 5, 8):
-        dom = ScalarDomain.field(q)
-        for _ in range(20):
-            n = rng.randrange(1, 6)
-            a = Matrix.from_rows(dom, [[rng.randrange(q) for _ in range(n)]
-                                       for _ in range(n)])
-            xs = Matrix.from_rows(dom, [[rng.randrange(q)] for _ in range(n)])
-            b = a.mul(xs)
-            x = mat_solve(a, b)
-            assert x is not None
-            assert a.mul(x).to_rows() == b.to_rows()
-
-
-def test_solve_inconsistent_overdetermined_gf2():
-    gf2 = ScalarDomain.field(2)
-    a = Matrix.from_rows(gf2, [[1, 0], [1, 0], [0, 1]])
-    b = Matrix.from_rows(gf2, [[0], [1], [1]])
-    assert mat_solve(a, b) is None
-
-
-def test_solve_unique_solution_vs_codeword_enumeration():
-    """Inverting k label equations picks out exactly one codeword index."""
-    gf3 = ScalarDomain.field(3)
-    g = Matrix.from_rows(gf3, [[1, 0, 1, 1], [0, 1, 1, 2]])
-    cols = g.take_cols([0, 1])
-    target = Matrix.from_rows(gf3, [[2], [1]])
-    x = mat_solve(cols.transpose(), target)
-    assert x is not None
-    matches = []
-    for u0 in range(3):
-        for u1 in range(3):
-            word = [gf3.add(gf3.mul(u0, g.get(0, j)), gf3.mul(u1, g.get(1, j)))
-                    for j in range(4)]
-            if word[0] == 2 and word[1] == 1:
-                matches.append((u0, u1))
-    assert matches == [(x.get(0, 0), x.get(1, 0))]
-
-
-def test_solve_dimension_and_domain_checks():
-    gf2 = ScalarDomain.field(2)
-    gf3 = ScalarDomain.field(3)
-    a = Matrix.identity(gf2, 2)
-    with pytest.raises(DimensionMismatch):
-        mat_solve(a, Matrix.from_rows(gf2, [[1], [0], [1]]))
-    with pytest.raises(DomainMismatch):
-        mat_solve(a, Matrix.from_rows(gf3, [[1], [0]]))
-    z6 = ScalarDomain.ring(6)
-    with pytest.raises(RingNotSupported):
-        mat_solve(Matrix.identity(z6, 2), Matrix.from_rows(z6, [[1], [0]]))
-
-
 # ---------------------------------------------------------------------------
 # matrix plumbing
 # ---------------------------------------------------------------------------
@@ -601,6 +536,8 @@ def test_matrix_mul_shapes_and_values():
     assert prod.to_rows() == [[2, 2, 2], [2, 1, 0]]
     with pytest.raises(DimensionMismatch):
         b.mul(a.mul(b))
+    with pytest.raises(DomainMismatch):
+        a.mul(Matrix.from_rows(ScalarDomain.field(2), [[1], [0]]))
 
 
 def test_take_cols_and_rows():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -223,6 +224,43 @@ def test_from_dict_refuses_numbers_that_are_not_json_integers():
     ]
     for doc, text in cases:
         with pytest.raises(SchemeFileError, match=f"^{text}, not a JSON integer$"):
+            scheme_from_dict(doc)
+
+
+def test_from_dict_refuses_domain_metadata_that_contradicts_the_source():
+    """A present p or m must be the one q defines (a ring is written with
+    p = q, m = 1), and a residue file's domain must be Z mod the product of
+    its component moduli: such files once loaded as the rows or components
+    alone define them.  The files construct writes load unchanged."""
+    gen = scheme_to_dict(build_cyclic(8, [2, 1, 0, 1, 1], GF3))
+    gf9 = scheme_to_dict(build_spc(2, ScalarDomain.field(9)))
+    z6 = scheme_to_dict(build_spc(2, ScalarDomain.ring(6)))
+    crt = scheme_to_dict(build_crt_cyclic([([1, 1], GF2), ([1, 1, 1], GF3)], 3))
+    # the moduli multiply past the largest ScalarDomain order
+    wide = scheme_to_dict(build_crt_cyclic([([30, 1], ScalarDomain.field(31)),
+                                            ([36, 1], ScalarDomain.field(37))], 3))
+    for base in (gen, gf9, z6, crt, wide, dict(crt, domain={"q": 6}),
+                 {key: value for key, value in crt.items() if key != "domain"}):
+        scheme_from_dict(base)
+    cases = [
+        (_edited(gen, "domain", "p", 7), "domain p = 7 contradicts GF(3), whose p is 3"),
+        (_edited(gen, "domain", "m", 4), "domain m = 4 contradicts GF(3), whose m is 1"),
+        (_edited(gf9, "domain", "m", 1), "domain m = 1 contradicts GF(3^2), whose m is 2"),
+        (_edited(z6, "domain", "p", 2), "domain p = 2 contradicts Z mod 6, whose p is 6"),
+        (dict(crt, domain={"kind": "field", "q": 99, "p": 1, "m": 7}),
+         "domain q = 99 contradicts Z mod 6 of the components, whose q is 6"),
+        (_edited(crt, "domain", "kind", "field"),
+         'domain kind = "field" contradicts Z mod 6 of the components, whose kind is "ring"'),
+        (_edited(crt, "domain", "m", 2),
+         "domain m = 2 contradicts Z mod 6 of the components, whose m is 1"),
+        (_edited(wide, "domain", "p", 31),
+         "domain p = 31 contradicts Z mod 1147 of the components, whose p is 1147"),
+        (_edited(gf9, "domain", "p", 3.0), "domain p holds 3.0, not a JSON integer"),
+        (_edited(crt, "domain", "m", True), "domain m holds true, not a JSON integer"),
+        (dict(crt, domain=[6]), "bad domain descriptor: [6]"),
+    ]
+    for doc, text in cases:
+        with pytest.raises(SchemeFileError, match=f"^{re.escape(text)}$"):
             scheme_from_dict(doc)
 
 
