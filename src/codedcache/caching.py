@@ -48,7 +48,7 @@ import itertools
 import operator
 from array import array
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from ._frozen import frozen
 from .codes import CrtCodewordSource, ccp_windows, least_z
@@ -92,10 +92,6 @@ class CachingScheme:
 
     def user_block(self, u: int) -> tuple[int, ...]:
         return self.design.classes[u // self.q][u % self.q]
-
-    def cache_cols(self, u: int) -> frozenset[int]:
-        return frozenset(t * self.z + s
-                         for t in self.user_block(u) for s in range(self.z))
 
 
 def check_alpha(source: Source, alpha: int) -> None:
@@ -663,10 +659,6 @@ class MatrixScheme:
     def rate(self) -> Fraction:
         return Fraction(self.delta, self.f_s)
 
-    def cache_fraction(self, u: int) -> Fraction:
-        lacking = sum(map((1 << u).__and__, self.miss)) >> u
-        return Fraction(self.f_s - lacking, self.f_s)
-
 
 def _clean(num_users: int, miss: Sequence[int], store: TermStore) -> bool:
     """Whether no equation repeats a user and each term's user is the only
@@ -725,9 +717,9 @@ def scheme_from_eq_subfile(m: EqSubfileMatrix) -> MatrixScheme:
 def scheme_from_plan(scheme: CachingScheme, plan: DeliveryPlan) -> MatrixScheme:
     """The placed scheme in simulation form: miss masks with user i*q + l's
     bit cleared at the points labelled l in row i, each point's mask repeated
-    for its z columns (the cache_cols placement), and the plan's store, terms
-    in plan order.  Nothing is sorted or refused beyond the range check, so a
-    plan that a user cannot decode fails in simulate with DecodeFailure."""
+    for its z columns, and the plan's store, terms in plan order.  Nothing is
+    sorted or refused beyond the range check, so a plan that a user cannot
+    decode fails in simulate with DecodeFailure."""
     point_miss = [(1 << scheme.num_users) - 1] * scheme.num_points
     for i, row in enumerate(scheme.design.rows):
         bits = [1 << u for u in range(i * scheme.q, (i + 1) * scheme.q)]
@@ -764,22 +756,3 @@ def code_point_metrics(n: int, q: int, alpha: int, num_points: int,
     gain = big_k * (1 - m_over_n) / rate
     return {"K": big_k, "M_over_N": m_over_n, "F_s": f_s, "R": rate,
             "gain": gain, "z": z}
-
-
-def scheme_metrics(scheme: Union[CachingScheme, MatrixScheme],
-                   transposed: bool = False) -> dict:
-    """Corner metrics of a placed scheme, or the stored metrics of a
-    matrix-derived scheme (whose cache fractions may vary per user)."""
-    if isinstance(scheme, CachingScheme):
-        return code_point_metrics(scheme.n, scheme.q, scheme.alpha,
-                                  scheme.num_points, transposed)
-    if transposed:
-        raise ShapeMismatch("matrix schemes carry no further transposed point")
-    fractions = {Fraction(scheme.f_s - lacking, scheme.f_s)
-                 for lacking in _bit_counts(scheme.num_users, scheme.miss)}
-    m_over_n = fractions.pop() if len(fractions) == 1 else None
-    gain = None
-    if m_over_n is not None and scheme.rate:
-        gain = scheme.num_users * (1 - m_over_n) / scheme.rate
-    return {"K": scheme.num_users, "M_over_N": m_over_n, "F_s": scheme.f_s,
-            "R": scheme.rate, "gain": gain, "z": None}

@@ -403,6 +403,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that lets an OSError from writing help to stdout
+    through, so a closed stdout ends --help as it ends a command (exit 141)
+    where argparse drops the error and exits 0.  Subparsers take the same
+    class; text for stderr is written as argparse writes it."""
+
+    def _print_message(self, message: str, file=None) -> None:
+        if file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 class _FillOnChoice(argparse._SubParsersAction):
     """Subparsers that fill a chosen parser just before it parses: the
     first call that picks a name in ``fills`` runs ``fills[name](parser)``."""
@@ -482,7 +495,7 @@ def _build_parser() -> argparse.ArgumentParser:
     and help.  The first call that chooses a command adds its arguments, or
     for construct its builder parsers, and the first that chooses a builder
     adds that builder's (_FillOnChoice); parsing changes nothing else."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="codedcache",
         description="Construct, certify, and simulate low-subpacketization "
                     "coded caching schemes from linear block codes.")

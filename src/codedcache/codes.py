@@ -200,8 +200,8 @@ def _reduced_forms(m: Matrix) -> tuple[_Form, _Form]:
     Row operations keep every window's rank and kernel, and the two forms
     put the pivot columns at the front and at the back of m."""
     n = m.cols
-    rows, pivots, _ = row_reduce(m)
-    back, back_pivots, _ = row_reduce(m.take_cols(range(n - 1, -1, -1)))
+    rows, pivots = row_reduce(m)
+    back, back_pivots = row_reduce(m.take_cols(range(n - 1, -1, -1)))
     return ((rows, {c: i for i, c in enumerate(pivots)}),
             ([r[::-1] for r in back], {n - 1 - c: i for i, c in enumerate(back_pivots)}))
 
@@ -222,7 +222,7 @@ def _drop_keeps(dom: ScalarDomain, forms: tuple[_Form, _Form],
     other = [j for j, c in enumerate(cols) if c not in where]
     used = {where[c] for c in cols if c in where}
     ocols = [cols[j] for j in other]
-    block, pivots, _ = reduce_rows(
+    block, pivots = reduce_rows(
         dom, [[row[c] for c in ocols] for i, row in enumerate(rows) if i not in used],
         len(ocols))
     keeps = [False] * len(cols)
@@ -247,22 +247,27 @@ def _drop_keeps(dom: ScalarDomain, forms: tuple[_Form, _Form],
 
 
 def _check_window_full(images: list[tuple[Matrix, Optional[tuple[_Form, _Form]]]],
-                       alpha: int, cols: tuple[int, ...]
+                       alpha: int, cols: tuple[int, ...], ring: bool
                        ) -> tuple[tuple[tuple[str, bool], ...], bool]:
     """Verdicts for one window: per dropped column at alpha = k+1, else one.
 
     ``images`` holds g over each of its prime fields, with its reduced forms
     at alpha = k+1; each verdict holds iff it holds over every field.  At
     alpha = k+1 the reduced forms decide the window, else its column rank.
+    Over a ring, a failed verdict's label names the fields it failed over.
     """
-    oks: Optional[list[bool]] = None
-    for m, forms in images:
-        mine = (_drop_keeps(m.domain, forms, cols) if forms is not None
-                else [mat_rank(m.take_cols(cols)) == alpha])
-        oks = mine if oks is None else [a and b for a, b in zip(oks, mine)]
+    verdicts = [_drop_keeps(m.domain, forms, cols) if forms is not None
+                else [mat_rank(m.take_cols(cols)) == alpha] for m, forms in images]
+    oks = verdicts[0]
+    for mine in verdicts[1:]:
+        oks = [a and b for a, b in zip(oks, mine)]
     # every image has its forms, or none has
-    labels = ([f"drop column {c}" for c in cols] if forms is not None
+    labels = ([f"drop column {c}" for c in cols] if images[0][1] is not None
               else [f"column rank == {alpha}"])
+    if ring:
+        labels = [label if ok else label + " over " + ", ".join(
+                      repr(m.domain) for (m, _), mine in zip(images, verdicts) if not mine[j])
+                  for j, (label, ok) in enumerate(zip(labels, oks))]
     return tuple(zip(labels, oks)), all(oks)
 
 
@@ -287,7 +292,8 @@ def check_ccp(g: GeneratorMatrix, alpha: int) -> CcpCertificate:
         m = g.mat if f is g.domain else Matrix(
             f, g.k, g.n, tuple([x % f.q for x in g.mat.entries]))
         images.append((m, _reduced_forms(m) if alpha == g.k + 1 else None))
-    results = tuple(WindowCheck(a, cols, *_check_window_full(images, alpha, cols))
+    ring = not g.domain.is_field
+    results = tuple(WindowCheck(a, cols, *_check_window_full(images, alpha, cols, ring))
                     for a, cols in enumerate(ccp_windows(g.n, alpha)))
     return CcpCertificate(alpha, z, all(w.ok for w in results), "exhaustive", results)
 
@@ -400,7 +406,7 @@ def _berlekamp(f: list[int], dom: ScalarDomain) -> list[list[int]]:
     for _ in range(d - 1):
         q_rows.append(_poly_divmod(_poly_mul(q_rows[-1], x_q, dom), f, dom)[1])
     # v (Q - I) = 0, reduced as (Q - I)^T v = 0
-    rows, pivots, _ = row_reduce(Matrix.from_rows(
+    rows, pivots = row_reduce(Matrix.from_rows(
         dom, [[dom.sub(q_rows[i][j], int(i == j)) for i in range(d)]
               for j in range(d)]))
     factors = [f]

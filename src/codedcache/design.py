@@ -17,7 +17,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-from typing import Sequence, Union
+from typing import Union
 
 from ._frozen import frozen
 from .codes import CrtCodewordSource, GeneratorMatrix
@@ -147,30 +147,3 @@ def verify_resolvable(d: ResolvableDesign) -> DesignReport:
             violations.append(f"class {i}: union misses {missed} points")
     return DesignReport(not violations, d.num_points, d.n, d.q, d.block_size,
                         tuple(violations))
-
-
-def block_intersection(d: ResolvableDesign,
-                       picks: Sequence[tuple[int, int]]) -> frozenset[int]:
-    """Intersection of blocks B_{i,l} over the given (class, label) picks."""
-    out = range(d.num_points)
-    for i, l in picks:
-        out = [p for p in out if d.rows[i][p] == l]
-    return frozenset(out)
-
-
-def incidence_matrix(d: ResolvableDesign) -> list[list[int]]:
-    """0/1 point-by-block matrix; blocks class-major (class, then label)."""
-    cols = d.n * d.q
-    out = [[0] * cols for _ in range(d.num_points)]
-    for i, row in enumerate(d.rows):
-        for x, l in enumerate(row):
-            out[x][i * d.q + l] = 1
-    return out
-
-
-def incidence_csv(d: ResolvableDesign) -> str:
-    header = ",".join(f"B_{i}_{l}" for i in range(d.n) for l in range(d.q))
-    lines = [header]
-    for row in incidence_matrix(d):
-        lines.append(",".join(str(x) for x in row))
-    return "\n".join(lines) + "\n"

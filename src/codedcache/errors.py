@@ -16,10 +16,6 @@ class DomainError(CodedCacheError):
     """A scalar domain could not be constructed as requested."""
 
 
-class DomainMismatch(CodedCacheError):
-    """Operands belong to different scalar domains."""
-
-
 class NotAUnit(CodedCacheError):
     """Inversion was requested for a non-invertible element."""
 

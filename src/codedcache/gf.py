@@ -33,13 +33,7 @@ import math
 from typing import Iterable, Optional, Sequence
 
 from ._frozen import frozen
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    DomainMismatch,
-    NotAUnit,
-    RingNotSupported,
-)
+from .errors import DimensionMismatch, DomainError, NotAUnit, RingNotSupported
 
 _MAX_ORDER = 1024
 
@@ -312,12 +306,6 @@ class ScalarDomain:
                 raise NotAUnit(f"{a} is not a unit in {self!r}") from None
         return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
 
-    def is_unit(self, a: int) -> bool:
-        a %= self.q
-        if self.kind == "field":
-            return a != 0
-        return math.gcd(a, self.q) == 1
-
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
@@ -449,11 +437,6 @@ class Matrix:
                 flat.append(domain.validate(int(x)))
         return Matrix(domain, r, c, tuple(flat))
 
-    @staticmethod
-    def identity(domain: ScalarDomain, n: int) -> "Matrix":
-        return Matrix(domain, n, n,
-                      tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
     def get(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
@@ -466,57 +449,25 @@ class Matrix:
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.domain, self.cols, self.rows,
-                      tuple(x for j in range(self.cols) for x in self.column(j)))
-
     def take_cols(self, idx: Sequence[int]) -> "Matrix":
         entries, cols = self.entries, self.cols
         return Matrix(self.domain, self.rows, len(idx),
                       tuple(itertools.chain.from_iterable(
                           zip(*[entries[j::cols] for j in idx]))))
 
-    def take_rows(self, idx: Sequence[int]) -> "Matrix":
-        return Matrix(self.domain, len(idx), self.cols,
-                      tuple(x for i in idx for x in self.row(i)))
 
-    def mul(self, other: "Matrix") -> "Matrix":
-        if self.domain != other.domain:
-            raise DomainMismatch(f"{self.domain!r} vs {other.domain!r}")
-        if self.cols != other.rows:
-            raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        dom = self.domain
-        add, mul = dom.add, dom.mul
-        cols = [other.column(j) for j in range(other.cols)]
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for cj in cols:
-                acc = 0
-                for a, b in zip(ri, cj):
-                    if a:
-                        acc = add(acc, mul(a, b))
-                out.append(acc)
-        return Matrix(dom, self.rows, other.cols, tuple(out))
-
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
-
-
-def row_reduce(m: Matrix) -> tuple[list[list[int]], list[int], int]:
+def row_reduce(m: Matrix) -> tuple[list[list[int]], list[int]]:
     """Gauss-Jordan elimination to reduced row echelon form; fields only.
 
-    Returns ``(rows, pivots, scale)``: the RREF as lists of rows, the pivot
-    column of each nonzero row in order, and the product of the pivots met
-    times the sign of the row swaps.  ``len(pivots)`` is the rank, and when m
-    is square and of full rank ``scale`` is its determinant.  Pivoting takes
-    the first nonzero entry at or below the current row.
+    Returns ``(rows, pivots)``: the RREF as lists of rows and the pivot
+    column of each nonzero row in order; ``len(pivots)`` is the rank.
+    Pivoting takes the first nonzero entry at or below the current row.
     """
     return reduce_rows(m.domain, m.to_rows(), m.cols)
 
 
 def reduce_rows(dom: ScalarDomain, work: list[list[int]],
-                ncols: int) -> tuple[list[list[int]], list[int], int]:
+                ncols: int) -> tuple[list[list[int]], list[int]]:
     """``row_reduce`` on rows of ``ncols`` canonical entries, reduced in
     place: the rows are taken as they are, with no Matrix and no check of
     their entries."""
@@ -525,7 +476,6 @@ def reduce_rows(dom: ScalarDomain, work: list[list[int]],
     add_scaled = dom.add_scaled
     nrows = len(work)
     pivots: list[int] = []
-    scale = 1
     for col in range(ncols):
         r = len(pivots)
         if r == nrows:
@@ -537,9 +487,7 @@ def reduce_rows(dom: ScalarDomain, work: list[list[int]],
             continue
         if pivot != r:
             work[r], work[pivot] = work[pivot], work[r]
-            scale = dom.neg(scale)
         p = work[r][col]
-        scale = dom.mul(scale, p)
         # left of col the pivot row is zero, so only its tail takes part;
         # row i becomes row i + f * (-tail)
         tail = add_scaled(itertools.repeat(0), dom.inv(p), work[r][col:])
@@ -551,7 +499,7 @@ def reduce_rows(dom: ScalarDomain, work: list[list[int]],
                 row = work[i]
                 row[col:] = add_scaled(row[col:], f, neg_tail)
         pivots.append(col)
-    return work, pivots, scale
+    return work, pivots
 
 
 def mat_rank(m: Matrix) -> int:

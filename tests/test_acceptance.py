@@ -45,6 +45,7 @@ from codedcache.codes import (
 )
 from codedcache.design import codeword_matrix, resolvable_design
 from codedcache.gf import Matrix, ScalarDomain
+from test_caching import cache_cols, cache_fraction
 
 
 @contextlib.contextmanager
@@ -300,7 +301,7 @@ def test_criterion_7_property_suite():
                     served[u].add(col)
             full = set(range(scheme.f_s))
             for u in range(scheme.num_users):
-                assert served[u] == full - scheme.cache_cols(u)
+                assert served[u] == full - cache_cols(scheme, u)
 
             matrix = equation_subfile_matrix(scheme, plan)
             transposed = matrix.transpose()
@@ -312,7 +313,7 @@ def test_criterion_7_property_suite():
             ms = scheme_from_eq_subfile(transposed)
             assert ms.delivery.ok
             assert (ms.f_s, ms.rate) == (flipped["F_s"], flipped["R"])
-            assert all(ms.cache_fraction(u) == flipped["M_over_N"]
+            assert all(cache_fraction(ms, u) == flipped["M_over_N"]
                        for u in range(ms.num_users))
 
             base_ms = scheme_from_plan(scheme, plan)

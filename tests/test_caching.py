@@ -10,7 +10,6 @@ import pytest
 
 from codedcache import caching
 from codedcache.caching import (
-    CachingScheme,
     DeliveryPlan,
     EqSubfileMatrix,
     Equation,
@@ -24,7 +23,6 @@ from codedcache.caching import (
     render_equation,
     scheme_from_eq_subfile,
     scheme_from_plan,
-    scheme_metrics,
     simulate,
     verify_lemma4,
 )
@@ -91,6 +89,16 @@ def cached(ms):
                  for u in range(ms.num_users))
 
 
+def cache_cols(scheme, u):
+    """The placement: user u caches every superscript of its block's points."""
+    return frozenset(t * scheme.z + s for t in scheme.user_block(u) for s in range(scheme.z))
+
+
+def cache_fraction(ms, u):
+    """The share of the columns user u caches, read off the miss masks."""
+    return Fraction(sum(not mask >> u & 1 for mask in ms.miss), ms.f_s)
+
+
 # ---------------------------------------------------------------------------
 # placement
 # ---------------------------------------------------------------------------
@@ -105,8 +113,8 @@ def test_placement_4_2_gf3_alpha3():
     assert s.user_block(0) == (0, 1, 2)
     # cache of U_{012}: all superscripts of points 0,1,2
     want = frozenset(t * 3 + sp for t in (0, 1, 2) for sp in range(3))
-    assert s.cache_cols(0) == want
-    assert len(s.cache_cols(0)) == 9  # q^(k-1) * z
+    assert cache_cols(s, 0) == want
+    assert len(cache_cols(s, 0)) == 9  # q^(k-1) * z
 
 
 def test_placement_spc_alpha3():
@@ -618,7 +626,6 @@ def test_simulate_reads_no_design_state(monkeypatch):
     def forbidden(*args):
         raise AssertionError("simulate read the placement")
 
-    monkeypatch.setattr(CachingScheme, "cache_cols", forbidden)
     monkeypatch.setattr(ResolvableDesign, "classes", property(forbidden))
     monkeypatch.setattr(ResolvableDesign, "block", forbidden)
     s = placement(d, 3)
@@ -637,7 +644,7 @@ def test_scheme_from_plan_keeps_plan_order_and_placement_caches():
     s, plan = example_plan()
     ms = scheme_from_plan(s, plan)
     assert (ms.num_users, ms.f_s, ms.delta) == (12, 27, 72)
-    assert cached(ms) == tuple(s.cache_cols(u) for u in range(12))
+    assert cached(ms) == tuple(cache_cols(s, u) for u in range(12))
     assert ms.equations == tuple(eq.terms for eq in plan.equations)
     # the plan's term tuples are shared, not rebuilt
     assert all(terms is eq.terms
@@ -1309,7 +1316,7 @@ def test_scheme_from_displayed_4x6_matrix():
     assert ms.num_users == 4
     assert ms.equations == m.row_terms
     assert ms.rate == Fraction(2, 3)
-    assert all(ms.cache_fraction(u) == Fraction(1, 2) for u in range(4))
+    assert all(cache_fraction(ms, u) == Fraction(1, 2) for u in range(4))
     # users caching each subfile form exactly the six 2-subsets, i.e. the
     # pair-design structure of the 6-user scheme transposed
     caches = cached(ms)
@@ -1338,12 +1345,11 @@ def test_transpose_of_spc_scheme():
     mt = equation_subfile_matrix(s, plan).transpose()
     ms = scheme_from_eq_subfile(mt)
     assert ms.rate == Fraction(1, 1)
-    assert all(ms.cache_fraction(u) == Fraction(1, 2) for u in range(6))
+    assert all(cache_fraction(ms, u) == Fraction(1, 2) for u in range(6))
     sim = simulate(ms, [0, 1, 0, 1, 2, 2], num_files=3, subfile_bytes=4, seed=7)
     assert sim.all_ok
-    met = scheme_metrics(ms)
-    assert met["M_over_N"] == Fraction(1, 2)
-    assert met["gain"] == 3
+    # gain K (1 - M/N) / R
+    assert ms.num_users * (1 - cache_fraction(ms, 0)) / ms.rate == 3
 
 
 def test_transpose_9_5_code_hits_both_corner_points():
@@ -1364,7 +1370,7 @@ def test_transpose_9_5_code_hits_both_corner_points():
     ms = scheme_from_eq_subfile(m.transpose())
     assert ms.f_s == 96
     assert ms.rate == Fraction(2, 3)
-    assert all(ms.cache_fraction(u) == Fraction(2, 3) for u in range(18))
+    assert all(cache_fraction(ms, u) == Fraction(2, 3) for u in range(18))
     simt = simulate(ms, list(range(18)), num_files=18, subfile_bytes=2, seed=2)
     assert simt.all_ok
 
@@ -1376,7 +1382,9 @@ def test_transpose_involution_metrics():
     m = equation_subfile_matrix(s, plan)
     twice = scheme_from_eq_subfile(m.transpose().transpose())
     once = scheme_from_eq_subfile(m)
-    assert scheme_metrics(twice) == scheme_metrics(once)
+    a, b = ((ms.num_users, [cache_fraction(ms, u) for u in range(ms.num_users)],
+             ms.f_s, ms.rate) for ms in (twice, once))
+    assert a == b
 
 
 # ---------------------------------------------------------------------------
@@ -1618,12 +1626,3 @@ def test_code_point_metrics_subpacketization_family():
     assert low["R"] == 12
     assert low["gain"] == 4
 
-
-def test_scheme_metrics_on_caching_scheme():
-    s = placement(example_design(), 3)
-    met = scheme_metrics(s)
-    assert met["K"] == 12
-    assert met["M_over_N"] == Fraction(1, 3)
-    assert met["F_s"] == 27
-    assert met["R"] == Fraction(8, 3)
-    assert met["gain"] == 3

@@ -29,6 +29,16 @@ def run_child(argv, cwd, stdout=subprocess.PIPE):
                           stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60)
 
 
+def run_closed_stdout(argv, cwd):
+    """run_child with stdout a pipe whose read end is already closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return run_child(argv, cwd, stdout=write_end)
+    finally:
+        os.close(write_end)
+
+
 def run(argv):
     """Invoke the CLI in process, returning (exit_code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
@@ -361,12 +371,15 @@ def test_a_closed_stdout_exits_141_without_a_traceback(tmp_path):
     traceback; a pipe with no reader left now exits 141, quietly."""
     assert run(["construct", "crt", "--n", 4, "--component", "2:1,1",
                 "--component", "3:1,1", "--out", tmp_path / "crt.json"])[0] == 0
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = run_child(["verify", "crt.json"], tmp_path, stdout=write_end)
-    finally:
-        os.close(write_end)
+    proc = run_closed_stdout(["verify", "crt.json"], tmp_path)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["construct", "-h"],
+                                  ["construct", "spc", "--help"], ["verify", "-h"]])
+def test_help_on_a_closed_stdout_exits_141_without_a_traceback(tmp_path, argv):
+    """argparse once dropped the write error and exited 0."""
+    proc = run_closed_stdout(argv, tmp_path)
     assert (proc.returncode, proc.stderr) == (141, "")
 
 
@@ -387,6 +400,26 @@ def test_verify_a_ring_window_onto_mod_each_prime_exits_zero(tmp_path):
         code, out, _ = run(["simulate", path, "--alpha", 1, "--files", 2] + flags)
         assert code == 0
         assert json.loads(out)["all_ok"] is True
+
+
+def test_verify_names_the_prime_a_ring_window_fails_over(tmp_path):
+    """Over Z mod 6 the rows (2, 3), (1, 0), (1, 1) reduce to full rank mod
+    2 but not mod 3 on columns 0 and 1, so that window's rank fails at
+    alpha 2, and so does dropping column 2 at alpha 3, over GF(3) alone."""
+    path = _dump(tmp_path / "z6.json", {
+        "format": "codedcache-scheme", "version": 1,
+        "domain": {"kind": "ring", "q": 6, "p": 6, "m": 1},
+        "source": {"type": "generator", "rows": [[2, 1, 1], [3, 0, 1]]},
+        "provenance": {"kind": "user"}})
+    assert run(["verify", path, "--alpha", 2]) == (3, (
+        "alpha=2 z=2 method=exhaustive\n"
+        "  window 0 cols=[0, 1]: FAIL\n    failed: column rank == 2 over GF(3)\n"
+        "  window 1 cols=[2, 0]: ok\n  window 2 cols=[1, 2]: ok\n"
+        "not satisfied\n"), "")
+    assert run(["verify", path, "--alpha", 3]) == (3, (
+        "alpha=3 z=1 method=exhaustive\n"
+        "  window 0 cols=[0, 1, 2]: FAIL\n    failed: drop column 2 over GF(3)\n"
+        "not satisfied\n"), "")
 
 
 # ---------------------------------------------------------------------------

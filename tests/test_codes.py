@@ -56,7 +56,7 @@ from codedcache.errors import (
     ZeroConstantTerm,
 )
 from codedcache.gf import Matrix, ScalarDomain, mat_rank, natural_domain
-from test_gf import brute_force_det, field_det
+from test_gf import brute_force_det, field_det, is_unit
 
 GF2 = ScalarDomain.field(2)
 GF3 = ScalarDomain.field(3)
@@ -68,8 +68,8 @@ def gmat(dom, rows, provenance=None):
 
 
 def det(dom, rows):
-    """Test-side determinant: row_reduce's over a field, the permutation
-    expansion over a ring."""
+    """Test-side determinant: the reference elimination's over a field, the
+    permutation expansion over a ring."""
     return field_det(Matrix.from_rows(dom, rows)) if dom.is_field else brute_force_det(dom, rows)
 
 
@@ -284,7 +284,7 @@ def test_ring_window_below_k_plus_one_without_a_unit_minor_certifies():
 def unit_minor(dom, rows):
     """The ring test at alpha <= k before prime fields: some alpha x alpha
     row minor of the k x alpha window has a unit determinant."""
-    return any(dom.is_unit(det(dom, [rows[i] for i in pick]))
+    return any(is_unit(dom, det(dom, [rows[i] for i in pick]))
                for pick in itertools.combinations(range(len(rows)), len(rows[0])))
 
 
@@ -303,29 +303,45 @@ def random_ring_codes(count):
     return codes
 
 
+def ring_label(name, failed):
+    """A ring verdict's label: the check's name, then the prime fields it
+    failed over."""
+    return f"{name} over {', '.join(f'GF({p})' for p in failed)}" if failed else name
+
+
 def test_ring_ccp_mod_each_prime_matches_the_oracles_and_delivers():
     """Every window verdict over a ring against test-side oracles: at
     alpha = k+1 each dropped column by its determinant, below by whether the
     window maps the codewords onto all q^alpha label tuples, and over the
-    prime power 4 by a unit minor.  A certified code delivers; at alpha = k+1
-    an uncertified one raises DecodeFailure.  Over Z mod 6, 10 and 12 some
-    window is onto with no unit minor, and those certify and deliver."""
+    prime power 4 by a unit minor.  A failed verdict names the primes p | q
+    whose determinant or image mod p falls short.  A certified code
+    delivers; at alpha = k+1 an uncertified one raises DecodeFailure.  Over
+    Z mod 6, 10 and 12 some window is onto with no unit minor, and those
+    certify and deliver."""
     onto_without_unit_minor = 0
     for g in random_ring_codes(60):
         dom, k = g.domain, g.k
+        primes = [p for p in range(2, dom.q + 1)
+                  if dom.q % p == 0 and all(p % d for d in range(2, p))]
         rows = codeword_matrix(g).rows
         for alpha in range(1, k + 2):
             cert = check_ccp(g, alpha)
             for w in cert.windows:
                 win = g.mat.take_cols(w.columns).to_rows()
                 if alpha == k + 1:
+                    dets = [det(dom, [r[:d] + r[d + 1:] for r in win])
+                            for d in range(alpha)]
                     assert w.checks == tuple(
-                        (f"drop column {c}",
-                         dom.is_unit(det(dom, [r[:d] + r[d + 1:] for r in win])))
-                        for d, c in enumerate(w.columns)), (g.mat, alpha)
+                        (ring_label(f"drop column {c}", [p for p in primes if x % p == 0]),
+                         is_unit(dom, x)) for c, x in zip(w.columns, dets)), (g.mat, alpha)
                     continue
-                onto = len(set(zip(*(rows[c] for c in w.columns)))) == dom.q ** alpha
-                assert w.checks == ((f"column rank == {alpha}", onto),), (g.mat, alpha)
+                labels = list(zip(*(rows[c] for c in w.columns)))
+                onto = len(set(labels)) == dom.q ** alpha
+                short = [p for p in primes
+                         if len({tuple(x % p for x in t) for t in labels}) < p ** alpha]
+                assert onto == (not short)
+                assert w.checks == ((ring_label(f"column rank == {alpha}", short), onto),), (
+                    g.mat, alpha)
                 minor = unit_minor(dom, win)
                 assert onto or not minor  # a unit minor makes the window onto
                 if dom.q == 4:
@@ -399,7 +415,7 @@ def reference_shortcut(g):
         else:
             dim = k - j
             rows = [[coeff(1 - r + c) for c in range(dim)] for r in range(dim)]
-        ok = dom.is_unit(det(dom, rows))
+        ok = is_unit(dom, det(dom, rows))
         checks.append((f"condition matrix for j={j} ({dim}x{dim})", ok))
     checks.append(("boundary j=k (triangular unit block)", True))
     satisfied = all(ok for _, ok in checks)

