@@ -650,9 +650,14 @@ def test_generator_rows_match_the_scalar_reference():
             assert _generator_rows(g) == _reference_generator_rows(g), (dom, rows)
 
 
-def test_take_cols_matches_the_row_by_row_reference():
+def test_take_cols_and_rows():
     m = Matrix.from_rows(ScalarDomain.field(2), [[1, 0, 1], [0, 1, 1]])
     assert m.take_cols([2, 0]).to_rows() == [[1, 1], [1, 0]]
+    assert m.row(1) == (0, 1, 1)
+    assert [m.column(j) for j in range(m.cols)] == [(1, 0), (0, 1), (1, 1)]
+
+
+def test_take_cols_matches_the_row_by_row_reference():
     rng = random.Random(18181818)
     gf7 = ScalarDomain.field(7)
     for nrows, cols in ((0, 3), (1, 1), (3, 5), (6, 4)):
