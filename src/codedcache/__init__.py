@@ -10,6 +10,8 @@ equation-subfile matrices into complementary-memory schemes, and compares
 operating points against the classical single-cache-point scheme.
 """
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     CandidateEntry,
     ComparisonRow,
@@ -49,7 +51,6 @@ from .codes import (
     CcpCertificate,
     CrtCodewordSource,
     GeneratorMatrix,
-    Provenance,
     WindowCheck,
     build_claim5,
     build_claim6,
@@ -91,79 +92,6 @@ from .schemefile import load_scheme, save_scheme, scheme_from_dict, scheme_to_di
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CachingScheme",
-    "CandidateEntry",
-    "CcpCertificate",
-    "CodedCacheError",
-    "CodewordMatrix",
-    "ComparisonRow",
-    "CrtCodewordSource",
-    "DecodeFailure",
-    "DeliveryPlan",
-    "DomainError",
-    "EqSubfileMatrix",
-    "Equation",
-    "GeneratorMatrix",
-    "IncompleteDemands",
-    "InvalidAlpha",
-    "Lemma4Violated",
-    "Matrix",
-    "MatrixScheme",
-    "NoFeasibleK",
-    "NonIntegralCachePoint",
-    "NoSolutionInRange",
-    "Provenance",
-    "RecoverySetGraph",
-    "ResolvableDesign",
-    "ScalarDomain",
-    "SchemeFileError",
-    "SimulationReport",
-    "WindowCheck",
-    "build_claim5",
-    "build_claim6",
-    "build_claim9",
-    "build_crt_cyclic",
-    "build_cyclic",
-    "build_mds",
-    "build_spc",
-    "ccp_windows",
-    "check_ccp",
-    "check_ccp_cyclic_shortcut",
-    "code_point_metrics",
-    "codeword_matrix",
-    "compare",
-    "comparison_csv",
-    "comparison_json",
-    "construct_candidate_set",
-    "cyclic_search_space",
-    "equation_subfile_matrix",
-    "expected_delta",
-    "extend_ccp",
-    "generate_delivery",
-    "k_max_for_budget",
-    "kron_identity",
-    "least_z",
-    "load_scheme",
-    "mat_rank",
-    "memory_sharing_bound",
-    "mn_metrics",
-    "natural_domain",
-    "placement",
-    "recovery_set_graph",
-    "render_equation",
-    "replay_route",
-    "resolvable_design",
-    "save_scheme",
-    "scaling_exponent",
-    "scheme_from_dict",
-    "scheme_from_eq_subfile",
-    "scheme_from_plan",
-    "scheme_to_dict",
-    "search_cyclic_generators",
-    "simulate",
-    "spc_family_exponent",
-    "spc_family_gap",
-    "verify_lemma4",
-    "verify_resolvable",
-]
+# the public names are the ones imported above; the submodules are not
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

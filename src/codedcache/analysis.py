@@ -208,17 +208,14 @@ def construct_candidate_set(n: int, q: int,
 
 
 def k_max_for_budget(n: int, q: int, budget: int,
-                     entries: Optional[Sequence[CandidateEntry]] = None,
-                     cyclic_search_limit: int = 10 ** 6) -> dict:
-    """Largest found k whose subpacketization q^k * z fits the budget.
+                     entries: Sequence[CandidateEntry]) -> dict:
+    """Largest found k among entries, construct_candidate_set(n, q, ...)'s
+    table, whose subpacketization q^k * z fits the budget.
 
-    Returns {"k_max", "F_s", "g_max"}; pass precomputed entries to avoid
-    re-running the search.
+    Returns {"k_max", "F_s", "g_max"}.
     """
     if budget < q:
         raise NoFeasibleK(f"budget {budget} below the minimum {q}")
-    if entries is None:
-        entries = construct_candidate_set(n, q, cyclic_search_limit)
     best: Optional[tuple[int, int]] = None
     for e in entries:
         if not e.found:

@@ -76,7 +76,6 @@ class CachingScheme:
     n: int
     q: int
     num_points: int
-    k: Optional[int]  # generator-source dimension; None for residue sources
 
     @property
     def num_users(self) -> int:
@@ -107,10 +106,8 @@ def check_alpha(source: Source, alpha: int) -> None:
 def placement(d: ResolvableDesign, alpha: int) -> CachingScheme:
     """Cache block points at every superscript; subpacketization numPoints*z
     with z the least positive integer such that alpha divides n*z."""
-    src = d.source
-    check_alpha(src, alpha)
-    k = None if isinstance(src, CrtCodewordSource) else src.k
-    return CachingScheme(d, alpha, least_z(d.n, alpha), d.n, d.q, d.num_points, k)
+    check_alpha(d.source, alpha)
+    return CachingScheme(d, alpha, least_z(d.n, alpha), d.n, d.q, d.num_points)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,14 @@ single-cache-point scheme).
 Exit codes: 0 success or property satisfied, 1 domain error (including a
 scheme too large to simulate), 2 usage error, 3 verification or simulation
 failure, 141 stdout closed before the output was written (128 + SIGPIPE, as
-for a process that signal ends).  With --json, errors are emitted as a
-machine-readable object on stdout.  All commands are deterministic given
-their flags and seed.  The first call of main builds the argparse tree
-with one empty parser per command; a command's arguments (construct's
-builder parsers) and a builder's are added when it is first chosen.  Later
-calls in the process reuse the tree; help and usage text still read
-COLUMNS when they print.
+for a process that signal ends).  With stderr closed, a command error exits
+141 as well, its message unwritten, and a usage error still exits 2.  With
+--json, errors are emitted as a machine-readable object on stdout.  All
+commands are deterministic given their flags and seed.  The first call of
+main builds the argparse tree with one empty parser per command; a
+command's arguments (construct's builder parsers) and a builder's are added
+when it is first chosen.  Later calls in the process reuse the tree; help
+and usage text still read COLUMNS when they print.
 """
 
 from __future__ import annotations
@@ -69,19 +70,19 @@ def _domain_from_args(args: argparse.Namespace) -> ScalarDomain:
 # ---------------------------------------------------------------------------
 
 
-def _source_params(source: schemefile.SchemeSource) -> tuple[int, int, int, int]:
+def _source_params(source: design.Source) -> tuple[int, int, int, int]:
     """(n, q, default alpha, num_points) of a loaded source."""
     if isinstance(source, codes.CrtCodewordSource):
         return source.n, source.q, source.k_min, source.num_codewords
     # Kronecker lifts certify at alpha = k, everything else at k + 1
-    alpha = source.k if source.provenance.kind == "kron_identity" else source.k + 1
+    alpha = source.k if source.provenance["kind"] == "kron_identity" else source.k + 1
     return source.n, source.domain.q, alpha, source.num_codewords
 
 
-def _print_summary(source: schemefile.SchemeSource, alpha: int,
+def _print_summary(source: design.Source, alpha: int,
                    cert: Optional[codes.CcpCertificate], out) -> None:
     n, q, _, num_points = _source_params(source)
-    kind = source.provenance.kind
+    kind = source.provenance["kind"]
     print(f"scheme: n={n}, q={q}, {kind}; K={n * q} users, alpha={alpha}",
           file=out)
     if cert is not None:
@@ -144,7 +145,7 @@ _BUILDERS = {
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    source: schemefile.SchemeSource = _BUILDERS[args.builder][2](args)
+    source: design.Source = _BUILDERS[args.builder][2](args)
     n, q, alpha, _ = _source_params(source)
     cert = None
     if not args.skip_certify:
@@ -154,7 +155,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
             cert = codes.CcpCertificate(alpha, caching.least_z(n, alpha),
                                         satisfied, "componentwise",
                                         tuple(w for c in comp_certs for w in c.windows))
-        elif source.provenance.kind == "cyclic":
+        elif source.provenance["kind"] == "cyclic":
             cert = codes.check_ccp_cyclic_shortcut(source)
         else:
             cert = codes.check_ccp(source, alpha)
@@ -168,9 +169,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         _print_summary(source, alpha, cert, sys.stdout)
         print(f"wrote {args.out}")
     else:
-        doc = schemefile.scheme_to_dict(source, cert, digests)
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        schemefile._dump(schemefile.scheme_to_dict(source, cert, digests), sys.stdout)
         _print_summary(source, alpha, cert, sys.stderr)
     if cert is not None and not cert.satisfied:
         return 3
@@ -203,7 +202,7 @@ def _print_certificate(cert: codes.CcpCertificate) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    source, doc = schemefile.load_scheme(args.file)
+    source, _ = schemefile.load_scheme(args.file)
     if isinstance(source, codes.CrtCodewordSource):
         alpha = args.alpha if args.alpha is not None else source.k_min
         if args.method == "cyclic":

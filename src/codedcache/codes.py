@@ -52,46 +52,6 @@ from .gf import (
 )
 
 # ---------------------------------------------------------------------------
-# provenance
-# ---------------------------------------------------------------------------
-
-
-@frozen
-class Provenance:
-    """How a generator matrix was built; enough to rebuild it."""
-
-    kind: str
-    params: Optional[dict] = None  # None: a fresh {} per instance
-
-    def __post_init__(self) -> None:
-        if self.params is None:
-            object.__setattr__(self, "params", {})
-        if "kind" in self.params:
-            raise DomainError("provenance params may not shadow the kind key")
-
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        for key, value in self.params.items():
-            if isinstance(value, Provenance):
-                out[key] = value.to_dict()
-            else:
-                out[key] = value
-        return out
-
-    @staticmethod
-    def from_dict(data: dict) -> "Provenance":
-        params = {}
-        for key, value in data.items():
-            if key == "kind":
-                continue
-            if isinstance(value, dict) and "kind" in value:
-                params[key] = Provenance.from_dict(value)
-            else:
-                params[key] = value
-        return Provenance(data["kind"], params)
-
-
-# ---------------------------------------------------------------------------
 # generator matrices
 # ---------------------------------------------------------------------------
 
@@ -102,11 +62,14 @@ class GeneratorMatrix:
     Field matrices may not contain an all-zero column.  Ring matrices must
     satisfy the unit-content condition gcd(q, g_0b, ..., g_(k-1)b) = 1 for
     every column b, which is exactly what makes the induced block sizes equal.
+    provenance records how the matrix was built, as the scheme file writes
+    it: {"kind": ..., <params>}, with the base's dict under "base" for a
+    Kronecker lift or an extension.
     """
 
     __slots__ = ("mat", "k", "n", "domain", "provenance")
 
-    def __init__(self, mat: Matrix, provenance: Optional[Provenance] = None):
+    def __init__(self, mat: Matrix, provenance: Optional[dict] = None):
         k, n = mat.rows, mat.cols
         if not 1 <= k < n:
             raise ShapeMismatch(f"need 1 <= k < n, got k={k}, n={n}")
@@ -124,14 +87,15 @@ class GeneratorMatrix:
         self.k = k
         self.n = n
         self.domain = dom
-        self.provenance = provenance or Provenance("user")
+        self.provenance = {"kind": "user"} if provenance is None else provenance
 
     @property
     def num_codewords(self) -> int:
         return self.domain.q ** self.k
 
     def __repr__(self) -> str:
-        return f"GeneratorMatrix(k={self.k}, n={self.n}, {self.domain!r}, {self.provenance.kind})"
+        return (f"GeneratorMatrix(k={self.k}, n={self.n}, {self.domain!r}, "
+                f"{self.provenance['kind']})")
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, GeneratorMatrix)
@@ -352,10 +316,10 @@ def check_ccp_cyclic_shortcut(g: GeneratorMatrix) -> CcpCertificate:
     The verdict is about the polynomial, so g's rows must be build_cyclic's
     code of the provenance's gen_poly; NotCyclic otherwise.
     """
-    if g.provenance.kind != "cyclic":
+    if g.provenance["kind"] != "cyclic":
         raise NotCyclic("shortcut applies to cyclic-code generator matrices only")
     n, k = g.n, g.k
-    gen = g.provenance.params.get("gen_poly")
+    gen = g.provenance.get("gen_poly")
     try:
         # build_cyclic would truncate 2.5 and read true as 1
         if any(isinstance(c, bool) or not isinstance(c, int) for c in gen):
@@ -369,7 +333,7 @@ def check_ccp_cyclic_shortcut(g: GeneratorMatrix) -> CcpCertificate:
     cols = tuple((start + j) % n for j in range(k + 1))
     checks: list[tuple[str, bool]] = [("boundary j=0 (triangular unit block)", True)]
     # C_j is invertible over Z mod q iff it is mod every prime p | q
-    coeffs = code.provenance.params["gen_poly"]
+    coeffs = code.provenance["gen_poly"]
     oks = [all(col) for col in zip(*(
         _cyclic_shortcut_oks([c % f.q for c in coeffs], n, k, f)
         for f in _prime_fields(g.domain)))]
@@ -489,7 +453,7 @@ def build_mds(n: int, k: int, domain: ScalarDomain) -> GeneratorMatrix:
         raise ShapeMismatch(f"need 1 <= k < n, got k={k}, n={n}")
     rows = [[domain.pow(x, i) for x in range(n)] for i in range(k)]
     mat = Matrix.from_rows(domain, rows)
-    return GeneratorMatrix(mat, Provenance("mds", {"n": n, "k": k, "q": domain.q}))
+    return GeneratorMatrix(mat, {"kind": "mds", "n": n, "k": k, "q": domain.q})
 
 
 def build_cyclic(n: int, gen_poly: Sequence[int], domain: ScalarDomain) -> GeneratorMatrix:
@@ -511,8 +475,8 @@ def build_cyclic(n: int, gen_poly: Sequence[int], domain: ScalarDomain) -> Gener
     k = n - deg
     rows = [[0] * i + gen + [0] * (n - deg - 1 - i) for i in range(k)]
     mat = Matrix.from_rows(domain, rows)
-    return GeneratorMatrix(mat, Provenance("cyclic", {"n": n, "q": domain.q,
-                                                      "gen_poly": gen}))
+    return GeneratorMatrix(mat, {"kind": "cyclic", "n": n, "q": domain.q,
+                                 "gen_poly": gen})
 
 
 def build_spc(k: int, domain: ScalarDomain) -> GeneratorMatrix:
@@ -521,7 +485,7 @@ def build_spc(k: int, domain: ScalarDomain) -> GeneratorMatrix:
         raise ShapeMismatch(f"k must be >= 1, got {k}")
     rows = [[1 if i == j else 0 for j in range(k)] + [1] for i in range(k)]
     mat = Matrix.from_rows(domain, rows)
-    return GeneratorMatrix(mat, Provenance("spc", {"k": k, "q": domain.q}))
+    return GeneratorMatrix(mat, {"kind": "spc", "k": k, "q": domain.q})
 
 
 def kron_identity(base: GeneratorMatrix, t: int) -> GeneratorMatrix:
@@ -545,8 +509,8 @@ def kron_identity(base: GeneratorMatrix, t: int) -> GeneratorMatrix:
                 row[j * t + r] = base.mat.get(i, j)
             rows.append(row)
     mat = Matrix.from_rows(base.domain, rows)
-    return GeneratorMatrix(mat, Provenance("kron_identity",
-                                           {"t": t, "base": base.provenance}))
+    return GeneratorMatrix(mat, {"kind": "kron_identity", "t": t,
+                                 "base": base.provenance})
 
 
 def _banded_block_code(t: int, z: int, domain: ScalarDomain) -> Matrix:
@@ -604,9 +568,8 @@ def build_claim5(t: int, z: int, alpha_cols: int,
             row[j * t + r] = row[j * t + r + 1] = table[z - 1][j]
         rows.append(row)
     mat = Matrix.from_rows(domain, rows)
-    return GeneratorMatrix(mat, Provenance("claim5", {"t": t, "z": z,
-                                                      "alpha_cols": alpha_cols,
-                                                      "q": domain.q}))
+    return GeneratorMatrix(mat, {"kind": "claim5", "t": t, "z": z,
+                                 "alpha_cols": alpha_cols, "q": domain.q})
 
 
 def build_claim6(t: int, z: int, domain: ScalarDomain) -> GeneratorMatrix:
@@ -621,7 +584,7 @@ def build_claim6(t: int, z: int, domain: ScalarDomain) -> GeneratorMatrix:
     if domain.q < z:
         raise FieldTooSmall(f"need q >= z, got q={domain.q} < z={z}")
     mat = _banded_block_code(t, z, domain)
-    return GeneratorMatrix(mat, Provenance("claim6", {"t": t, "z": z, "q": domain.q}))
+    return GeneratorMatrix(mat, {"kind": "claim6", "t": t, "z": z, "q": domain.q})
 
 
 def build_claim9(t: int, ring_modulus: int) -> GeneratorMatrix:
@@ -633,7 +596,7 @@ def build_claim9(t: int, ring_modulus: int) -> GeneratorMatrix:
         raise ShapeMismatch(f"t must be >= 2, got {t}")
     domain = ScalarDomain.ring(ring_modulus)
     mat = _banded_block_code(t, 2, domain)
-    return GeneratorMatrix(mat, Provenance("claim9", {"t": t, "q": ring_modulus}))
+    return GeneratorMatrix(mat, {"kind": "claim9", "t": t, "q": ring_modulus})
 
 
 def extend_ccp(g: GeneratorMatrix, s: int, alpha: Optional[int] = None) -> GeneratorMatrix:
@@ -652,8 +615,8 @@ def extend_ccp(g: GeneratorMatrix, s: int, alpha: Optional[int] = None) -> Gener
     head = [list(g.mat.row(i)[:alpha]) for i in range(g.k)]
     rows = [head[i] * s + list(g.mat.row(i)) for i in range(g.k)]
     mat = Matrix.from_rows(g.domain, rows)
-    return GeneratorMatrix(mat, Provenance("extended", {"s": s, "alpha": alpha,
-                                                        "base": g.provenance}))
+    return GeneratorMatrix(mat, {"kind": "extended", "s": s, "alpha": alpha,
+                                 "base": g.provenance})
 
 
 # ---------------------------------------------------------------------------
@@ -725,12 +688,10 @@ class CrtCodewordSource:
         self.components = tuple(components)
         self.k_min = min(c.k for c in components)
         self.num_codewords = math.prod(c.num_codewords for c in components)
-        self.provenance = Provenance(
-            "crt_cyclic",
-            {"n": n, "q": self.q,
-             "components": [{"q": c.domain.q,
-                             "gen_poly": list(c.provenance.params["gen_poly"])}
-                            for c in components]})
+        self.provenance = {
+            "kind": "crt_cyclic", "n": n, "q": self.q,
+            "components": [{"q": c.domain.q, "gen_poly": list(c.provenance["gen_poly"])}
+                           for c in components]}
         basis = []
         for qi in qs:
             mi = self.q // qi

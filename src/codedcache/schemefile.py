@@ -14,13 +14,8 @@ import json
 import os
 from typing import Optional, Union
 
-from .codes import (
-    CcpCertificate,
-    CrtCodewordSource,
-    GeneratorMatrix,
-    Provenance,
-    build_crt_cyclic,
-)
+from . import design
+from .codes import CcpCertificate, CrtCodewordSource, GeneratorMatrix, build_crt_cyclic
 from .errors import CodedCacheError, SchemeFileError
 from .gf import Matrix, ScalarDomain
 
@@ -36,8 +31,6 @@ SIZE_CAP = 1 << 20
 # and at 88 MiB (109) for spc(8)/GF(4), 1,769,472 terms (CPython 3.11,
 # 64-bit), so a run at the cap stays near 125 MiB, under 1 GiB.
 TERM_CAP = 1 << 21
-
-SchemeSource = Union[GeneratorMatrix, CrtCodewordSource]
 
 
 def _domain_descriptor(dom: ScalarDomain) -> dict:
@@ -100,22 +93,22 @@ def certificate_summary(cert: CcpCertificate) -> dict:
             "method": cert.method, "windows_checked": len(cert.windows)}
 
 
-def scheme_to_dict(source: SchemeSource,
+def scheme_to_dict(source: design.Source,
                    certificate: Optional[CcpCertificate] = None,
                    digests: Optional[dict] = None) -> dict:
     out: dict = {"format": FORMAT, "version": VERSION}
     if isinstance(source, CrtCodewordSource):
-        params = source.provenance.params
+        prov = source.provenance
         out["domain"] = _residue_descriptor(source.q)
-        out["source"] = {"type": "crt", "n": params["n"],
-                         "components": params["components"]}
+        out["source"] = {"type": "crt", "n": prov["n"],
+                         "components": prov["components"]}
     elif isinstance(source, GeneratorMatrix):
         out["domain"] = _domain_descriptor(source.domain)
         out["source"] = {"type": "generator",
                          "rows": [list(r) for r in source.mat.to_rows()]}
     else:
         raise SchemeFileError(f"cannot serialize {type(source).__name__}")
-    out["provenance"] = source.provenance.to_dict()
+    out["provenance"] = dict(source.provenance)
     if certificate is not None:
         out["certificate"] = certificate_summary(certificate)
     if digests:
@@ -123,7 +116,7 @@ def scheme_to_dict(source: SchemeSource,
     return out
 
 
-def scheme_from_dict(data: dict) -> SchemeSource:
+def scheme_from_dict(data: dict) -> design.Source:
     if not isinstance(data, dict):
         raise SchemeFileError(f"scheme document must be an object, got "
                               f"{type(data).__name__}")
@@ -157,7 +150,9 @@ def scheme_from_dict(data: dict) -> SchemeSource:
             if not isinstance(prov, dict):
                 raise SchemeFileError(f"provenance must be an object, got "
                                       f"{type(prov).__name__}")
-            return GeneratorMatrix(mat, Provenance.from_dict(prov))
+            # a copy, made by reading "kind": a provenance without one is
+            # invalid content
+            return GeneratorMatrix(mat, {"kind": prov["kind"], **prov})
     except SchemeFileError:
         raise
     except (CodedCacheError, KeyError, TypeError, ValueError) as exc:
@@ -165,18 +160,23 @@ def scheme_from_dict(data: dict) -> SchemeSource:
     raise SchemeFileError(f"unknown source type {src['type']!r}")
 
 
-def save_scheme(path: Union[str, os.PathLike], source: SchemeSource,
+def save_scheme(path: Union[str, os.PathLike], source: design.Source,
                 certificate: Optional[CcpCertificate] = None,
                 digests: Optional[dict] = None) -> dict:
     """Write the scheme file and return the document written."""
     doc = scheme_to_dict(source, certificate, digests)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        _dump(doc, fh)
     return doc
 
 
-def load_scheme(path: Union[str, os.PathLike]) -> tuple[SchemeSource, dict]:
+def _dump(doc: dict, fh) -> None:
+    """Write a scheme document as a file holds it, and as construct prints it."""
+    json.dump(doc, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
+def load_scheme(path: Union[str, os.PathLike]) -> tuple[design.Source, dict]:
     """Read a scheme file; returns the rebuilt source and the raw document
     (which carries any certificate summary and digests)."""
     try:
@@ -189,17 +189,16 @@ def load_scheme(path: Union[str, os.PathLike]) -> tuple[SchemeSource, dict]:
     return scheme_from_dict(data), data
 
 
-def codeword_digest(source: SchemeSource) -> str:
+def codeword_digest(source: design.Source) -> str:
     """sha256 over the canonical codeword matrix, for change detection.
     Refuses enumerations larger than SIZE_CAP, read at call time."""
     import hashlib  # here: only --digest pays for its import
-    from .design import codeword_matrix  # deferred: design imports codes
 
     # count first: the cap must refuse before anything is enumerated
     count = source.num_codewords
     if count > SIZE_CAP:
         raise SchemeFileError(f"{count} codewords exceed digest cap {SIZE_CAP}")
-    cm = codeword_matrix(source)
+    cm = design.codeword_matrix(source)
     # entries lie in [0, q): look their decimal forms up, not format each
     digits = [str(v) for v in range(cm.q)]
     h = hashlib.sha256()

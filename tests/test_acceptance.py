@@ -249,7 +249,7 @@ def check_intersections(scheme, graph):
     """Any j blocks from j distinct classes of one recovery set meet in
     exactly q^(k-j) points, for every j up to k."""
     d = scheme.design
-    q, k = scheme.q, scheme.k
+    q, k = scheme.q, scheme.design.source.k
     for classes in graph.sets:
         for j in range(1, k + 1):
             for chosen in itertools.combinations(classes, j):

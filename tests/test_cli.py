@@ -6,6 +6,7 @@ stdout/stderr text, and the files the commands leave behind.
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -18,7 +19,7 @@ import pytest
 from codedcache import caching, cli, design, schemefile
 
 
-def run_child(argv, cwd, stdout=subprocess.PIPE):
+def run_child(argv, cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
     """Invoke the CLI in a child process that is killed after 60 s, so a
     command that never ends fails its test instead of stalling the suite."""
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -26,15 +27,16 @@ def run_child(argv, cwd, stdout=subprocess.PIPE):
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "codedcache"]
                           + [str(a) for a in argv], cwd=cwd, env=env,
-                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60)
+                          stdout=stdout, stderr=stderr, text=True, timeout=60)
 
 
-def run_closed_stdout(argv, cwd):
-    """run_child with stdout a pipe whose read end is already closed."""
+def run_closed(argv, cwd, stream="stdout"):
+    """run_child with stdout (or stderr) a pipe whose read end is already
+    closed."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        return run_child(argv, cwd, stdout=write_end)
+        return run_child(argv, cwd, **{stream: write_end})
     finally:
         os.close(write_end)
 
@@ -201,6 +203,52 @@ def test_construct_kron_and_extend_from_base_files(tmp_path):
             1, json.dumps({"error": {"type": "DomainError", "message": text}}) + "\n", "")
 
 
+# construct's output, one sha256 per builder: stdout and the --out file hold
+# the same bytes.  kron and extend read spc(2) over GF(3) (field.json) or
+# over Z mod 6 (ring.json).
+CONSTRUCT_BYTES = {
+    "mds": (["mds", "--n", 7, "--k", 3, "--q", 7],
+            "65fdd19913ce6f91323799d7441e4f7a885735d4103027c015ab0f2166e61352"),
+    "mds-modulus": (["mds", "--n", 5, "--k", 2, "--q", 8, "--modulus", "1,1,0,1"],
+                    "a5aedc0f602e74315b368e1a868d16f65b90a7aad567e504249bfd963b31bec3"),
+    "mds-digest": (["mds", "--n", 7, "--k", 2, "--q", 7, "--digest"],
+                   "d744a23dffd984570251e617939b685a656ee27c26b6cf123c7f9b049af8889a"),
+    "cyclic": (["cyclic", "--n", 8, "--q", 3, "--g", "2,1,0,1,1"],
+               "feb432fdc36ab341894833fcbd9bd89cc6ca0eb135c489c0756f49aac5fc87ba"),
+    "spc": (["spc", "--k", 3, "--q", 3],
+            "cde8937b571aa8aa56d7f81e36c4838676c8c5a22813112cafe4e087be87aa24"),
+    "claim5": (["claim5", "--t", 2, "--z", 2, "--alpha-cols", 3, "--q", 4],
+               "77774b2bd9cb27dac58dedb65ca136b22bac29d603a5cc7953e5bfe2208bf004"),
+    "claim6": (["claim6", "--t", 2, "--z", 2, "--q", 3],
+               "765336be8f124c5687ffce80345a1d1669700c5b721adbe710e601aa7fa31e66"),
+    "claim9": (["claim9", "--t", 2, "--q", 6],
+               "a7e6b8fc47653aea04d0b17243a90dbb8b028420c9fef994bc5364cf383bf14c"),
+    "kron-field": (["kron", "--base", "field.json", "--t", 2],
+                   "b71b555011bddab0ace2ef77d70e8fe9bc7b52875950ca984595020c7a8df9b4"),
+    "kron-ring": (["kron", "--base", "ring.json", "--t", 2],
+                  "bc2b6cdefd5032f9afd4eedc0bc86f545954e11906c3ae9ddd5645fa7402b68c"),
+    "extend-field": (["extend", "--base", "field.json", "--s", 1],
+                     "cb00b538978a33f73df6f7a2b8ba705de4189a92fc980b4fda20fb443267c67a"),
+    "extend-ring": (["extend", "--base", "ring.json", "--s", 1],
+                    "02b9403ec4372f0fe9339edd8b4c4e18a2c8dc87d60b874770adda14e306b19f"),
+    "crt": (["crt", "--n", 4, "--component", "2:1,1", "--component", "3:1,1"],
+            "6f5d90c1fd60c13023f7b427c8380116d990ac01e637b4d6469e5de907415d3f"),
+}
+
+
+@pytest.mark.parametrize("name", CONSTRUCT_BYTES)
+def test_construct_output_bytes_are_pinned(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    for base, q in (("field.json", 3), ("ring.json", 6)):
+        assert run(["construct", "spc", "--k", 2, "--q", q, "--out", base])[0] == 0
+    argv, digest = CONSTRUCT_BYTES[name]
+    code, out, _ = run(["construct"] + argv)
+    assert code == 0
+    assert run(["construct"] + argv + ["--out", "o.json"])[0] == 0
+    assert (tmp_path / "o.json").read_bytes() == out.encode()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_list_flags_refuse_non_integers_as_usage_errors():
     for argv, text in (
             (["cyclic", "--n", 3, "--q", 2, "--g", "1,x"],
@@ -326,6 +374,7 @@ def test_loader_refuses_malformed_provenance_and_non_integer_numbers(tmp_path):
     cases = {
         "int": (dict(doc, provenance=5), "provenance must be an object, got int"),
         "list": (dict(doc, provenance=[1]), "provenance must be an object, got list"),
+        "no-kind": (dict(doc, provenance={"k": 3, "q": 3}), "invalid scheme content: 'kind'"),
         "row-float": (dict(hand, source={"type": "generator",
                                          "rows": [[1.9, 0, 1, 1], [0, 1, 1, "2"]]}),
                       "rows holds 1.9, not a JSON integer"),
@@ -371,7 +420,7 @@ def test_a_closed_stdout_exits_141_without_a_traceback(tmp_path):
     traceback; a pipe with no reader left now exits 141, quietly."""
     assert run(["construct", "crt", "--n", 4, "--component", "2:1,1",
                 "--component", "3:1,1", "--out", tmp_path / "crt.json"])[0] == 0
-    proc = run_closed_stdout(["verify", "crt.json"], tmp_path)
+    proc = run_closed(["verify", "crt.json"], tmp_path)
     assert (proc.returncode, proc.stderr) == (141, "")
 
 
@@ -379,8 +428,18 @@ def test_a_closed_stdout_exits_141_without_a_traceback(tmp_path):
                                   ["construct", "spc", "--help"], ["verify", "-h"]])
 def test_help_on_a_closed_stdout_exits_141_without_a_traceback(tmp_path, argv):
     """argparse once dropped the write error and exited 0."""
-    proc = run_closed_stdout(argv, tmp_path)
+    proc = run_closed(argv, tmp_path)
     assert (proc.returncode, proc.stderr) == (141, "")
+
+
+def test_a_closed_stderr_exits_141_on_a_command_error_and_2_on_a_usage_error(tmp_path):
+    """A command's error message cannot be written, and main ends that as
+    it ends a closed stdout; argparse drops its own write error and exits 2
+    as usual."""
+    proc = run_closed(["verify", "missing.json"], tmp_path, "stderr")
+    assert (proc.returncode, proc.stdout) == (141, "")
+    proc = run_closed(["bogus"], tmp_path, "stderr")
+    assert (proc.returncode, proc.stdout) == (2, "")
 
 
 def test_verify_a_ring_window_onto_mod_each_prime_exits_zero(tmp_path):

@@ -10,7 +10,6 @@ from codedcache.codes import (
     CcpCertificate,
     CrtCodewordSource,
     GeneratorMatrix,
-    Provenance,
     build_claim5,
     build_claim6,
     build_claim9,
@@ -102,17 +101,6 @@ def test_ring_generator_needs_unit_column_content():
         gmat(z6, [[1, 2, 1], [0, 4, 1]])
     # column (2, 3) has content 1, fine
     gmat(z6, [[1, 2, 1], [0, 3, 1]])
-
-
-def test_provenance_params_cannot_shadow_kind():
-    with pytest.raises(DomainError):
-        Provenance("cyclic", {"kind": "field"})
-
-
-def test_provenance_round_trip_nested():
-    p = Provenance("extended", {"s": 2, "base": Provenance("spc", {"k": 3})})
-    again = Provenance.from_dict(p.to_dict())
-    assert again == p
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +388,7 @@ def test_shortcut_agrees_with_full_check_everywhere():
 def reference_shortcut(g):
     """The shortcut certificate with every condition matrix C_j built and
     reduced on its own, kept apart from the two Toeplitz eliminations."""
-    gen, n, k, dom = g.provenance.params["gen_poly"], g.n, g.k, g.domain
+    gen, n, k, dom = g.provenance["gen_poly"], g.n, g.k, g.domain
 
     def coeff(i):
         return gen[i] if 0 <= i < len(gen) else 0
@@ -461,7 +449,7 @@ def test_shortcut_certificate_equals_reference_over_rings():
     for q in (4, 6, 8, 10):
         for g in ring_cyclic_codes(q, 8):
             cert = check_ccp_cyclic_shortcut(g)
-            assert cert == reference_shortcut(g), (q, g.n, g.provenance.params)
+            assert cert == reference_shortcut(g), (q, g.n, g.provenance)
             checked += 1
             failed += not cert.satisfied
     assert checked >= 250
@@ -544,8 +532,8 @@ def test_cyclic_banded_structure_8_4_gf3():
         [0, 0, 2, 1, 0, 1, 1, 0],
         [0, 0, 0, 2, 1, 0, 1, 1],
     ]
-    assert g.provenance.kind == "cyclic"
-    assert g.provenance.params["gen_poly"] == [2, 1, 0, 1, 1]
+    assert g.provenance["kind"] == "cyclic"
+    assert g.provenance["gen_poly"] == [2, 1, 0, 1, 1]
 
 
 def test_cyclic_x_plus_1_n3_gf2():
@@ -570,7 +558,7 @@ def test_cyclic_rejects_bad_polynomials():
 def test_cyclic_drops_trailing_zero_coefficients():
     g = build_cyclic(3, [1, 1, 0, 0], GF2)
     assert g.mat == build_cyclic(3, [1, 1], GF2).mat
-    assert g.provenance.params == {"n": 3, "q": 2, "gen_poly": [1, 1]}
+    assert g.provenance == {"kind": "cyclic", "n": 3, "q": 2, "gen_poly": [1, 1]}
 
 
 # ---------------------------------------------------------------------------
@@ -839,7 +827,7 @@ def test_extend_6_5_spc_to_12_5():
     g = extend_ccp(base, 1)
     assert (g.k, g.n) == (5, 12)
     assert check_ccp(g, 6).satisfied
-    assert g.provenance.kind == "extended"
+    assert g.provenance["kind"] == "extended"
 
 
 def test_extend_s0_returns_base():

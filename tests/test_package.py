@@ -18,10 +18,20 @@ def test_all_names_resolve_once():
 
 
 def test_all_lists_every_public_attribute():
-    """A deleted function cannot survive as a stale import or export."""
+    """__all__ is computed from the package's imports; a public name bound
+    after that computation, or a hand-written list, would differ here."""
     public = {name for name, value in vars(codedcache).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert set(codedcache.__all__) == public
+
+
+def test_star_import_binds_exactly_all_and_no_submodule():
+    namespace = {}
+    exec("from codedcache import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(codedcache.__all__)
+    assert [name for name, value in namespace.items()
+            if isinstance(value, types.ModuleType)] == []
 
 
 def test_package_imports_only_the_standard_library():

@@ -78,9 +78,25 @@ def test_round_trip_extended_provenance(tmp_path):
     path = tmp_path / "ext.json"
     save_scheme(path, g)
     again, _ = load_scheme(path)
-    assert again.provenance.kind == "extended"
-    assert again.provenance.params["s"] == 2
-    assert again.provenance.params["base"].kind == "spc"
+    assert again.provenance == g.provenance == {
+        "kind": "extended", "s": 2, "alpha": 4, "base": {"kind": "spc", "k": 3, "q": 5}}
+
+
+@pytest.mark.parametrize("provenance", [
+    {"kind": "extended", "s": 1, "base": {"kind": "spc", "k": 2, "q": 3}, "note": {"x": 1}},
+    {"kind": "extended", "s": 1, "base": {"k": 2, "q": 3}},
+], ids=["nested", "base-without-kind"])
+def test_hand_written_provenance_saves_back_byte_for_byte(tmp_path, provenance):
+    """The loader keeps a copy of the provenance object as it reads it, so
+    a nested object, and one with no kind below the top, is written back
+    unchanged."""
+    doc = dict(scheme_to_dict(build_spc(2, GF3)), provenance=provenance)
+    hand, again = tmp_path / "hand.json", tmp_path / "again.json"
+    hand.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    source, raw = load_scheme(hand)
+    assert source.provenance == provenance and source.provenance is not raw["provenance"]
+    save_scheme(again, source)
+    assert again.read_bytes() == hand.read_bytes()
 
 
 def test_round_trip_crt_source(tmp_path):

@@ -20,7 +20,7 @@ from codedcache.caching import (
     TermStore,
     UserOutcome,
 )
-from codedcache.codes import CcpCertificate, Provenance, WindowCheck
+from codedcache.codes import CcpCertificate, GeneratorMatrix, WindowCheck
 from codedcache.design import CodewordMatrix, DesignReport, ResolvableDesign
 from codedcache.gf import Matrix, ScalarDomain
 
@@ -35,8 +35,6 @@ def _store():
 CASES = [
     (Matrix, ("domain", "rows", "cols", "entries"), lambda: (GF2, 1, 2, (0, 1)), True,
      "Matrix(domain=GF(2), rows=1, cols=2, entries=(0, 1))"),
-    (Provenance, ("kind", "params"), lambda: ("spc", {"k": 1}), False,
-     "Provenance(kind='spc', params={'k': 1})"),
     (WindowCheck, ("index", "columns", "checks", "ok"),
      lambda: (0, (0, 1), (("rank", True),), True), True,
      "WindowCheck(index=0, columns=(0, 1), checks=(('rank', True),), ok=True)"),
@@ -52,9 +50,9 @@ CASES = [
     (DesignReport, ("ok", "num_points", "n", "q", "block_size", "violations"),
      lambda: (True, 2, 2, 2, 1, ()), True,
      "DesignReport(ok=True, num_points=2, n=2, q=2, block_size=1, violations=())"),
-    (CachingScheme, ("design", "alpha", "z", "n", "q", "num_points", "k"),
-     lambda: ("design", 2, 1, 2, 2, 2, 1), True,
-     "CachingScheme(design='design', alpha=2, z=1, n=2, q=2, num_points=2, k=1)"),
+    (CachingScheme, ("design", "alpha", "z", "n", "q", "num_points"),
+     lambda: ("design", 2, 1, 2, 2, 2), True,
+     "CachingScheme(design='design', alpha=2, z=1, n=2, q=2, num_points=2)"),
     (RecoverySetGraph, ("n", "alpha", "z", "sets", "labels"),
      lambda: (2, 2, 1, ((0, 1),), {(0, 0): 0, (1, 0): 0}), False,
      "RecoverySetGraph(n=2, alpha=2, z=1, sets=((0, 1),), labels={(0, 0): 0, (1, 0): 0})"),
@@ -127,9 +125,13 @@ def test_matrix_scheme_delivery_is_outside_eq_hash_and_repr():
 
 
 def test_provenance_params_default_is_a_fresh_dict():
-    a, b = Provenance("x"), Provenance("x")
-    assert a.params == {} and a.params is not b.params
-    assert a == b and repr(a) == "Provenance(kind='x', params={})"
+    """A generator matrix built without a provenance gets its own
+    {"kind": "user"}: editing one cannot reach another."""
+    mat = Matrix.from_rows(GF2, [[1, 1]])
+    a, b = GeneratorMatrix(mat), GeneratorMatrix(mat)
+    assert a.provenance == b.provenance == {"kind": "user"}
+    assert a.provenance is not b.provenance
+    assert repr(a) == "GeneratorMatrix(k=1, n=2, GF(2), user)"
 
 
 def test_resolvable_design_caches_classes():
